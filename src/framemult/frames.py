@@ -10,11 +10,24 @@ optimal frame bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDual, NotAFrame
-from .linalg import DEFAULT_TOL, Tol, as_matrix, herm_eig_extremes, op_norm, pinv, sv_extremes
+from .errors import DimensionMismatch, InvalidDual, NotAFrame, NotHermitian
+from .linalg import (
+    _NOT_HERMITIAN,
+    DEFAULT_TOL,
+    Tol,
+    _adjoint,
+    _herm_extremes,
+    _op_norms,
+    as_matrix,
+    herm_eig_extremes,
+    op_norm,
+    pinv,
+    sv_extremes,
+)
 from .symbols import Symbol
 
 __all__ = [
@@ -48,6 +61,17 @@ class Frame:
         """The N x d analysis matrix U = T*."""
         return self.synth.conj().T
 
+    @cached_property
+    def _canonical_synth(self) -> np.ndarray:
+        """S^{-1}T, the canonical dual's synthesis matrix; solved once per frame."""
+        # S is Hermitian positive definite for every validated Frame.
+        return _read_only(np.linalg.solve(self.cached_S, self.synth))
+
+    @cached_property
+    def _kernel_proj(self) -> np.ndarray:
+        """I - U S^{-1}T, the orthogonal projection onto ker(T); formed once per frame."""
+        return _read_only(np.eye(self.count) - self.analysis_op @ self._canonical_synth)
+
 
 @dataclass(frozen=True)
 class DualFrame:
@@ -58,10 +82,22 @@ class DualFrame:
     v_part: np.ndarray  # d x N; zero exactly for the canonical dual
 
 
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.setflags(write=False)
+    return mat
+
+
 def _freeze(mat: np.ndarray) -> np.ndarray:
-    out = np.array(mat, dtype=np.complex128, copy=True)
-    out.setflags(write=False)
-    return out
+    return _read_only(np.array(mat, dtype=np.complex128, copy=True))
+
+
+def _rank_deficient(lo, hi, tol: Tol):
+    """The spectral rank test of new_frame, on scalars or stacks of (lambda_min, lambda_max)."""
+    return (hi <= 0.0) | (lo <= tol.inv_cond * hi)
+
+
+def _rank_error(lo: float, hi: float) -> NotAFrame:
+    return NotAFrame(f"rank-deficient sequence: lambda_min(S)={lo:.3e} vs lambda_max(S)={hi:.3e}")
 
 
 def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
@@ -78,10 +114,8 @@ def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
         raise NotAFrame(f"{n} vectors cannot span a {d}-dimensional space")
     s = synth @ synth.conj().T
     lo, hi = herm_eig_extremes(s, tol)
-    if hi <= 0.0 or lo <= tol.inv_cond * hi:
-        raise NotAFrame(
-            f"rank-deficient sequence: lambda_min(S)={lo:.3e} vs lambda_max(S)={hi:.3e}"
-        )
+    if _rank_deficient(lo, hi, tol):
+        raise _rank_error(lo, hi)
     return Frame(dim=d, count=n, synth=_freeze(synth), cached_S=_freeze(s), bounds=(lo, hi))
 
 
@@ -106,24 +140,98 @@ def frame_bounds(f: Frame) -> tuple[float, float]:
     return f.bounds
 
 
-def _solve_frame_op(f: Frame, rhs: np.ndarray) -> np.ndarray:
-    # S is Hermitian positive definite for every validated Frame.
-    return np.linalg.solve(f.cached_S, rhs)
+_NOT_DUAL = "reconstruction T_dual U_parent deviates from the identity"
+_NOT_FINITE = "matrix entries must be finite"
+
+
+def _not_dual(recon: np.ndarray, tol: Tol) -> np.ndarray:
+    """Mask of the reconstructions T_dual U_parent in a finite (..., d, d) stack that miss I.
+
+    The duality check is ||T_dual U - I|| <= rel_eq * max(1, ||T_dual U||).
+    """
+    deviation = _op_norms(recon - np.eye(recon.shape[-1]))
+    return deviation > tol.rel_eq * np.maximum(1.0, _op_norms(recon))
 
 
 def _check_duality(dual_synth: np.ndarray, parent: Frame, tol: Tol) -> None:
-    recon = dual_synth @ parent.analysis_op
-    eye = np.eye(parent.dim)
-    if op_norm(recon - eye) > tol.rel_eq * max(1.0, op_norm(recon)):
-        raise InvalidDual("reconstruction T_dual U_parent deviates from the identity")
+    """Raise InvalidDual unless every synthesis matrix in a (..., d, N) stack is a dual of parent.
+
+    The inputs are validated frames, whose entries are small enough that the
+    reconstruction T_dual U_parent is finite.
+    """
+    if np.any(_not_dual(dual_synth @ parent.analysis_op, tol)):
+        raise InvalidDual(_NOT_DUAL)
+
+
+def _finite_or_zero(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of the all-finite matrices in a (K, m, n) stack, the stack with the others zeroed)."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if finite.all():
+        return finite, stack
+    return finite, np.where(finite[:, np.newaxis, np.newaxis], stack, 0.0)
+
+
+def _raise_first(failures) -> None:
+    """Raise the error a dual-by-dual loop would raise first.
+
+    failures lists (mask over the K duals, error factory taking the dual
+    index) in the order one dual's checks run: the first dual that fails any
+    check decides, and within it the first check it fails.
+    """
+    bad = np.array([mask for mask, _ in failures])
+    failing = bad.any(axis=0)
+    if failing.any():
+        k = int(np.argmax(failing))
+        raise failures[int(np.argmax(bad[:, k]))][1](k)
+
+
+def _dual_family(f: Frame, w: np.ndarray | None, tol: Tol) -> list[DualFrame]:
+    """The duals S^{-1}T + W_k(I - U S^{-1}T) of f for a (K, d, N) stack of W_k.
+
+    w=None gives the canonical dual alone. All K duals are checked in one
+    stacked pass, in the order random_dual checks one dual: T_dual U finite,
+    the duality check, then new_frame's finiteness, Hermitian and rank tests
+    on each frame operator T_dual T_dual*.
+    """
+    if w is None:
+        synth = f._canonical_synth[np.newaxis]
+        v = np.zeros_like(synth)
+    else:
+        v = w @ f._kernel_proj
+        synth = f._canonical_synth + v
+    recon_ok, recon = _finite_or_zero(synth @ f.analysis_op)
+    gram_ok, gram = _finite_or_zero(synth @ _adjoint(synth))
+    # The stacks are owned here; each dual gets read-only views of its slices.
+    synth, gram, v = (_read_only(a) for a in (synth, gram, v))
+    skew, lo, hi = _herm_extremes(gram, tol)
+    _raise_first(
+        [
+            (~recon_ok, lambda k: ValueError(_NOT_FINITE)),
+            (_not_dual(recon, tol), lambda k: InvalidDual(_NOT_DUAL)),
+            (~gram_ok, lambda k: ValueError(_NOT_FINITE)),
+            (skew, lambda k: NotHermitian(_NOT_HERMITIAN)),
+            (_rank_deficient(lo, hi, tol), lambda k: _rank_error(lo[k], hi[k])),
+        ]
+    )
+    return [
+        DualFrame(
+            frame=Frame(
+                dim=f.dim,
+                count=f.count,
+                synth=synth[k],
+                cached_S=gram[k],
+                bounds=(float(lo[k]), float(hi[k])),
+            ),
+            parent=f,
+            v_part=v[k],
+        )
+        for k in range(len(synth))
+    ]
 
 
 def canonical_dual(f: Frame, tol: Tol = DEFAULT_TOL) -> DualFrame:
     """The dual with columns S^{-1} phi_n; its frame operator is S^{-1}."""
-    dual_synth = _solve_frame_op(f, f.synth)
-    _check_duality(dual_synth, f, tol)
-    dual = new_frame(dual_synth, tol)
-    return DualFrame(frame=dual, parent=f, v_part=_freeze(np.zeros_like(f.synth)))
+    return _dual_family(f, None, tol)[0]
 
 
 def random_dual(f: Frame, w, tol: Tol = DEFAULT_TOL) -> DualFrame:
@@ -137,16 +245,12 @@ def random_dual(f: Frame, w, tol: Tol = DEFAULT_TOL) -> DualFrame:
         raise DimensionMismatch(
             f"W has shape {w_mat.shape}, expected {(f.dim, f.count)}"
         )
-    v = w_mat @ proj_ker_synthesis(f)
-    dual_synth = _solve_frame_op(f, f.synth) + v
-    _check_duality(dual_synth, f, tol)
-    dual = new_frame(dual_synth, tol)
-    return DualFrame(frame=dual, parent=f, v_part=_freeze(v))
+    return _dual_family(f, w_mat[np.newaxis], tol)[0]
 
 
 def proj_ker_synthesis(f: Frame) -> np.ndarray:
     """The N x N orthogonal projection onto ker(T): I - U S^{-1} T."""
-    return np.eye(f.count) - f.analysis_op @ _solve_frame_op(f, f.synth)
+    return f._kernel_proj.copy()
 
 
 def is_riesz_basis(f: Frame, tol: Tol = DEFAULT_TOL) -> bool:

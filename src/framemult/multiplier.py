@@ -11,6 +11,7 @@ ties to that question.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,13 @@ class Multiplier:
     right: Frame
     matrix: np.ndarray  # d x d realization
     inv_diag: InvDiag
+
+    @cached_property
+    def _inverse(self) -> tuple[np.ndarray, float]:
+        """(M^{-1}, ||M M^{-1} - I||), computed once; invert judges the residual per call."""
+        inverse = np.linalg.inv(self.matrix)
+        inverse.setflags(write=False)
+        return inverse, op_norm(self.matrix @ inverse - np.eye(self.left.dim))
 
 
 @dataclass(frozen=True)
@@ -127,8 +135,7 @@ def invert(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> np.ndarray:
             f"multiplier not invertible: sigma_min/sigma_max = "
             f"{mult.inv_diag.sigma_min:.3e}/{mult.inv_diag.sigma_max:.3e}"
         )
-    inverse = np.linalg.inv(mult.matrix)
-    residual = op_norm(mult.matrix @ inverse - np.eye(mult.left.dim))
+    inverse, residual = mult._inverse
     if residual > tol.rel_eq:
         raise Singular(f"inverse residual {residual:.3e} exceeds rel_eq={tol.rel_eq:g}")
     return inverse

@@ -25,13 +25,14 @@ from .errors import InvalidDual
 from .frames import (
     DualFrame,
     Frame,
+    _check_duality,
+    _dual_family,
     canonical_dual,
     equivalence_map,
-    random_dual,
     scale_by_symbol,
 )
-from .linalg import DEFAULT_TOL, Tol, op_norm
-from .multiplier import Multiplier, build, invert
+from .linalg import DEFAULT_TOL, Tol, _adjoint, _op_norms, op_norm
+from .multiplier import Multiplier, invert
 from .symbols import reciprocal
 
 __all__ = [
@@ -84,28 +85,54 @@ def sample_duals(
     rng: np.random.Generator | None = None,
     tol: Tol = DEFAULT_TOL,
 ) -> list[DualFrame]:
-    """Canonical dual plus `count` random duals with unit-op-norm W matrices."""
+    """Canonical dual plus `count` random duals with unit-op-norm W matrices.
+
+    W_k is drawn as real part then imaginary part, dual by dual, from one
+    (count, 2, d, N) block of the stream; the random duals are built and
+    checked as one stack.
+    """
     if rng is None:
         rng = np.random.default_rng(_DUAL_SAMPLE_SEED)
-    duals = [canonical_dual(f, tol)]
-    for _ in range(count):
-        w = rng.standard_normal((f.dim, f.count)) + 1j * rng.standard_normal((f.dim, f.count))
-        norm = op_norm(w)
-        if norm > 0.0:
-            w = w / norm
-        duals.append(random_dual(f, w, tol))
-    return duals
+    canonical = canonical_dual(f, tol)
+    draws = rng.standard_normal((max(count, 0), 2, f.dim, f.count))
+    w = draws[:, 0] + 1j * draws[:, 1]
+    norms = _op_norms(w)
+    w = w / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis]
+    return [canonical, *_dual_family(f, w, tol)]
 
 
-def _check_dual_of(dual: DualFrame, parent: Frame, tol: Tol) -> None:
-    if dual.frame.dim != parent.dim or dual.frame.count != parent.count:
+def _dual_stack(duals: list[DualFrame], parent: Frame, tol: Tol) -> np.ndarray:
+    """The (K, d, N) synthesis stack of the supplied duals, each re-checked as a dual of parent."""
+    shapes = {dual.frame.synth.shape for dual in duals}
+    if shapes != {(parent.dim, parent.count)}:
         raise InvalidDual(
-            f"dual shape {dual.frame.dim}x{dual.frame.count} does not match "
-            f"parent {parent.dim}x{parent.count}"
+            f"dual shapes {sorted(shapes)} do not match parent {parent.dim}x{parent.count}"
         )
-    recon = dual.frame.synth @ parent.analysis_op
-    if op_norm(recon - np.eye(parent.dim)) > tol.rel_eq * max(1.0, op_norm(recon)):
-        raise InvalidDual("reconstruction against the stated parent fails")
+    stack = np.stack([dual.frame.synth for dual in duals])
+    _check_duality(stack, parent, tol)
+    return stack
+
+
+def _inverse_formula_left(mult: Multiplier, tol: Tol) -> np.ndarray:
+    """T_{Psi~} diag(1/m) for Psi~ the canonical dual of Psi.
+
+    mult(1/m, Psi~, Phi^d) is this matrix times U_{Phi^d}.
+    """
+    inv_symbol = reciprocal(mult.symbol)  # ZeroEntry guard
+    psi_tilde = canonical_dual(mult.right, tol).frame
+    return psi_tilde.synth * inv_symbol.values[np.newaxis, :]
+
+
+def _formula_residuals(
+    mult: Multiplier, minv: np.ndarray, rng: np.random.Generator, tol: Tol
+) -> np.ndarray:
+    """||M^{-1} - mult(1/m, canonical dual of Psi, Phi^d)|| per dual Phi^d of the left frame.
+
+    The duals are sample_duals(left frame, DUAL_SAMPLE_COUNT, rng).
+    """
+    left = _inverse_formula_left(mult, tol)
+    duals = sample_duals(mult.left, DUAL_SAMPLE_COUNT, rng, tol)
+    return _op_norms(minv - left @ _adjoint(np.stack([dual.frame.synth for dual in duals])))
 
 
 def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
@@ -118,7 +145,7 @@ def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
     phi, psi = mult.left, mult.right
     m = mult.symbol.values
     inv_conj_m = np.conj(reciprocal(mult.symbol).values)  # 1/conj(m); ZeroEntry guard
-    dual_analysis = np.linalg.solve(psi.cached_S, psi.synth).conj().T  # U_Psi S_Psi^{-1}
+    dual_analysis = psi._canonical_synth.conj().T  # U_Psi S_Psi^{-1}
     gamma = phi.analysis_op @ minv.conj().T - inv_conj_m[:, np.newaxis] * dual_analysis
     return RepResult(
         op=gamma,
@@ -136,7 +163,7 @@ def theta_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
     phi, psi = mult.left, mult.right
     m = mult.symbol.values
     inv_m = reciprocal(mult.symbol).values  # ZeroEntry guard
-    dual_analysis = np.linalg.solve(phi.cached_S, phi.synth).conj().T  # U_Phi S_Phi^{-1}
+    dual_analysis = phi._canonical_synth.conj().T  # U_Phi S_Phi^{-1}
     theta = psi.analysis_op @ minv - inv_m[:, np.newaxis] * dual_analysis
     return RepResult(
         op=theta,
@@ -158,16 +185,13 @@ def verify_gamma_decomposition(
     re-verified against that frame.
     """
     minv = invert(mult, tol)
-    inv_symbol = reciprocal(mult.symbol)
-    psi_tilde = canonical_dual(mult.right, tol).frame
-    gamma_adj = g.op.conj().T
-    residuals = []
-    for idx, dual in enumerate(duals):
-        _check_dual_of(dual, mult.left, tol)
-        reconstructed = build(inv_symbol, psi_tilde, dual.frame, tol).matrix
-        reconstructed = reconstructed + gamma_adj @ dual.frame.analysis_op
-        residuals.append((idx, op_norm(minv - reconstructed)))
-    return replace(g, decomposition_residuals=tuple(residuals))
+    left = _inverse_formula_left(mult, tol)
+    if not duals:
+        return replace(g, decomposition_residuals=())
+    dual_analysis = _adjoint(_dual_stack(duals, mult.left, tol))
+    reconstructed = left @ dual_analysis + g.op.conj().T @ dual_analysis
+    residuals = _op_norms(minv - reconstructed)
+    return replace(g, decomposition_residuals=tuple(enumerate(residuals.tolist())))
 
 
 def verify_theta_decomposition(
@@ -180,13 +204,13 @@ def verify_theta_decomposition(
     minv = invert(mult, tol)
     inv_symbol = reciprocal(mult.symbol)
     phi_tilde = canonical_dual(mult.left, tol).frame
-    residuals = []
-    for idx, dual in enumerate(duals):
-        _check_dual_of(dual, mult.right, tol)
-        reconstructed = build(inv_symbol, dual.frame, phi_tilde, tol).matrix
-        reconstructed = reconstructed + dual.frame.synth @ t.op
-        residuals.append((idx, op_norm(minv - reconstructed)))
-    return replace(t, decomposition_residuals=tuple(residuals))
+    if not duals:
+        return replace(t, decomposition_residuals=())
+    stack = _dual_stack(duals, mult.right, tol)
+    reconstructed = (stack * inv_symbol.values[np.newaxis, np.newaxis, :]) @ phi_tilde.analysis_op
+    reconstructed = reconstructed + stack @ t.op
+    residuals = _op_norms(minv - reconstructed)
+    return replace(t, decomposition_residuals=tuple(enumerate(residuals.tolist())))
 
 
 def equivalence_criterion(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> EquivalenceVerdict:
@@ -208,15 +232,8 @@ def equivalence_criterion(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Equivalen
     g = gamma_of(mult, tol)
     gamma_zero = op_norm(g.op) <= tol.rel_eq * scale
 
-    inv_symbol = reciprocal(mult.symbol)
-    psi_tilde = canonical_dual(mult.right, tol).frame
-    rng = np.random.default_rng(_DUAL_SAMPLE_SEED)
-    all_duals = True
-    for dual in sample_duals(mult.left, DUAL_SAMPLE_COUNT, rng, tol):
-        formula = build(inv_symbol, psi_tilde, dual.frame, tol).matrix
-        if op_norm(minv - formula) > tol.rel_eq * scale:
-            all_duals = False
-            break
+    residuals = _formula_residuals(mult, minv, np.random.default_rng(_DUAL_SAMPLE_SEED), tol)
+    all_duals = not np.any(residuals > tol.rel_eq * scale)
     return EquivalenceVerdict(
         equivalent=equivalent, gamma_zero=gamma_zero, all_duals_formula=all_duals
     )
