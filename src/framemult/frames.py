@@ -21,7 +21,9 @@ from .linalg import (
     Tol,
     _adjoint,
     _herm_extremes,
+    _norm_bounds,
     _op_norms,
+    _unless_cleared,
     as_matrix,
     herm_eig_extremes,
     op_norm,
@@ -71,6 +73,15 @@ class Frame:
     def _kernel_proj(self) -> np.ndarray:
         """I - U S^{-1}T, the orthogonal projection onto ker(T); formed once per frame."""
         return _read_only(np.eye(self.count) - self.analysis_op @ self._canonical_synth)
+
+    @cached_property
+    def _canonical_duals(self) -> dict[Tol, tuple[Frame, np.ndarray]]:
+        """(frame, v_part) of the canonical dual validated under each Tol.
+
+        The DualFrame itself is not stored: it points back to this frame, and
+        the cycle would keep both alive until the cyclic collector runs.
+        """
+        return {}
 
 
 @dataclass(frozen=True)
@@ -147,10 +158,16 @@ _NOT_FINITE = "matrix entries must be finite"
 def _not_dual(recon: np.ndarray, tol: Tol) -> np.ndarray:
     """Mask of the reconstructions T_dual U_parent in a finite (..., d, d) stack that miss I.
 
-    The duality check is ||T_dual U - I|| <= rel_eq * max(1, ||T_dual U||).
+    The duality check is ||T_dual U - I|| <= rel_eq * max(1, ||T_dual U||);
+    a reconstruction whose bound on ||T_dual U - I|| is at most rel_eq / 2
+    passes it without an SVD.
     """
-    deviation = _op_norms(recon - np.eye(recon.shape[-1]))
-    return deviation > tol.rel_eq * np.maximum(1.0, _op_norms(recon))
+    deviation = recon - np.eye(recon.shape[-1])
+    return _unless_cleared(
+        _norm_bounds(deviation) <= 0.5 * tol.rel_eq,
+        lambda sel: _op_norms(deviation[sel])
+        > tol.rel_eq * np.maximum(1.0, _op_norms(recon[sel])),
+    )
 
 
 def _check_duality(dual_synth: np.ndarray, parent: Frame, tol: Tol) -> None:
@@ -230,8 +247,18 @@ def _dual_family(f: Frame, w: np.ndarray | None, tol: Tol) -> list[DualFrame]:
 
 
 def canonical_dual(f: Frame, tol: Tol = DEFAULT_TOL) -> DualFrame:
-    """The dual with columns S^{-1} phi_n; its frame operator is S^{-1}."""
-    return _dual_family(f, None, tol)[0]
+    """The dual with columns S^{-1} phi_n; its frame operator is S^{-1}.
+
+    It is a function of f and tol alone, so it is validated once per Tol and
+    then served from f's memo in a fresh DualFrame.
+    """
+    cached = f._canonical_duals.get(tol)
+    if cached is None:
+        dual = _dual_family(f, None, tol)[0]
+        f._canonical_duals[tol] = (dual.frame, dual.v_part)
+        return dual
+    frame, v_part = cached
+    return DualFrame(frame=frame, parent=f, v_part=v_part)
 
 
 def random_dual(f: Frame, w, tol: Tol = DEFAULT_TOL) -> DualFrame:

@@ -5,6 +5,15 @@ dense; problem sizes are desk scale (d at most 8, N at most a few dozen), so
 the cost is call overhead around tiny LAPACK calls, not flops. The private
 stack helpers take a (K, m, n) stack of matrices and run one batched LAPACK
 call where a loop would make K; each matrix gets the bits it gets alone.
+
+Check-only spectral-norm comparisons (is H Hermitian, is T_dual U = I) are
+decided bound first, SVD second. The bound ||A|| <= sqrt(mn) max|a_ij|
+clears a matrix when it falls within half the tolerance the check allows;
+only the matrices it cannot clear are SVD'd and judged by the exact rule.
+The factor-2 margin dwarfs the roundoff in either side, so every matrix gets
+the verdict the SVD-only rule gives. The bound is a largest entry, not a sum
+of squares, so it cannot underflow to zero at tiny scales and clear a matrix
+the exact rule rejects.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ def as_matrix(a) -> np.ndarray:
     mat = np.asarray(a, dtype=np.complex128)
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={mat.ndim}")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
     return mat
 
@@ -77,6 +86,30 @@ def _op_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
+def _norm_bounds(stack: np.ndarray) -> np.ndarray:
+    """sqrt(mn) max|a_ij| per matrix of a (..., m, n) stack: an upper bound on its spectral norm."""
+    m, n = stack.shape[-2:]
+    return np.sqrt(m * n) * np.abs(stack).max(axis=(-2, -1))
+
+
+def _unless_cleared(cleared: np.ndarray, exact) -> np.ndarray:
+    """False where a bound cleared the matrix; elsewhere the mask exact(index) gives.
+
+    exact takes an index into the stack's leading axes and decides only the
+    matrices it selects, so the SVDs run on the uncleared matrices alone.
+    """
+    # A numpy bool scalar's .all() retains a few KiB of cached objects; a 0-d array's does not.
+    cleared = np.asarray(cleared)
+    if cleared.all():
+        return np.zeros_like(cleared)
+    if not cleared.any():
+        return exact(...)
+    mask = np.zeros_like(cleared)
+    rest = ~cleared
+    mask[rest] = exact(rest)
+    return mask
+
+
 def _adjoint(stack: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a (..., m, n) stack."""
     return stack.conj().swapaxes(-1, -2)
@@ -86,12 +119,19 @@ def _herm_extremes(stack: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray,
     """(not Hermitian, lambda_min, lambda_max) for each matrix of a finite (..., d, d) stack.
 
     A matrix is not Hermitian when ||H - H*|| > rel_eq * ||H||; the extremes
-    are those of (H + H*)/2.
+    are those of (H + H*)/2. Since ||H|| >= ||(H + H*)/2|| = max(|lambda_min|,
+    |lambda_max|), a matrix whose bound on ||H - H*|| is at most half of
+    rel_eq times that is Hermitian without an SVD.
     """
     adj = _adjoint(stack)
-    skew = _op_norms(stack - adj) > tol.rel_eq * _op_norms(stack)
     eigenvalues = np.linalg.eigvalsh((stack + adj) / 2.0)
-    return skew, eigenvalues[..., 0], eigenvalues[..., -1]
+    lo, hi = eigenvalues[..., 0], eigenvalues[..., -1]
+    diff = stack - adj
+    cleared = _norm_bounds(diff) <= 0.5 * tol.rel_eq * np.maximum(np.abs(lo), np.abs(hi))
+    skew = _unless_cleared(
+        cleared, lambda sel: _op_norms(diff[sel]) > tol.rel_eq * _op_norms(stack[sel])
+    )
+    return skew, lo, hi
 
 
 def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:

@@ -29,7 +29,7 @@ from .generators import (
     riesz_basis,
 )
 from .linalg import DEFAULT_TOL, Tol, herm_eig_extremes, op_norm
-from .multiplier import BOUNDARY_FACTOR, Multiplier, build, invert, thm1_report
+from .multiplier import Multiplier, _near_boundary, build, invert, thm1_report
 from .perturbation import (
     companion_per1,
     companion_per1_dual_side,
@@ -252,10 +252,6 @@ def _invertible_instance(
     raise FrameMultError(
         f"no invertible multiplier in {RESAMPLE_LIMIT} symbol draws (trial {trial})"
     )
-
-
-def _banded(value: float, tol: Tol) -> bool:
-    return tol.rel_eq < value <= BOUNDARY_FACTOR * tol.rel_eq
 
 
 def _verdict(ok: bool, indeterminate: bool) -> str:
@@ -510,7 +506,9 @@ def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> Tri
     max_formula = float(_formula_residuals(mult, minv, rng, tol).max())
 
     agree = verdict3.equivalent == verdict3.gamma_zero == verdict3.all_duals_formula
-    indeterminate = _banded(gamma_norm / scale, tol) or _banded(max_formula / scale, tol)
+    indeterminate = _near_boundary(gamma_norm / scale, tol) or _near_boundary(
+        max_formula / scale, tol
+    )
     return TrialRecord(
         suite="equivalence",
         trial=trial,

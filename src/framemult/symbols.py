@@ -55,7 +55,7 @@ def new_symbol(values) -> Symbol:
         raise ValueError(f"symbol must be 1-D, got ndim={arr.ndim}")
     if arr.shape[0] == 0:
         raise ValueError("symbol must have at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("symbol entries must be finite")
     arr = arr.copy()
     arr.setflags(write=False)
