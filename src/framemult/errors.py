@@ -29,6 +29,10 @@ class HypothesisViolated(FrameMultError):
     """Inputs do not satisfy the hypothesis a construction requires."""
 
 
+class NumericalOverflow(FrameMultError):
+    """A quantity derived from finite inputs leaves the floating-point range."""
+
+
 class InvalidDual(FrameMultError):
     """A claimed dual frame fails the reconstruction identity."""
 

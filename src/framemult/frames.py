@@ -14,15 +14,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDual, NotAFrame, NotHermitian
+from .errors import DimensionMismatch, InvalidDual, NotAFrame, NotHermitian, NumericalOverflow
 from .linalg import (
     _NOT_HERMITIAN,
+    _OVERFLOW,
     DEFAULT_TOL,
     Tol,
     _adjoint,
     _herm_extremes,
     _norm_bounds,
     _op_norms,
+    _unbounded,
     _unless_cleared,
     as_matrix,
     herm_eig_extremes,
@@ -207,8 +209,8 @@ def _dual_family(f: Frame, w: np.ndarray | None, tol: Tol) -> list[DualFrame]:
 
     w=None gives the canonical dual alone. All K duals are checked in one
     stacked pass, in the order random_dual checks one dual: T_dual U finite,
-    the duality check, then new_frame's finiteness, Hermitian and rank tests
-    on each frame operator T_dual T_dual*.
+    the duality check, then new_frame's finiteness, Hermitian, bounded
+    extremes and rank tests on each frame operator T_dual T_dual*.
     """
     if w is None:
         synth = f._canonical_synth[np.newaxis]
@@ -227,6 +229,7 @@ def _dual_family(f: Frame, w: np.ndarray | None, tol: Tol) -> list[DualFrame]:
             (_not_dual(recon, tol), lambda k: InvalidDual(_NOT_DUAL)),
             (~gram_ok, lambda k: ValueError(_NOT_FINITE)),
             (skew, lambda k: NotHermitian(_NOT_HERMITIAN)),
+            (_unbounded(lo, hi), lambda k: NumericalOverflow(_OVERFLOW)),
             (_rank_deficient(lo, hi, tol), lambda k: _rank_error(lo[k], hi[k])),
         ]
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, Singular
+from .errors import NotHermitian, NumericalOverflow, Singular
 
 __all__ = [
     "Tol",
@@ -61,6 +61,7 @@ class Tol:
 DEFAULT_TOL = Tol()
 
 _NOT_HERMITIAN = "matrix deviates from its adjoint beyond tolerance"
+_OVERFLOW = "extremal eigenvalues of (H + H*)/2 overflow"
 
 
 def as_matrix(a) -> np.ndarray:
@@ -122,16 +123,34 @@ def _herm_extremes(stack: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray,
     are those of (H + H*)/2. Since ||H|| >= ||(H + H*)/2|| = max(|lambda_min|,
     |lambda_max|), a matrix whose bound on ||H - H*|| is at most half of
     rel_eq times that is Hermitian without an SVD.
+
+    An entry of H - H* that overflows exceeds the largest double, while
+    ||H|| <= d max|h_ij| stays below d times it, so the rule rejects the
+    matrix whenever d * rel_eq < 1; it is flagged without an SVD. The
+    extremes can still overflow (see _unbounded).
     """
     adj = _adjoint(stack)
     eigenvalues = np.linalg.eigvalsh((stack + adj) / 2.0)
     lo, hi = eigenvalues[..., 0], eigenvalues[..., -1]
     diff = stack - adj
-    cleared = _norm_bounds(diff) <= 0.5 * tol.rel_eq * np.maximum(np.abs(lo), np.abs(hi))
+    peak = np.abs(diff).max(axis=(-2, -1))  # infinite where an entry of H - H* overflows
+    overflow = np.isinf(peak)
+    # stack.shape[-1] * peak is _norm_bounds(diff) for a square stack.
+    cleared = stack.shape[-1] * peak <= 0.5 * tol.rel_eq * np.maximum(np.abs(lo), np.abs(hi))
     skew = _unless_cleared(
-        cleared, lambda sel: _op_norms(diff[sel]) > tol.rel_eq * _op_norms(stack[sel])
+        cleared | overflow,
+        lambda sel: _op_norms(diff[sel]) > tol.rel_eq * _op_norms(stack[sel]),
     )
-    return skew, lo, hi
+    return skew | overflow, lo, hi
+
+
+def _unbounded(lo, hi):
+    """Mask of the extremes from _herm_extremes that are not finite.
+
+    They overflow (or turn NaN) when (H + H*)/2 or its spectrum leaves the
+    floating-point range although H is finite.
+    """
+    return ~(np.isfinite(lo) & np.isfinite(hi))
 
 
 def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
@@ -139,7 +158,8 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
 
     The input is symmetrized as (H + H*)/2 before solving, absorbing roundoff
     from products like T T*. Inputs farther than rel_eq * ||H|| from Hermitian
-    are rejected.
+    are rejected with NotHermitian; finite inputs whose extremes overflow are
+    rejected with NumericalOverflow.
     """
     mat = as_matrix(h)
     if mat.shape[0] != mat.shape[1]:
@@ -147,6 +167,8 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
     skew, lo, hi = _herm_extremes(mat, tol)
     if skew:
         raise NotHermitian(_NOT_HERMITIAN)
+    if _unbounded(lo, hi):
+        raise NumericalOverflow(_OVERFLOW)
     return float(lo), float(hi)
 
 

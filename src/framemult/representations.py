@@ -124,14 +124,10 @@ def _inverse_formula_left(mult: Multiplier, tol: Tol) -> np.ndarray:
 
 
 def _formula_residuals(
-    mult: Multiplier, minv: np.ndarray, rng: np.random.Generator, tol: Tol
+    mult: Multiplier, minv: np.ndarray, duals: list[DualFrame], tol: Tol
 ) -> np.ndarray:
-    """||M^{-1} - mult(1/m, canonical dual of Psi, Phi^d)|| per dual Phi^d of the left frame.
-
-    The duals are sample_duals(left frame, DUAL_SAMPLE_COUNT, rng).
-    """
+    """||M^{-1} - mult(1/m, canonical dual of Psi, Phi^d)|| per dual Phi^d of the left frame."""
     left = _inverse_formula_left(mult, tol)
-    duals = sample_duals(mult.left, DUAL_SAMPLE_COUNT, rng, tol)
     return _op_norms(minv - left @ _adjoint(np.stack([dual.frame.synth for dual in duals])))
 
 
@@ -232,7 +228,9 @@ def equivalence_criterion(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Equivalen
     g = gamma_of(mult, tol)
     gamma_zero = op_norm(g.op) <= tol.rel_eq * scale
 
-    residuals = _formula_residuals(mult, minv, np.random.default_rng(_DUAL_SAMPLE_SEED), tol)
+    rng = np.random.default_rng(_DUAL_SAMPLE_SEED)
+    duals = sample_duals(mult.left, DUAL_SAMPLE_COUNT, rng, tol)
+    residuals = _formula_residuals(mult, minv, duals, tol)
     all_duals = not np.any(residuals > tol.rel_eq * scale)
     return EquivalenceVerdict(
         equivalent=equivalent, gamma_zero=gamma_zero, all_duals_formula=all_duals

@@ -8,6 +8,13 @@ are counted separately and never fail a run.
 Determinism: all randomness is drawn from generators seeded with
 (base_seed, trial, stream) tuples, so a fixed config reproduces every
 fixture, perturbation, sampled dual, and residual bit-for-bit.
+
+A combined run executes trial-major: for each trial, every suite in turn.
+The suites of one trial share the seeded fixtures they have in common (the
+frame pair, the semi-normalized symbol, the invertible instances and the
+(seed, trial, 5) dual families), each built and validated once. Records
+are still reported suite by suite, in the same order and with the same
+bytes as running the suites one after another.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigInvalid, FrameMultError
-from .frames import Frame, new_frame
+from .frames import DualFrame, Frame, new_frame
 from .generators import (
     finite_gabor,
     harmonic_tight,
@@ -202,30 +209,63 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, trials=int(cfg.trials), dims=tuple((int(d), int(n)) for d, n in cfg.dims))
 
 
+# ------------------------------------------------------------- trial fixtures
+
+# Fixtures of the trial being run, shared by its suites (see run_suite). A key
+# lists everything that determines its value, so a hit is the object a fresh
+# build would give. A fixture that raises is not stored: each suite asking for
+# it builds it again and records the same error.
+_FIXTURES: dict[tuple, object] = {}
+
+
+def _shared(key: tuple, make, *args):
+    """make(*args), built at most once per trial under key."""
+    if key not in _FIXTURES:
+        _FIXTURES[key] = make(*args)
+    return _FIXTURES[key]
+
+
+_SEEDED_GENERATORS = ("random", "riesz")
+
+
+def _frame_key(generator: str, d: int, n: int, seed: tuple, tol: Tol) -> tuple:
+    """The key of a generated frame; the deterministic generators ignore the seed."""
+    return ("frame", generator, d, n, seed if generator in _SEEDED_GENERATORS else None, tol)
+
+
+def _make_frame(generator: str, d: int, n: int, seed: tuple | None, tol: Tol) -> Frame:
+    if generator == "random":
+        return random_frame(d, n, seed, tol=tol)
+    if generator == "riesz":
+        return riesz_basis(d, seed, tol=tol)
+    if generator == "harmonic":
+        return harmonic_tight(d, n)
+    if generator == "gabor":
+        return finite_gabor(d, 1, 1)  # fully oversampled lattice, N = d^2
+    return onb(d)
+
+
+def _frame(key: tuple) -> Frame:
+    return _shared(key, _make_frame, *key[1:])
+
+
+def _pair_keys(cfg: ExperimentConfig, trial: int, d: int, n: int) -> tuple[tuple, tuple]:
+    """Keys of the trial's left and right frames, drawn from streams 0 and 1."""
+    return (
+        _frame_key(cfg.generator, d, n, (cfg.seed, trial, 0), cfg.tol),
+        _frame_key(cfg.generator, d, n, (cfg.seed, trial, 1), cfg.tol),
+    )
+
+
 def _frame_pair(cfg: ExperimentConfig, trial: int, d: int, n: int) -> tuple[Frame, Frame]:
     """Left and right frames for one trial; exotic generators override N."""
-    if cfg.generator == "random":
-        return (
-            random_frame(d, n, (cfg.seed, trial, 0), tol=cfg.tol),
-            random_frame(d, n, (cfg.seed, trial, 1), tol=cfg.tol),
-        )
-    if cfg.generator == "harmonic":
-        f = harmonic_tight(d, n)
-        return f, f
-    if cfg.generator == "gabor":
-        f = finite_gabor(d, 1, 1)  # fully oversampled lattice, N = d^2
-        return f, f
-    if cfg.generator == "riesz":
-        return (
-            riesz_basis(d, (cfg.seed, trial, 0), tol=cfg.tol),
-            riesz_basis(d, (cfg.seed, trial, 1), tol=cfg.tol),
-        )
-    f = onb(d)
-    return f, f
+    phi_key, psi_key = _pair_keys(cfg, trial, d, n)
+    return _frame(phi_key), _frame(psi_key)
 
 
 def _semi_symbol(cfg: ExperimentConfig, trial: int, n: int, stream: int = 2) -> Symbol:
-    return random_symbol(n, SYMBOL_LO, SYMBOL_HI, (cfg.seed, trial, stream))
+    seed = (cfg.seed, trial, stream)
+    return _shared(("symbol", n, seed), random_symbol, n, SYMBOL_LO, SYMBOL_HI, seed)
 
 
 def _with_zero(m: Symbol) -> Symbol:
@@ -235,6 +275,20 @@ def _with_zero(m: Symbol) -> Symbol:
 
 
 def _invertible_instance(
+    cfg: ExperimentConfig,
+    trial: int,
+    phi_key: tuple,
+    psi_key: tuple,
+    zero_entry: bool,
+) -> tuple[Symbol, Multiplier]:
+    """The trial's invertible (symbol, multiplier) over the frames with these keys."""
+    key = ("invertible", phi_key, psi_key, (cfg.seed, trial), cfg.tol, zero_entry)
+    return _shared(
+        key, _draw_invertible, cfg, trial, _frame(phi_key), _frame(psi_key), zero_entry
+    )
+
+
+def _draw_invertible(
     cfg: ExperimentConfig,
     trial: int,
     phi: Frame,
@@ -254,6 +308,17 @@ def _invertible_instance(
     )
 
 
+def _sample_duals(f: Frame, seed: tuple, tol: Tol) -> list[DualFrame]:
+    return sample_duals(f, rng=np.random.default_rng(seed), tol=tol)
+
+
+def _duals(cfg: ExperimentConfig, trial: int, frame_key: tuple) -> list[DualFrame]:
+    """The sampled duals of a trial frame, drawn from the (seed, trial, 5) stream."""
+    seed = (cfg.seed, trial, 5)
+    key = ("duals", frame_key, seed, cfg.tol)
+    return _shared(key, _sample_duals, _frame(frame_key), seed, cfg.tol)
+
+
 def _verdict(ok: bool, indeterminate: bool) -> str:
     if indeterminate:
         return "indeterminate"
@@ -264,8 +329,7 @@ def _verdict(ok: bool, indeterminate: bool) -> str:
 
 
 def _trial_thm1(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
-    phi, psi = _frame_pair(cfg, trial, d, n)
-    m, mult = _invertible_instance(cfg, trial, phi, psi, zero_entry=False)
+    m, mult = _invertible_instance(cfg, trial, *_pair_keys(cfg, trial, d, n), zero_entry=False)
     rep = thm1_report(mult, cfg.tol)
     residuals = {
         "direct": rep.direct_residual,
@@ -287,7 +351,7 @@ def _trial_thm1(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecor
         trial=trial,
         seed=cfg.seed,
         d=d,
-        n=phi.count,
+        n=mult.left.count,
         residuals=residuals,
         booleans=booleans,
         indeterminate=rep.indeterminate,
@@ -350,8 +414,8 @@ def _trial_per1dual(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialR
 
 
 def _trial_per2(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
-    phi, psi = _frame_pair(cfg, trial, d, n)
-    m, mult = _invertible_instance(cfg, trial, phi, psi, zero_entry=True)
+    m, mult = _invertible_instance(cfg, trial, *_pair_keys(cfg, trial, d, n), zero_entry=True)
+    phi, psi = mult.left, mult.right
     inv_norm = 1.0 / mult.inv_diag.sigma_min
     mu_request = min(
         0.9 / (np.sqrt(phi.bounds[1]) * inv_norm * m.sup_mod),
@@ -376,14 +440,15 @@ def _trial_per2(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecor
 
 
 def _trial_per3(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
-    phi, psi = _frame_pair(cfg, trial, d, n)
+    phi_key, psi_key = _pair_keys(cfg, trial, d, n)
+    phi, psi = _frame(phi_key), _frame(psi_key)
     semi_branch = trial % 2 == 0
     if semi_branch:
         m = _semi_symbol(cfg, trial, phi.count)
         mult = build(m, phi, psi, cfg.tol)
         eps = 0.5 * m.inf_mod
     else:
-        m, mult = _invertible_instance(cfg, trial, phi, psi, zero_entry=True)
+        m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=True)
         eps = 0.45 * mult.inv_diag.sigma_min / phi.bounds[1]
     m_prime = perturb_symbol(m, eps, (cfg.seed, trial, 4))
     _, report = companion_per3(phi, psi, m, m_prime, mult, cfg.tol)
@@ -406,11 +471,11 @@ def _probe_direction(shape: tuple[int, int], rng_seed) -> np.ndarray:
 
 
 def _trial_gamma(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
-    phi, psi = _frame_pair(cfg, trial, d, n)
-    m, mult = _invertible_instance(cfg, trial, phi, psi, zero_entry=False)
+    phi_key, psi_key = _pair_keys(cfg, trial, d, n)
+    m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=False)
     tol = cfg.tol
     g = gamma_of(mult, tol)
-    duals = sample_duals(phi, rng=np.random.default_rng((cfg.seed, trial, 5)), tol=tol)
+    duals = _duals(cfg, trial, phi_key)
     g = verify_gamma_decomposition(mult, g, duals, tol)
     scale = max(1.0, op_norm(invert(mult, tol)))
     max_dec = max(r for _, r in g.decomposition_residuals)
@@ -432,7 +497,7 @@ def _trial_gamma(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialReco
         trial=trial,
         seed=cfg.seed,
         d=d,
-        n=phi.count,
+        n=mult.left.count,
         residuals={
             "op_norm": op_norm(g.op),
             "annihilation": g.annihilation_residual,
@@ -446,11 +511,11 @@ def _trial_gamma(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialReco
 
 
 def _trial_theta(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
-    phi, psi = _frame_pair(cfg, trial, d, n)
-    m, mult = _invertible_instance(cfg, trial, phi, psi, zero_entry=False)
+    phi_key, psi_key = _pair_keys(cfg, trial, d, n)
+    m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=False)
     tol = cfg.tol
     t = theta_of(mult, tol)
-    duals = sample_duals(psi, rng=np.random.default_rng((cfg.seed, trial, 5)), tol=tol)
+    duals = _duals(cfg, trial, psi_key)
     t = verify_theta_decomposition(mult, t, duals, tol)
     scale = max(1.0, op_norm(invert(mult, tol)))
     max_dec = max(r for _, r in t.decomposition_residuals)
@@ -472,7 +537,7 @@ def _trial_theta(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialReco
         trial=trial,
         seed=cfg.seed,
         d=d,
-        n=phi.count,
+        n=mult.left.count,
         residuals={
             "op_norm": op_norm(t.op),
             "annihilation": t.annihilation_residual,
@@ -486,7 +551,8 @@ def _trial_theta(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialReco
 
 
 def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
-    phi, _ = _frame_pair(cfg, trial, d, n)
+    phi_key, psi_key = _pair_keys(cfg, trial, d, n)
+    phi, _ = _frame(phi_key), _frame(psi_key)  # a failed right frame fails this trial too
     tol = cfg.tol
     positive = trial % 2 == 0
     if positive:
@@ -495,15 +561,13 @@ def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> Tri
         psi = new_frame(v.synth @ (phi.synth * m.values[np.newaxis, :]), tol)
         mult = build(m, phi, psi, tol)
     else:
-        psi = random_frame(d, phi.count, (cfg.seed, trial, 1), tol=tol)
-        m, mult = _invertible_instance(cfg, trial, phi, psi, zero_entry=False)
+        psi_key = _frame_key("random", d, phi.count, (cfg.seed, trial, 1), tol)
+        m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=False)
     verdict3 = equivalence_criterion(mult, tol)
     minv = invert(mult, tol)
     scale = max(1.0, op_norm(minv))
     gamma_norm = op_norm(gamma_of(mult, tol).op)
-
-    rng = np.random.default_rng((cfg.seed, trial, 5))
-    max_formula = float(_formula_residuals(mult, minv, rng, tol).max())
+    max_formula = float(_formula_residuals(mult, minv, _duals(cfg, trial, phi_key), tol).max())
 
     agree = verdict3.equivalent == verdict3.gamma_zero == verdict3.all_duals_formula
     indeterminate = _near_boundary(gamma_norm / scale, tol) or _near_boundary(
@@ -562,14 +626,23 @@ def _run_one(name: str, cfg: ExperimentConfig, trial: int) -> TrialRecord:
 
 
 def run_suite(cfg: ExperimentConfig) -> SuiteReport:
-    """Run the configured suite (or all of them) and aggregate the records."""
+    """Run the configured suite (or all of them) and aggregate the records.
+
+    Trials run one at a time, each through every suite, so the suites of a
+    trial share its fixtures; the records are reported suite by suite.
+    """
     cfg = validate_config(cfg)
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     start = time.perf_counter()
-    records: list[TrialRecord] = []
-    for name in names:
+    by_suite: dict[str, list[TrialRecord]] = {name: [] for name in names}
+    try:
         for trial in range(cfg.trials):
-            records.append(_run_one(name, cfg, trial))
+            _FIXTURES.clear()
+            for name in names:
+                by_suite[name].append(_run_one(name, cfg, trial))
+    finally:
+        _FIXTURES.clear()
+    records = [record for name in names for record in by_suite[name]]
     wall = time.perf_counter() - start
     passed = sum(1 for r in records if r.verdict == "pass")
     failed = sum(1 for r in records if r.verdict == "fail")
