@@ -6,176 +6,29 @@ arbitrary dual frames, and construct perturbation companions that leave the
 realized operator unchanged. Everything is seeded and reproducible.
 """
 
-from .errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    FrameMultError,
-    GenerationFailed,
-    HypothesisViolated,
-    InvalidDual,
-    IoError,
-    NotAFrame,
-    NotHermitian,
-    NumericalOverflow,
-    ParseError,
-    Singular,
-    ZeroEntry,
-)
-from .frames import (
-    DualFrame,
-    Frame,
-    analysis,
-    canonical_dual,
-    equivalence_map,
-    frame_bounds,
-    is_riesz_basis,
-    new_frame,
-    proj_ker_synthesis,
-    random_dual,
-    scale_by_symbol,
-    synthesis,
-)
-from .generators import (
-    finite_gabor,
-    harmonic_tight,
-    onb,
-    random_frame,
-    random_symbol,
-    riesz_basis,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    Tol,
-    approx_equal,
-    as_matrix,
-    herm_eig_extremes,
-    inv,
-    op_norm,
-    pinv,
-    rel_residual,
-    sv_extremes,
-)
-from .multiplier import (
-    Condition,
-    InvDiag,
-    Multiplier,
-    Thm1Report,
-    build,
-    canonical_inverse_candidate,
-    dagger_frames,
-    invert,
-    thm1_report,
-)
-from .perturbation import (
-    PerturbReport,
-    companion_per1,
-    companion_per1_dual_side,
-    companion_per2,
-    companion_per3,
-    random_frame_perturbation,
-)
-from .representations import (
-    EquivalenceVerdict,
-    RepResult,
-    equivalence_criterion,
-    gamma_of,
-    sample_duals,
-    theta_of,
-    verify_gamma_decomposition,
-    verify_theta_decomposition,
-)
-from .serialize import load_frame, save_frame, save_report
-from .suites import (
-    DEFAULT_DIMS,
-    ExperimentConfig,
-    SuiteReport,
-    TrialRecord,
-    run_suite,
-    validate_config,
-)
-from .symbols import Symbol, classify, conj, modulus, new_symbol, perturb_symbol, reciprocal
+from .errors import *
+from .frames import *
+from .generators import *
+from .linalg import *
+from .multiplier import *
+from .perturbation import *
+from .representations import *
+from .serialize import *
+from .suites import *
+from .symbols import *
 
 __version__ = "0.1.0"
 
+# Importing a submodule binds it in this namespace too, so `linalg` etc. are defined here.
 __all__ = [
-    "Tol",
-    "DEFAULT_TOL",
-    "as_matrix",
-    "op_norm",
-    "herm_eig_extremes",
-    "pinv",
-    "sv_extremes",
-    "inv",
-    "rel_residual",
-    "approx_equal",
-    "Frame",
-    "DualFrame",
-    "new_frame",
-    "analysis",
-    "synthesis",
-    "frame_bounds",
-    "canonical_dual",
-    "random_dual",
-    "proj_ker_synthesis",
-    "is_riesz_basis",
-    "scale_by_symbol",
-    "equivalence_map",
-    "Symbol",
-    "new_symbol",
-    "classify",
-    "reciprocal",
-    "conj",
-    "modulus",
-    "perturb_symbol",
-    "Multiplier",
-    "InvDiag",
-    "Condition",
-    "Thm1Report",
-    "build",
-    "invert",
-    "canonical_inverse_candidate",
-    "dagger_frames",
-    "thm1_report",
-    "RepResult",
-    "EquivalenceVerdict",
-    "gamma_of",
-    "verify_gamma_decomposition",
-    "theta_of",
-    "verify_theta_decomposition",
-    "equivalence_criterion",
-    "sample_duals",
-    "PerturbReport",
-    "random_frame_perturbation",
-    "companion_per1",
-    "companion_per1_dual_side",
-    "companion_per2",
-    "companion_per3",
-    "onb",
-    "harmonic_tight",
-    "finite_gabor",
-    "random_frame",
-    "riesz_basis",
-    "random_symbol",
-    "save_frame",
-    "load_frame",
-    "save_report",
-    "ExperimentConfig",
-    "TrialRecord",
-    "SuiteReport",
-    "run_suite",
-    "validate_config",
-    "DEFAULT_DIMS",
-    "FrameMultError",
-    "DimensionMismatch",
-    "NotHermitian",
-    "NumericalOverflow",
-    "Singular",
-    "NotAFrame",
-    "ZeroEntry",
-    "HypothesisViolated",
-    "InvalidDual",
-    "GenerationFailed",
-    "ConfigInvalid",
-    "IoError",
-    "ParseError",
+    *errors.__all__,
+    *frames.__all__,
+    *generators.__all__,
+    *linalg.__all__,
+    *multiplier.__all__,
+    *perturbation.__all__,
+    *representations.__all__,
+    *serialize.__all__,
+    *suites.__all__,
+    *symbols.__all__,
 ]

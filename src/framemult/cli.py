@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigInvalid, FrameMultError, IoError
+from .errors import ConfigInvalid, FrameMultError
 from .linalg import Tol
 from .serialize import save_report
 from .suites import (
@@ -133,10 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             save_report(report, args.out, args.format)
             print(f"report written to {args.out} ({args.format})")
-    except (ConfigInvalid, IoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FrameMultError as exc:
+    except FrameMultError as exc:  # ConfigInvalid, IoError and every other package error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.failed == 0 else 1

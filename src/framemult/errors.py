@@ -56,3 +56,10 @@ class ParseError(FrameMultError):
         super().__init__(message)
         self.line = line
         self.offset = offset
+
+
+__all__ = [
+    name
+    for name, value in list(globals().items())
+    if isinstance(value, type) and issubclass(value, FrameMultError)
+]

@@ -16,9 +16,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, Singular
-from .frames import Frame, canonical_dual, new_frame
+from .frames import Frame, _read_only, canonical_dual, new_frame
 from .linalg import DEFAULT_TOL, Tol, op_norm, rel_residual
-from .symbols import Symbol, reciprocal
+from .symbols import Symbol, conj, reciprocal
 
 __all__ = [
     "InvDiag",
@@ -26,6 +26,7 @@ __all__ = [
     "Condition",
     "Thm1Report",
     "build",
+    "adjoint",
     "invert",
     "canonical_inverse_candidate",
     "dagger_frames",
@@ -60,8 +61,7 @@ class Multiplier:
     @cached_property
     def _inverse(self) -> tuple[np.ndarray, float]:
         """(M^{-1}, ||M M^{-1} - I||), computed once; invert judges the residual per call."""
-        inverse = np.linalg.inv(self.matrix)
-        inverse.setflags(write=False)
+        inverse = _read_only(np.linalg.inv(self.matrix))
         return inverse, op_norm(self.matrix @ inverse - np.eye(self.left.dim))
 
 
@@ -126,6 +126,20 @@ def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multipli
         matrix=matrix,
         inv_diag=InvDiag(sigma_min=sigma_min, sigma_max=sigma_max, invertible=invertible),
     )
+
+
+def adjoint(mult: Multiplier) -> Multiplier:
+    """The adjoint M* = T_Psi diag(conj(m)) U_Phi, sharing mult's diagnostics and inverse.
+
+    Its inverse memo holds (M^{-1})* and the residual of M rather than a fresh
+    inverse of M*, so invert treats both alike and keeps the bits of M^{-1}.
+    """
+    matrix = _read_only(mult.matrix.conj().T)
+    adj = Multiplier(conj(mult.symbol), mult.right, mult.left, matrix, mult.inv_diag)
+    if mult.inv_diag.invertible:
+        inverse, residual = mult._inverse
+        adj.__dict__["_inverse"] = (_read_only(inverse.conj().T), residual)
+    return adj
 
 
 def invert(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> np.ndarray:

@@ -18,7 +18,7 @@ is then an identity, not an estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,17 +108,21 @@ def _invariance_report(
     bound_coefficient: float,
     tol: Tol,
 ) -> PerturbReport:
-    m_old = t_old @ psi.analysis_op
-    m_new = t_new @ psi_prime.analysis_op
     deviation = op_norm(psi_prime.synth - psi.synth)
+    residual, scale = _invariance(t_old @ psi.analysis_op, t_new @ psi_prime.analysis_op)
     return PerturbReport(
         achieved_mu=achieved_mu,
         bound_coefficient=bound_coefficient,
         companion_deviation=deviation,
-        multiplier_residual=op_norm(m_new - m_old),
+        multiplier_residual=residual,
         bound_satisfied=deviation <= bound_coefficient * achieved_mu + tol.rel_eq,
-        scale=max(1.0, op_norm(m_old), op_norm(m_new)),
+        scale=scale,
     )
+
+
+def _invariance(m_old: np.ndarray, m_new: np.ndarray) -> tuple[float, float]:
+    """(multiplier_residual, scale) of a companion: old and new multiplier matrices compared."""
+    return op_norm(m_new - m_old), max(1.0, op_norm(m_old), op_norm(m_new))
 
 
 def _check_shapes(phi: Frame, psi: Frame, m: Symbol, other: Frame) -> None:
@@ -168,14 +172,8 @@ def companion_per1_dual_side(
     phi_prime, swapped = companion_per1(psi, phi, conj(m), psi_prime, tol)
     m_old = (phi.synth * m.values[np.newaxis, :]) @ psi.analysis_op
     m_new = (phi_prime.synth * m.values[np.newaxis, :]) @ psi_prime.analysis_op
-    return phi_prime, PerturbReport(
-        achieved_mu=swapped.achieved_mu,
-        bound_coefficient=swapped.bound_coefficient,
-        companion_deviation=swapped.companion_deviation,
-        multiplier_residual=op_norm(m_new - m_old),
-        bound_satisfied=swapped.bound_satisfied,
-        scale=max(1.0, op_norm(m_old), op_norm(m_new)),
-    )
+    residual, scale = _invariance(m_old, m_new)
+    return phi_prime, replace(swapped, multiplier_residual=residual, scale=scale)
 
 
 def companion_per2(
@@ -260,13 +258,12 @@ def companion_per3(
     psi_prime = new_frame(_companion_synth(psi.synth, t_old, t_new, s_new), tol)
     deviation = op_norm(psi_prime.synth - psi.synth)
     delta = deviation / eps if eps > 0.0 else 1.0
-    m_old = t_old @ psi.analysis_op
-    m_new = t_new @ psi_prime.analysis_op
+    residual, scale = _invariance(t_old @ psi.analysis_op, t_new @ psi_prime.analysis_op)
     return psi_prime, PerturbReport(
         achieved_mu=eps,
         bound_coefficient=float(delta),
         companion_deviation=deviation,
-        multiplier_residual=op_norm(m_new - m_old),
+        multiplier_residual=residual,
         bound_satisfied=deviation <= delta * eps + tol.rel_eq,
-        scale=max(1.0, op_norm(m_old), op_norm(m_new)),
+        scale=scale,
     )

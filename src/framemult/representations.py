@@ -7,7 +7,8 @@ at the price of one correction operator:
     M^{-1} = mult(1/m, canonical dual of Psi, Phi^d) + Gamma* U_{Phi^d}
     M^{-1} = mult(1/m, Psi^d, canonical dual of Phi) + T_{Psi^d} Theta
 
-Gamma and Theta are the unique operators making these hold for every dual.
+Gamma and Theta are the unique operators making these hold for every dual,
+and Theta is the Gamma of the adjoint multiplier M* = mult(conj(m), Psi, Phi).
 Gamma vanishes exactly when the right frame is equivalent to the
 symbol-scaled left frame, which is also exactly when the correction-free
 formula holds for every dual; equivalence_criterion packages that three-way
@@ -32,7 +33,7 @@ from .frames import (
     scale_by_symbol,
 )
 from .linalg import DEFAULT_TOL, Tol, _adjoint, _op_norms, op_norm
-from .multiplier import Multiplier, invert
+from .multiplier import Multiplier, adjoint, invert
 from .symbols import reciprocal
 
 __all__ = [
@@ -154,19 +155,8 @@ def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
 
 
 def theta_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
-    """Theta = U_Psi M^{-1} - diag(1/m) U_Phi S_Phi^{-1}, as N x d."""
-    minv = invert(mult, tol)
-    phi, psi = mult.left, mult.right
-    m = mult.symbol.values
-    inv_m = reciprocal(mult.symbol).values  # ZeroEntry guard
-    dual_analysis = phi._canonical_synth.conj().T  # U_Phi S_Phi^{-1}
-    theta = psi.analysis_op @ minv - inv_m[:, np.newaxis] * dual_analysis
-    return RepResult(
-        op=theta,
-        kind="Theta",
-        annihilation_residual=op_norm(phi.synth @ theta),
-        masked_annihilation_residual=op_norm((phi.synth * m[np.newaxis, :]) @ theta),
-    )
+    """Theta = U_Psi M^{-1} - diag(1/m) U_Phi S_Phi^{-1}, as N x d: the Gamma of adjoint(mult)."""
+    return replace(gamma_of(adjoint(mult), tol), kind="Theta")
 
 
 def verify_gamma_decomposition(

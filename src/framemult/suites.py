@@ -22,6 +22,7 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -60,6 +61,7 @@ __all__ = [
     "TrialRecord",
     "SuiteReport",
     "run_suite",
+    "validate_config",
     "SUITE_NAMES",
     "GENERATOR_NAMES",
     "DEFAULT_DIMS",
@@ -250,17 +252,11 @@ def _frame(key: tuple) -> Frame:
 
 
 def _pair_keys(cfg: ExperimentConfig, trial: int, d: int, n: int) -> tuple[tuple, tuple]:
-    """Keys of the trial's left and right frames, drawn from streams 0 and 1."""
+    """The trial's left and right frame keys, streams 0 and 1; exotic generators override N."""
     return (
         _frame_key(cfg.generator, d, n, (cfg.seed, trial, 0), cfg.tol),
         _frame_key(cfg.generator, d, n, (cfg.seed, trial, 1), cfg.tol),
     )
-
-
-def _frame_pair(cfg: ExperimentConfig, trial: int, d: int, n: int) -> tuple[Frame, Frame]:
-    """Left and right frames for one trial; exotic generators override N."""
-    phi_key, psi_key = _pair_keys(cfg, trial, d, n)
-    return _frame(phi_key), _frame(psi_key)
 
 
 def _semi_symbol(cfg: ExperimentConfig, trial: int, n: int, stream: int = 2) -> Symbol:
@@ -295,8 +291,13 @@ def _draw_invertible(
     psi: Frame,
     zero_entry: bool,
 ) -> tuple[Symbol, Multiplier]:
-    """Redraw the symbol until the multiplier passes the invertibility proxy."""
-    for attempt in range(RESAMPLE_LIMIT):
+    """Redraw the symbol until the multiplier passes the invertibility proxy.
+
+    A zero-entry symbol has N - 1 nonzero entries, which bound the rank of M:
+    when N - 1 < d no draw can succeed, so none is tried.
+    """
+    rank_deficient = zero_entry and phi.count - 1 < phi.dim
+    for attempt in range(0 if rank_deficient else RESAMPLE_LIMIT):
         m = random_symbol(phi.count, SYMBOL_LO, SYMBOL_HI, (cfg.seed, trial, 2, attempt))
         if zero_entry:
             m = _with_zero(m)
@@ -395,22 +396,16 @@ def _companion_record(
     )
 
 
-def _trial_per1(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
-    phi, psi = _frame_pair(cfg, trial, d, n)
+def _trial_per1_side(side: str, cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
+    """per1 perturbs the left frame, per1dual the right one (the adjoint's left frame)."""
+    phi_key, psi_key = _pair_keys(cfg, trial, d, n)
+    phi, psi = _frame(phi_key), _frame(psi_key)
     m = _semi_symbol(cfg, trial, phi.count)
-    mu_request = 0.5 * np.sqrt(phi.bounds[0])
-    phi_prime = random_frame_perturbation(phi, mu_request, (cfg.seed, trial, 3), cfg.tol)
-    _, report = companion_per1(phi, psi, m, phi_prime, cfg.tol)
-    return _companion_record("per1", cfg, trial, d, phi.count, report)
-
-
-def _trial_per1dual(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
-    phi, psi = _frame_pair(cfg, trial, d, n)
-    m = _semi_symbol(cfg, trial, phi.count)
-    mu_request = 0.5 * np.sqrt(psi.bounds[0])
-    psi_prime = random_frame_perturbation(psi, mu_request, (cfg.seed, trial, 3), cfg.tol)
-    _, report = companion_per1_dual_side(phi, psi, m, psi_prime, cfg.tol)
-    return _companion_record("per1dual", cfg, trial, d, phi.count, report)
+    moved, companion = (phi, companion_per1) if side == "per1" else (psi, companion_per1_dual_side)
+    mu_request = 0.5 * np.sqrt(moved.bounds[0])
+    moved_prime = random_frame_perturbation(moved, mu_request, (cfg.seed, trial, 3), cfg.tol)
+    _, report = companion(phi, psi, m, moved_prime, cfg.tol)
+    return _companion_record(side, cfg, trial, d, phi.count, report)
 
 
 def _trial_per2(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
@@ -470,78 +465,43 @@ def _probe_direction(shape: tuple[int, int], rng_seed) -> np.ndarray:
     return direction / op_norm(direction)
 
 
-def _trial_gamma(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
+def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
+    """Gamma against duals of the left frame, or Theta against duals of the right frame."""
     phi_key, psi_key = _pair_keys(cfg, trial, d, n)
     m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=False)
     tol = cfg.tol
-    g = gamma_of(mult, tol)
-    duals = _duals(cfg, trial, phi_key)
-    g = verify_gamma_decomposition(mult, g, duals, tol)
+    if side == "gamma":
+        rep_of, verify, dual_key = gamma_of, verify_gamma_decomposition, phi_key
+    else:
+        rep_of, verify, dual_key = theta_of, verify_theta_decomposition, psi_key
+    rep = rep_of(mult, tol)
+    duals = _duals(cfg, trial, dual_key)
+    rep = verify(mult, rep, duals, tol)
     scale = max(1.0, op_norm(invert(mult, tol)))
-    max_dec = max(r for _, r in g.decomposition_residuals)
+    max_dec = max(r for _, r in rep.decomposition_residuals)
     probe = replace(
-        g,
-        op=g.op + _probe_direction(g.op.shape, (cfg.seed, trial, 7)) * (1e3 * tol.rel_eq),
+        rep,
+        op=rep.op + _probe_direction(rep.op.shape, (cfg.seed, trial, 7)) * (1e3 * tol.rel_eq),
     )
-    probe = verify_gamma_decomposition(mult, probe, duals, tol)
+    probe = verify(mult, probe, duals, tol)
     breakage = max(r for _, r in probe.decomposition_residuals)
     booleans = {
         "decomposition_ok": max_dec <= tol.rel_eq * scale,
-        "annihilation_ok": g.annihilation_residual <= tol.rel_eq * scale,
-        "masked_annihilation_ok": g.masked_annihilation_residual <= tol.rel_eq * scale,
+        "annihilation_ok": rep.annihilation_residual <= tol.rel_eq * scale,
+        "masked_annihilation_ok": rep.masked_annihilation_residual <= tol.rel_eq * scale,
         "uniqueness_ok": breakage >= 1e2 * tol.rel_eq,
     }
     ok = booleans["decomposition_ok"] and booleans["annihilation_ok"] and booleans["uniqueness_ok"]
     return TrialRecord(
-        suite="gamma",
+        suite=side,
         trial=trial,
         seed=cfg.seed,
         d=d,
         n=mult.left.count,
         residuals={
-            "op_norm": op_norm(g.op),
-            "annihilation": g.annihilation_residual,
-            "masked_annihilation": g.masked_annihilation_residual,
-            "max_decomposition": max_dec,
-            "probe_breakage": breakage,
-        },
-        booleans=booleans,
-        verdict=_verdict(ok, False),
-    )
-
-
-def _trial_theta(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
-    phi_key, psi_key = _pair_keys(cfg, trial, d, n)
-    m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=False)
-    tol = cfg.tol
-    t = theta_of(mult, tol)
-    duals = _duals(cfg, trial, psi_key)
-    t = verify_theta_decomposition(mult, t, duals, tol)
-    scale = max(1.0, op_norm(invert(mult, tol)))
-    max_dec = max(r for _, r in t.decomposition_residuals)
-    probe = replace(
-        t,
-        op=t.op + _probe_direction(t.op.shape, (cfg.seed, trial, 7)) * (1e3 * tol.rel_eq),
-    )
-    probe = verify_theta_decomposition(mult, probe, duals, tol)
-    breakage = max(r for _, r in probe.decomposition_residuals)
-    booleans = {
-        "decomposition_ok": max_dec <= tol.rel_eq * scale,
-        "annihilation_ok": t.annihilation_residual <= tol.rel_eq * scale,
-        "masked_annihilation_ok": t.masked_annihilation_residual <= tol.rel_eq * scale,
-        "uniqueness_ok": breakage >= 1e2 * tol.rel_eq,
-    }
-    ok = booleans["decomposition_ok"] and booleans["annihilation_ok"] and booleans["uniqueness_ok"]
-    return TrialRecord(
-        suite="theta",
-        trial=trial,
-        seed=cfg.seed,
-        d=d,
-        n=mult.left.count,
-        residuals={
-            "op_norm": op_norm(t.op),
-            "annihilation": t.annihilation_residual,
-            "masked_annihilation": t.masked_annihilation_residual,
+            "op_norm": op_norm(rep.op),
+            "annihilation": rep.annihilation_residual,
+            "masked_annihilation": rep.masked_annihilation_residual,
             "max_decomposition": max_dec,
             "probe_breakage": breakage,
         },
@@ -594,12 +554,12 @@ def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> Tri
 
 _TRIAL_BODIES = {
     "thm1": _trial_thm1,
-    "per1": _trial_per1,
-    "per1dual": _trial_per1dual,
+    "per1": partial(_trial_per1_side, "per1"),
+    "per1dual": partial(_trial_per1_side, "per1dual"),
     "per2": _trial_per2,
     "per3": _trial_per3,
-    "gamma": _trial_gamma,
-    "theta": _trial_theta,
+    "gamma": partial(_trial_correction, "gamma"),
+    "theta": partial(_trial_correction, "theta"),
     "equivalence": _trial_equivalence,
 }
 
