@@ -113,11 +113,14 @@ def _rank_error(lo: float, hi: float) -> NotAFrame:
     return NotAFrame(f"rank-deficient sequence: lambda_min(S)={lo:.3e} vs lambda_max(S)={hi:.3e}")
 
 
+_GRAM_OVERFLOW = "frame operator T T* of finite entries overflows"
+
+
 def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
     """Validating constructor: rejects sequences that do not span C^d.
 
     The rank test is spectral: lambda_min(S) must exceed inv_cond times
-    lambda_max(S).
+    lambda_max(S). A frame operator that overflows is a NumericalOverflow.
     """
     synth = as_matrix(columns)
     d, n = synth.shape
@@ -126,7 +129,12 @@ def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
     if n < d:
         raise NotAFrame(f"{n} vectors cannot span a {d}-dimensional space")
     s = synth @ synth.conj().T
-    lo, hi = herm_eig_extremes(s, tol)
+    try:
+        lo, hi = herm_eig_extremes(s, tol)
+    except ValueError:  # synth is finite, so a non-finite entry of S is an overflow
+        if np.isfinite(s).all():
+            raise
+        raise NumericalOverflow(_GRAM_OVERFLOW) from None
     if _rank_deficient(lo, hi, tol):
         raise _rank_error(lo, hi)
     return Frame(dim=d, count=n, synth=_freeze(synth), cached_S=_freeze(s), bounds=(lo, hi))
@@ -209,7 +217,7 @@ def _dual_family(f: Frame, w: np.ndarray | None, tol: Tol) -> list[DualFrame]:
 
     w=None gives the canonical dual alone. All K duals are checked in one
     stacked pass, in the order random_dual checks one dual: T_dual U finite,
-    the duality check, then new_frame's finiteness, Hermitian, bounded
+    the duality check, then new_frame's overflow, Hermitian, bounded
     extremes and rank tests on each frame operator T_dual T_dual*.
     """
     if w is None:
@@ -227,7 +235,7 @@ def _dual_family(f: Frame, w: np.ndarray | None, tol: Tol) -> list[DualFrame]:
         [
             (~recon_ok, lambda k: ValueError(_NOT_FINITE)),
             (_not_dual(recon, tol), lambda k: InvalidDual(_NOT_DUAL)),
-            (~gram_ok, lambda k: ValueError(_NOT_FINITE)),
+            (~gram_ok, lambda k: NumericalOverflow(_GRAM_OVERFLOW)),
             (skew, lambda k: NotHermitian(_NOT_HERMITIAN)),
             (_unbounded(lo, hi), lambda k: NumericalOverflow(_OVERFLOW)),
             (_rank_deficient(lo, hi, tol), lambda k: _rank_error(lo[k], hi[k])),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Singular
 from .frames import Frame, _read_only, canonical_dual, new_frame
-from .linalg import DEFAULT_TOL, Tol, op_norm, rel_residual
+from .linalg import DEFAULT_TOL, Tol, op_norm
 from .symbols import Symbol, conj, reciprocal
 
 __all__ = [
@@ -63,6 +63,11 @@ class Multiplier:
         """(M^{-1}, ||M M^{-1} - I||), computed once; invert judges the residual per call."""
         inverse = _read_only(np.linalg.inv(self.matrix))
         return inverse, op_norm(self.matrix @ inverse - np.eye(self.left.dim))
+
+    @cached_property
+    def _gammas(self) -> dict:
+        """The Gamma RepResult built under each Tol; gamma_of fills it after invert passes."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -155,16 +160,21 @@ def invert(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     return inverse
 
 
+def _inverse_formula_left(mult: Multiplier, tol: Tol) -> np.ndarray:
+    """T_{Psi~} diag(1/m) for Psi~ the canonical dual of Psi: mult(1/m, Psi~, F) is this times U_F."""
+    inv_symbol = reciprocal(mult.symbol)  # ZeroEntry when m is not semi-normalized
+    psi_tilde = canonical_dual(mult.right, tol).frame
+    return psi_tilde.synth * inv_symbol.values[np.newaxis, :]
+
+
 def canonical_inverse_candidate(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """Matrix of the multiplier (1/m, canonical dual of Psi, canonical dual of Phi).
 
     This is the would-be inverse; whether it actually inverts the multiplier
     is exactly what thm1_report decides.
     """
-    inv_symbol = reciprocal(mult.symbol)  # ZeroEntry when m is not semi-normalized
-    psi_tilde = canonical_dual(mult.right, tol).frame
-    phi_tilde = canonical_dual(mult.left, tol).frame
-    return build(inv_symbol, psi_tilde, phi_tilde, tol).matrix
+    left = _inverse_formula_left(mult, tol)
+    return left @ canonical_dual(mult.left, tol).frame.analysis_op
 
 
 def dagger_frames(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> tuple[Frame, Frame]:
@@ -200,7 +210,8 @@ def thm1_report(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Thm1Report:
     minv = invert(mult, tol)
     candidate = canonical_inverse_candidate(mult, tol)
     direct_residual = op_norm(minv - candidate)
-    direct_norm_residual = rel_residual(minv, candidate)
+    # rel_residual(minv, candidate), reusing ||minv - candidate||
+    direct_norm_residual = direct_residual / max(1.0, op_norm(minv), op_norm(candidate))
     direct_equal = direct_norm_residual <= tol.rel_eq
 
     phi, psi = mult.left, mult.right

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, HypothesisViolated, Singular
 from .frames import Frame, new_frame
-from .linalg import DEFAULT_TOL, Tol, herm_eig_extremes, op_norm
+from .linalg import DEFAULT_TOL, Tol, _op_norms, as_matrix, herm_eig_extremes, op_norm
 from .multiplier import Multiplier
 from .symbols import Symbol, conj
 
@@ -77,8 +77,8 @@ def random_frame_perturbation(
     return new_frame(f.synth + noise * (0.9 * mu / norm), tol)
 
 
-def _scaled_system(synth: np.ndarray, weights: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray]:
-    """(T_scaled, S_scaled) for the weighted sequence; Singular if S degenerates."""
+def _scaled_system(synth: np.ndarray, weights: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray, float]:
+    """(T_scaled, S_scaled, lambda_min(S_scaled)) for the weighted sequence; Singular if S degenerates."""
     t = synth * weights[np.newaxis, :]
     s = t @ t.conj().T
     lo, hi = herm_eig_extremes(s, tol)
@@ -86,7 +86,7 @@ def _scaled_system(synth: np.ndarray, weights: np.ndarray, tol: Tol) -> tuple[np
         raise Singular(
             f"scaled frame operator degenerates: lambda_min={lo:.3e}, lambda_max={hi:.3e}"
         )
-    return t, s
+    return t, s, lo
 
 
 def _companion_synth(
@@ -121,8 +121,10 @@ def _invariance_report(
 
 
 def _invariance(m_old: np.ndarray, m_new: np.ndarray) -> tuple[float, float]:
-    """(multiplier_residual, scale) of a companion: old and new multiplier matrices compared."""
-    return op_norm(m_new - m_old), max(1.0, op_norm(m_old), op_norm(m_new))
+    """(multiplier_residual, scale) of a companion: the three op_norms from one stacked SVD."""
+    stack = np.stack([as_matrix(a) for a in (m_new - m_old, m_old, m_new)])
+    gap, norm_old, norm_new = _op_norms(stack).tolist()
+    return gap, max(1.0, norm_old, norm_new)
 
 
 def _check_shapes(phi: Frame, psi: Frame, m: Symbol, other: Frame) -> None:
@@ -153,8 +155,8 @@ def companion_per1(
         raise HypothesisViolated(
             f"perturbation {mu:.3e} reaches sqrt(A_phi) = {np.sqrt(a_phi):.3e}"
         )
-    t_old, _ = _scaled_system(phi.synth, m.values, tol)
-    t_new, s_new = _scaled_system(phi_prime.synth, m.values, tol)
+    t_old, _, _ = _scaled_system(phi.synth, m.values, tol)
+    t_new, s_new, _ = _scaled_system(phi_prime.synth, m.values, tol)
     psi_prime = new_frame(_companion_synth(psi.synth, t_old, t_new, s_new), tol)
     lam = m.sup_mod * np.sqrt(psi.bounds[1]) / (m.inf_mod * (np.sqrt(a_phi) - mu))
     return psi_prime, _invariance_report(psi, psi_prime, t_old, t_new, mu, float(lam), tol)
@@ -202,15 +204,13 @@ def companion_per2(
             f"mu * sup|m| = {mu * m.sup_mod:.3e} reaches "
             f"1/(sqrt(B_phi)||M^-1||) = {1.0 / (np.sqrt(b_phi) * inv_norm):.3e}"
         )
-    t_old, s_old = _scaled_system(phi.synth, m.values, tol)
-    lo_old, _ = herm_eig_extremes(s_old, tol)
+    t_old, _, lo_old = _scaled_system(phi.synth, m.values, tol)
     if lo_old < 1.0 / (b_phi * inv_norm**2) - tol.rel_eq:
         raise HypothesisViolated(
             f"scaled-frame lower bound {lo_old:.3e} falls below the certified "
             f"floor {1.0 / (b_phi * inv_norm**2):.3e}"
         )
-    t_new, s_new = _scaled_system(phi_prime.synth, m.values, tol)
-    lo_new, _ = herm_eig_extremes(s_new, tol)
+    t_new, s_new, lo_new = _scaled_system(phi_prime.synth, m.values, tol)
     psi_prime = new_frame(_companion_synth(psi.synth, t_old, t_new, s_new), tol)
     lam = m.sup_mod * np.sqrt(psi.bounds[1]) / np.sqrt(lo_new)
     return psi_prime, _invariance_report(psi, psi_prime, t_old, t_new, mu, float(lam), tol)
@@ -253,8 +253,8 @@ def companion_per3(
             f"eps = {eps:.3e} admits neither the invertible-multiplier branch "
             f"nor the semi-normalized-symbol branch"
         )
-    t_old, _ = _scaled_system(phi.synth, m.values, tol)
-    t_new, s_new = _scaled_system(phi.synth, m_prime.values, tol)
+    t_old, _, _ = _scaled_system(phi.synth, m.values, tol)
+    t_new, s_new, _ = _scaled_system(phi.synth, m_prime.values, tol)
     psi_prime = new_frame(_companion_synth(psi.synth, t_old, t_new, s_new), tol)
     deviation = op_norm(psi_prime.synth - psi.synth)
     delta = deviation / eps if eps > 0.0 else 1.0

@@ -18,6 +18,7 @@ agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -28,12 +29,13 @@ from .frames import (
     Frame,
     _check_duality,
     _dual_family,
+    _read_only,
     canonical_dual,
     equivalence_map,
     scale_by_symbol,
 )
 from .linalg import DEFAULT_TOL, Tol, _adjoint, _op_norms, op_norm
-from .multiplier import Multiplier, adjoint, invert
+from .multiplier import Multiplier, _inverse_formula_left, adjoint, invert
 from .symbols import reciprocal
 
 __all__ = [
@@ -80,25 +82,34 @@ class EquivalenceVerdict(NamedTuple):
     all_duals_formula: bool
 
 
+def _unit_w(rng: np.random.Generator, count: int, d: int, n: int) -> np.ndarray:
+    """A read-only (count, d, N) stack of unit-op-norm W_k, drawn real then imaginary part per W_k."""
+    draws = rng.standard_normal((max(count, 0), 2, d, n))
+    w = draws[:, 0] + 1j * draws[:, 1]
+    norms = _op_norms(w)
+    return _read_only(w / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis])
+
+
+@lru_cache(maxsize=64)
+def _default_unit_w(count: int, d: int, n: int) -> np.ndarray:
+    """_unit_w of a fresh seed-2026 stream: a function of the shape alone, so drawn once per shape."""
+    return _unit_w(np.random.default_rng(_DUAL_SAMPLE_SEED), count, d, n)
+
+
 def sample_duals(
     f: Frame,
     count: int = DUAL_SAMPLE_COUNT,
     rng: np.random.Generator | None = None,
     tol: Tol = DEFAULT_TOL,
 ) -> list[DualFrame]:
-    """Canonical dual plus `count` random duals with unit-op-norm W matrices.
+    """Canonical dual plus `count` random duals with unit-op-norm W matrices (see _unit_w).
 
-    W_k is drawn as real part then imaginary part, dual by dual, from one
-    (count, 2, d, N) block of the stream; the random duals are built and
-    checked as one stack.
+    Without rng the W matrices come from a fresh seed-2026 stream, whose
+    normalized block is shared by every frame of the same shape.
     """
-    if rng is None:
-        rng = np.random.default_rng(_DUAL_SAMPLE_SEED)
     canonical = canonical_dual(f, tol)
-    draws = rng.standard_normal((max(count, 0), 2, f.dim, f.count))
-    w = draws[:, 0] + 1j * draws[:, 1]
-    norms = _op_norms(w)
-    w = w / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis]
+    shape = (count, f.dim, f.count)
+    w = _default_unit_w(*shape) if rng is None else _unit_w(rng, *shape)
     return [canonical, *_dual_family(f, w, tol)]
 
 
@@ -114,16 +125,6 @@ def _dual_stack(duals: list[DualFrame], parent: Frame, tol: Tol) -> np.ndarray:
     return stack
 
 
-def _inverse_formula_left(mult: Multiplier, tol: Tol) -> np.ndarray:
-    """T_{Psi~} diag(1/m) for Psi~ the canonical dual of Psi.
-
-    mult(1/m, Psi~, Phi^d) is this matrix times U_{Phi^d}.
-    """
-    inv_symbol = reciprocal(mult.symbol)  # ZeroEntry guard
-    psi_tilde = canonical_dual(mult.right, tol).frame
-    return psi_tilde.synth * inv_symbol.values[np.newaxis, :]
-
-
 def _formula_residuals(
     mult: Multiplier, minv: np.ndarray, duals: list[DualFrame], tol: Tol
 ) -> np.ndarray:
@@ -137,26 +138,61 @@ def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
 
     Equivalent characterization: Gamma* is the gap between M^{-1} T_Phi and
     S_Psi^{-1} T_Psi diag(1/m).
+
+    Built once per multiplier and Tol (its op is read-only) and stored only
+    after invert(mult, tol) passes, so a Tol the inverse fails raises
+    Singular on every call.
     """
+    cached = mult._gammas.get(tol)
+    if cached is not None:
+        return cached
     minv = invert(mult, tol)
     phi, psi = mult.left, mult.right
     m = mult.symbol.values
     inv_conj_m = np.conj(reciprocal(mult.symbol).values)  # 1/conj(m); ZeroEntry guard
     dual_analysis = psi._canonical_synth.conj().T  # U_Psi S_Psi^{-1}
     gamma = phi.analysis_op @ minv.conj().T - inv_conj_m[:, np.newaxis] * dual_analysis
-    return RepResult(
-        op=gamma,
+    result = RepResult(
+        op=_read_only(gamma),
         kind="Gamma",
         annihilation_residual=op_norm(psi.synth @ gamma),
         masked_annihilation_residual=op_norm(
             (psi.synth * np.conj(m)[np.newaxis, :]) @ gamma
         ),
     )
+    mult._gammas[tol] = result
+    return result
 
 
 def theta_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
     """Theta = U_Psi M^{-1} - diag(1/m) U_Phi S_Phi^{-1}, as N x d: the Gamma of adjoint(mult)."""
     return replace(gamma_of(adjoint(mult), tol), kind="Theta")
+
+
+def _decomposition_residuals(
+    mult: Multiplier, kind: str, ops: list[np.ndarray], duals: list[DualFrame], tol: Tol
+) -> list[tuple[tuple[int, float], ...]]:
+    """verify_*_decomposition's (dual index, residual) pairs for each op of the given kind.
+
+    The duals are re-checked and the op-free term is formed once for all ops;
+    all residuals come from one stacked SVD.
+    """
+    minv = invert(mult, tol)
+    inv_m = reciprocal(mult.symbol).values  # ZeroEntry guard
+    gamma = kind == "Gamma"
+    tilde = canonical_dual(mult.right if gamma else mult.left, tol).frame
+    if not duals:
+        return [() for _ in ops]
+    stack = _dual_stack(duals, mult.left if gamma else mult.right, tol)
+    if gamma:  # mult(1/m, canonical dual of Psi, Phi^d) + op* U_{Phi^d}
+        dual_analysis = _adjoint(stack)
+        formula = (tilde.synth * inv_m[np.newaxis, :]) @ dual_analysis
+        corrections = [op.conj().T @ dual_analysis for op in ops]
+    else:  # mult(1/m, Psi^d, canonical dual of Phi) + T_{Psi^d} op
+        formula = (stack * inv_m[np.newaxis, np.newaxis, :]) @ tilde.analysis_op
+        corrections = [stack @ op for op in ops]
+    residuals = _op_norms(np.stack([minv - (formula + c) for c in corrections]))
+    return [tuple(enumerate(row)) for row in residuals.tolist()]
 
 
 def verify_gamma_decomposition(
@@ -170,14 +206,8 @@ def verify_gamma_decomposition(
     One residual per supplied dual of the left frame; each dual is first
     re-verified against that frame.
     """
-    minv = invert(mult, tol)
-    left = _inverse_formula_left(mult, tol)
-    if not duals:
-        return replace(g, decomposition_residuals=())
-    dual_analysis = _adjoint(_dual_stack(duals, mult.left, tol))
-    reconstructed = left @ dual_analysis + g.op.conj().T @ dual_analysis
-    residuals = _op_norms(minv - reconstructed)
-    return replace(g, decomposition_residuals=tuple(enumerate(residuals.tolist())))
+    (residuals,) = _decomposition_residuals(mult, "Gamma", [g.op], duals, tol)
+    return replace(g, decomposition_residuals=residuals)
 
 
 def verify_theta_decomposition(
@@ -187,16 +217,8 @@ def verify_theta_decomposition(
     tol: Tol = DEFAULT_TOL,
 ) -> RepResult:
     """Residuals of M^{-1} = mult(1/m, Psi^d, canonical dual of Phi) + T_{Psi^d} Theta."""
-    minv = invert(mult, tol)
-    inv_symbol = reciprocal(mult.symbol)
-    phi_tilde = canonical_dual(mult.left, tol).frame
-    if not duals:
-        return replace(t, decomposition_residuals=())
-    stack = _dual_stack(duals, mult.right, tol)
-    reconstructed = (stack * inv_symbol.values[np.newaxis, np.newaxis, :]) @ phi_tilde.analysis_op
-    reconstructed = reconstructed + stack @ t.op
-    residuals = _op_norms(minv - reconstructed)
-    return replace(t, decomposition_residuals=tuple(enumerate(residuals.tolist())))
+    (residuals,) = _decomposition_residuals(mult, "Theta", [t.op], duals, tol)
+    return replace(t, decomposition_residuals=residuals)
 
 
 def equivalence_criterion(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> EquivalenceVerdict:
@@ -218,8 +240,7 @@ def equivalence_criterion(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Equivalen
     g = gamma_of(mult, tol)
     gamma_zero = op_norm(g.op) <= tol.rel_eq * scale
 
-    rng = np.random.default_rng(_DUAL_SAMPLE_SEED)
-    duals = sample_duals(mult.left, DUAL_SAMPLE_COUNT, rng, tol)
+    duals = sample_duals(mult.left, DUAL_SAMPLE_COUNT, tol=tol)  # the shared seed-2026 block
     residuals = _formula_residuals(mult, minv, duals, tol)
     all_duals = not np.any(residuals > tol.rel_eq * scale)
     return EquivalenceVerdict(

@@ -11,10 +11,11 @@ fixture, perturbation, sampled dual, and residual bit-for-bit.
 
 A combined run executes trial-major: for each trial, every suite in turn.
 The suites of one trial share the seeded fixtures they have in common (the
-frame pair, the semi-normalized symbol, the invertible instances and the
-(seed, trial, 5) dual families), each built and validated once. Records
-are still reported suite by suite, in the same order and with the same
-bytes as running the suites one after another.
+frame pair, the semi-normalized symbol, the invertible instances, the
+(seed, trial, 5) W block and dual families, and the (seed, trial, 7) probe
+direction), each built and validated once. Records are still reported
+suite by suite, in the same order and with the same bytes as running the
+suites one after another.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigInvalid, FrameMultError
-from .frames import DualFrame, Frame, new_frame
+from .frames import DualFrame, Frame, _dual_family, _read_only, canonical_dual, new_frame
 from .generators import (
     finite_gabor,
     harmonic_tight,
@@ -46,13 +47,13 @@ from .perturbation import (
     random_frame_perturbation,
 )
 from .representations import (
+    DUAL_SAMPLE_COUNT,
+    _decomposition_residuals,
     _formula_residuals,
+    _unit_w,
     equivalence_criterion,
     gamma_of,
-    sample_duals,
     theta_of,
-    verify_gamma_decomposition,
-    verify_theta_decomposition,
 )
 from .symbols import Symbol, new_symbol, perturb_symbol
 
@@ -309,15 +310,24 @@ def _draw_invertible(
     )
 
 
-def _sample_duals(f: Frame, seed: tuple, tol: Tol) -> list[DualFrame]:
-    return sample_duals(f, rng=np.random.default_rng(seed), tol=tol)
+def _draw_w(seed: tuple, d: int, n: int) -> np.ndarray:
+    return _unit_w(np.random.default_rng(seed), DUAL_SAMPLE_COUNT, d, n)
+
+
+def _sample_duals(f: Frame, w: np.ndarray, tol: Tol) -> list[DualFrame]:
+    """What sample_duals gives for f when its stream yields the unit-norm block w."""
+    return [canonical_dual(f, tol), *_dual_family(f, w, tol)]
 
 
 def _duals(cfg: ExperimentConfig, trial: int, frame_key: tuple) -> list[DualFrame]:
-    """The sampled duals of a trial frame, drawn from the (seed, trial, 5) stream."""
+    """The sampled duals of a trial frame, drawn from the (seed, trial, 5) stream.
+
+    The W block depends only on the stream and the shape: both frames of a trial share it.
+    """
     seed = (cfg.seed, trial, 5)
-    key = ("duals", frame_key, seed, cfg.tol)
-    return _shared(key, _sample_duals, _frame(frame_key), seed, cfg.tol)
+    f = _frame(frame_key)
+    w = _shared(("w", seed, f.dim, f.count), _draw_w, seed, f.dim, f.count)
+    return _shared(("duals", frame_key, seed, cfg.tol), _sample_duals, f, w, cfg.tol)
 
 
 def _verdict(ok: bool, indeterminate: bool) -> str:
@@ -462,7 +472,7 @@ def _trial_per3(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecor
 def _probe_direction(shape: tuple[int, int], rng_seed) -> np.ndarray:
     rng = np.random.default_rng(rng_seed)
     direction = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return direction / op_norm(direction)
+    return _read_only(direction / op_norm(direction))
 
 
 def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
@@ -470,21 +480,17 @@ def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: i
     phi_key, psi_key = _pair_keys(cfg, trial, d, n)
     m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=False)
     tol = cfg.tol
-    if side == "gamma":
-        rep_of, verify, dual_key = gamma_of, verify_gamma_decomposition, phi_key
-    else:
-        rep_of, verify, dual_key = theta_of, verify_theta_decomposition, psi_key
+    rep_of, dual_key = (gamma_of, phi_key) if side == "gamma" else (theta_of, psi_key)
     rep = rep_of(mult, tol)
-    duals = _duals(cfg, trial, dual_key)
-    rep = verify(mult, rep, duals, tol)
-    scale = max(1.0, op_norm(invert(mult, tol)))
-    max_dec = max(r for _, r in rep.decomposition_residuals)
-    probe = replace(
-        rep,
-        op=rep.op + _probe_direction(rep.op.shape, (cfg.seed, trial, 7)) * (1e3 * tol.rel_eq),
+    seed = (cfg.seed, trial, 7)
+    direction = _shared(("probe", seed, rep.op.shape), _probe_direction, rep.op.shape, seed)
+    probe = rep.op + direction * (1e3 * tol.rel_eq)
+    decomposition, probed = _decomposition_residuals(
+        mult, rep.kind, [rep.op, probe], _duals(cfg, trial, dual_key), tol
     )
-    probe = verify(mult, probe, duals, tol)
-    breakage = max(r for _, r in probe.decomposition_residuals)
+    scale = max(1.0, op_norm(invert(mult, tol)))
+    max_dec = max(r for _, r in decomposition)
+    breakage = max(r for _, r in probed)
     booleans = {
         "decomposition_ok": max_dec <= tol.rel_eq * scale,
         "annihilation_ok": rep.annihilation_residual <= tol.rel_eq * scale,
