@@ -7,6 +7,7 @@ Exit status: 0 when no trial failed (indeterminate trials never fail a run),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ConfigInvalid, FrameMultError
@@ -74,6 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process (each parser is a reference cycle)."""
+    return build_parser()
+
+
 def _parse_dims(raw: list[str] | None) -> tuple[tuple[int, int], ...]:
     if not raw:
         return DEFAULT_DIMS
@@ -111,8 +118,7 @@ def _summarize(report: SuiteReport) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         try:
             tol = Tol(rel_eq=args.tol_rel)
@@ -125,7 +131,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             tol=tol,
             generator=args.generator,
-            output_path=args.out,
             format=args.format,
         )
         report = run_suite(cfg)

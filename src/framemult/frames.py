@@ -291,7 +291,7 @@ def proj_ker_synthesis(f: Frame) -> np.ndarray:
     return f._kernel_proj.copy()
 
 
-def is_riesz_basis(f: Frame, tol: Tol = DEFAULT_TOL) -> bool:
+def is_riesz_basis(f: Frame) -> bool:
     """True iff the frame has exactly d vectors (then T is invertible)."""
     return f.count == f.dim
 

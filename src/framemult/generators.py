@@ -103,14 +103,9 @@ def random_frame(
     )
 
 
-def riesz_basis(
-    d: int,
-    rng_seed,
-    condition_cap: float = DEFAULT_CONDITION_CAP,
-    tol: Tol = DEFAULT_TOL,
-) -> Frame:
-    """Random basis of C^d (a frame with exactly d vectors)."""
-    return random_frame(d, d, rng_seed, condition_cap, tol)
+def riesz_basis(d: int, rng_seed, tol: Tol = DEFAULT_TOL) -> Frame:
+    """Random basis of C^d: a frame with exactly d vectors and B/A at most DEFAULT_CONDITION_CAP."""
+    return random_frame(d, d, rng_seed, tol=tol)
 
 
 def random_symbol(n: int, lo: float, hi: float, rng_seed) -> Symbol:

@@ -87,7 +87,8 @@ def load_frame(path, tol: Tol = DEFAULT_TOL) -> Frame:
         if field not in document:
             raise ParseError(f"frame document missing field {field!r}")
     dim, count, entries = document["dim"], document["count"], document["entries"]
-    if not (isinstance(dim, int) and isinstance(count, int) and dim >= 1 and count >= 1):
+    sizes_ok = all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (dim, count))
+    if not sizes_ok:
         raise ParseError("dim and count must be positive integers")
     if not isinstance(entries, list) or len(entries) != dim:
         raise ParseError(f"entries must hold exactly {dim} rows")
@@ -102,7 +103,12 @@ def load_frame(path, tol: Tol = DEFAULT_TOL) -> Frame:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
             ):
                 raise ParseError(f"entry ({i}, {j}) must be a [re, im] pair of numbers")
-            matrix[i, j] = complex(pair[0], pair[1])
+            try:
+                matrix[i, j] = complex(pair[0], pair[1])
+            except OverflowError:  # an integer beyond the float range
+                matrix[i, j] = np.inf
+            if not np.isfinite(matrix[i, j]):
+                raise ParseError(f"entry ({i}, {j}) must be finite")
     return new_frame(matrix, tol)
 
 

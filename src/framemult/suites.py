@@ -13,9 +13,14 @@ A combined run executes trial-major: for each trial, every suite in turn.
 The suites of one trial share the seeded fixtures they have in common (the
 frame pair, the semi-normalized symbol, the invertible instances, the
 (seed, trial, 5) W block and dual families, and the (seed, trial, 7) probe
-direction), each built and validated once. Records are still reported
-suite by suite, in the same order and with the same bytes as running the
-suites one after another.
+direction), each built and validated once. A fixture is keyed by its own
+call, (make, *args), so its key cannot leave out an argument. Records are
+still reported suite by suite, in the same order and with the same bytes as
+running the suites one after another.
+
+A suite body returns only what it measured (N, residuals, booleans, whether
+the claim held, whether the trial is indeterminate). _run_one builds every
+record from that, or from the error the body raised, and applies the verdict.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,7 +119,6 @@ class ExperimentConfig:
     seed: int = 0
     tol: Tol = DEFAULT_TOL
     generator: str = "random"
-    output_path: str | None = None
     format: str = "json"
 
 
@@ -186,7 +191,7 @@ def _is_integer(value) -> bool:
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Check cfg and return it with trials and every dims entry as Python ints.
+    """Check cfg and return it with trials, seed and every dims entry as Python ints.
 
     Integers may be any numbers.Integral except bool (numpy integers too);
     normalizing them keeps the report's config block byte-identical.
@@ -195,10 +200,13 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigInvalid(f"unknown suite {cfg.suite!r}; choose from {SUITE_NAMES + ('all',)}")
     if not _is_integer(cfg.trials) or cfg.trials < 1:
         raise ConfigInvalid(f"trials must be a positive integer, got {cfg.trials!r}")
-    if not cfg.dims:
+    if not _is_integer(cfg.seed) or cfg.seed < 0:
+        raise ConfigInvalid(f"seed must be a non-negative integer, got {cfg.seed!r}")
+    if not isinstance(cfg.dims, (tuple, list)) or not cfg.dims:
         raise ConfigInvalid("dims must list at least one (d, N) pair")
     for pair in cfg.dims:
-        if len(pair) != 2 or not all(_is_integer(v) for v in pair):
+        is_pair = isinstance(pair, (tuple, list)) and len(pair) == 2
+        if not is_pair or not all(_is_integer(v) for v in pair):
             raise ConfigInvalid(f"malformed dims entry {pair!r}")
         d, n = pair
         if d < 1 or n < d:
@@ -209,20 +217,22 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigInvalid(f"unknown format {cfg.format!r}; choose json or csv")
     if not isinstance(cfg.tol, Tol):
         raise ConfigInvalid(f"tol must be a Tol instance, got {type(cfg.tol).__name__}")
-    return replace(cfg, trials=int(cfg.trials), dims=tuple((int(d), int(n)) for d, n in cfg.dims))
+    dims = tuple((int(d), int(n)) for d, n in cfg.dims)
+    return replace(cfg, trials=int(cfg.trials), seed=int(cfg.seed), dims=dims)
 
 
 # ------------------------------------------------------------- trial fixtures
 
-# Fixtures of the trial being run, shared by its suites (see run_suite). A key
-# lists everything that determines its value, so a hit is the object a fresh
-# build would give. A fixture that raises is not stored: each suite asking for
+# Fixtures of the trial being run, shared by its suites (see run_suite). A
+# fixture is keyed by its call, (make, *args), so a hit is the object a fresh
+# call would give. A fixture that raises is not stored: each suite asking for
 # it builds it again and records the same error.
 _FIXTURES: dict[tuple, object] = {}
 
 
-def _shared(key: tuple, make, *args):
-    """make(*args), built at most once per trial under key."""
+def _shared(make, *args):
+    """make(*args), built at most once per trial."""
+    key = (make, *args)
     if key not in _FIXTURES:
         _FIXTURES[key] = make(*args)
     return _FIXTURES[key]
@@ -232,8 +242,8 @@ _SEEDED_GENERATORS = ("random", "riesz")
 
 
 def _frame_key(generator: str, d: int, n: int, seed: tuple, tol: Tol) -> tuple:
-    """The key of a generated frame; the deterministic generators ignore the seed."""
-    return ("frame", generator, d, n, seed if generator in _SEEDED_GENERATORS else None, tol)
+    """The arguments of a generated frame; the deterministic generators ignore the seed."""
+    return (generator, d, n, seed if generator in _SEEDED_GENERATORS else None, tol)
 
 
 def _make_frame(generator: str, d: int, n: int, seed: tuple | None, tol: Tol) -> Frame:
@@ -249,7 +259,7 @@ def _make_frame(generator: str, d: int, n: int, seed: tuple | None, tol: Tol) ->
 
 
 def _frame(key: tuple) -> Frame:
-    return _shared(key, _make_frame, *key[1:])
+    return _shared(_make_frame, *key)
 
 
 def _pair_keys(cfg: ExperimentConfig, trial: int, d: int, n: int) -> tuple[tuple, tuple]:
@@ -260,9 +270,8 @@ def _pair_keys(cfg: ExperimentConfig, trial: int, d: int, n: int) -> tuple[tuple
     )
 
 
-def _semi_symbol(cfg: ExperimentConfig, trial: int, n: int, stream: int = 2) -> Symbol:
-    seed = (cfg.seed, trial, stream)
-    return _shared(("symbol", n, seed), random_symbol, n, SYMBOL_LO, SYMBOL_HI, seed)
+def _semi_symbol(cfg: ExperimentConfig, trial: int, n: int) -> Symbol:
+    return _shared(random_symbol, n, SYMBOL_LO, SYMBOL_HI, (cfg.seed, trial, 2))
 
 
 def _with_zero(m: Symbol) -> Symbol:
@@ -279,17 +288,14 @@ def _invertible_instance(
     zero_entry: bool,
 ) -> tuple[Symbol, Multiplier]:
     """The trial's invertible (symbol, multiplier) over the frames with these keys."""
-    key = ("invertible", phi_key, psi_key, (cfg.seed, trial), cfg.tol, zero_entry)
-    return _shared(
-        key, _draw_invertible, cfg, trial, _frame(phi_key), _frame(psi_key), zero_entry
-    )
+    return _shared(_draw_invertible, (cfg.seed, trial), phi_key, psi_key, cfg.tol, zero_entry)
 
 
 def _draw_invertible(
-    cfg: ExperimentConfig,
-    trial: int,
-    phi: Frame,
-    psi: Frame,
+    seed_trial: tuple[int, int],
+    phi_key: tuple,
+    psi_key: tuple,
+    tol: Tol,
     zero_entry: bool,
 ) -> tuple[Symbol, Multiplier]:
     """Redraw the symbol until the multiplier passes the invertibility proxy.
@@ -297,16 +303,17 @@ def _draw_invertible(
     A zero-entry symbol has N - 1 nonzero entries, which bound the rank of M:
     when N - 1 < d no draw can succeed, so none is tried.
     """
+    phi, psi = _frame(phi_key), _frame(psi_key)
     rank_deficient = zero_entry and phi.count - 1 < phi.dim
     for attempt in range(0 if rank_deficient else RESAMPLE_LIMIT):
-        m = random_symbol(phi.count, SYMBOL_LO, SYMBOL_HI, (cfg.seed, trial, 2, attempt))
+        m = random_symbol(phi.count, SYMBOL_LO, SYMBOL_HI, (*seed_trial, 2, attempt))
         if zero_entry:
             m = _with_zero(m)
-        mult = build(m, phi, psi, cfg.tol)
+        mult = build(m, phi, psi, tol)
         if mult.inv_diag.invertible:
             return m, mult
     raise FrameMultError(
-        f"no invertible multiplier in {RESAMPLE_LIMIT} symbol draws (trial {trial})"
+        f"no invertible multiplier in {RESAMPLE_LIMIT} symbol draws (trial {seed_trial[1]})"
     )
 
 
@@ -314,20 +321,15 @@ def _draw_w(seed: tuple, d: int, n: int) -> np.ndarray:
     return _unit_w(np.random.default_rng(seed), DUAL_SAMPLE_COUNT, d, n)
 
 
-def _sample_duals(f: Frame, w: np.ndarray, tol: Tol) -> list[DualFrame]:
-    """What sample_duals gives for f when its stream yields the unit-norm block w."""
-    return [canonical_dual(f, tol), *_dual_family(f, w, tol)]
+def _sample_duals(frame_key: tuple, seed: tuple, tol: Tol) -> list[DualFrame]:
+    """What sample_duals gives the keyed frame under default_rng(seed).
 
-
-def _duals(cfg: ExperimentConfig, trial: int, frame_key: tuple) -> list[DualFrame]:
-    """The sampled duals of a trial frame, drawn from the (seed, trial, 5) stream.
-
-    The W block depends only on the stream and the shape: both frames of a trial share it.
+    The suites pass the (seed, trial, 5) stream. Its W block depends only on the
+    stream and the shape, so both frames of a trial share it.
     """
-    seed = (cfg.seed, trial, 5)
     f = _frame(frame_key)
-    w = _shared(("w", seed, f.dim, f.count), _draw_w, seed, f.dim, f.count)
-    return _shared(("duals", frame_key, seed, cfg.tol), _sample_duals, f, w, cfg.tol)
+    w = _shared(_draw_w, seed, f.dim, f.count)
+    return [canonical_dual(f, tol), *_dual_family(f, w, tol)]
 
 
 def _verdict(ok: bool, indeterminate: bool) -> str:
@@ -339,7 +341,17 @@ def _verdict(ok: bool, indeterminate: bool) -> str:
 # ---------------------------------------------------------------- suite bodies
 
 
-def _trial_thm1(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
+class _Measured(NamedTuple):
+    """What a suite body measured on one trial; _run_one wraps it in a TrialRecord."""
+
+    n: int
+    residuals: dict[str, float]
+    booleans: dict[str, bool]
+    ok: bool
+    indeterminate: bool = False
+
+
+def _trial_thm1(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
     m, mult = _invertible_instance(cfg, trial, *_pair_keys(cfg, trial, d, n), zero_entry=False)
     rep = thm1_report(mult, cfg.tol)
     residuals = {
@@ -357,56 +369,22 @@ def _trial_thm1(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecor
         "cond_iv": rep.cond_iv.holds,
         "consistent": rep.consistent,
     }
-    return TrialRecord(
-        suite="thm1",
-        trial=trial,
-        seed=cfg.seed,
-        d=d,
-        n=mult.left.count,
-        residuals=residuals,
-        booleans=booleans,
-        indeterminate=rep.indeterminate,
-        verdict=_verdict(rep.consistent, rep.indeterminate),
-    )
+    return _Measured(mult.left.count, residuals, booleans, rep.consistent, rep.indeterminate)
 
 
-def _companion_record(
-    suite: str,
-    cfg: ExperimentConfig,
-    trial: int,
-    d: int,
-    n: int,
-    report,
-    extra_residuals: dict[str, float] | None = None,
-    extra_booleans: dict[str, bool] | None = None,
-    require: tuple[str, ...] = ("invariance_ok", "bound_satisfied"),
-) -> TrialRecord:
-    invariance_ok = report.multiplier_residual <= cfg.tol.rel_eq * report.scale
+def _companion_fields(report, tol: Tol) -> tuple[dict[str, float], dict[str, bool]]:
+    """The residuals and booleans every companion trial records."""
     residuals = {
         "achieved_mu": report.achieved_mu,
         "bound_coefficient": report.bound_coefficient,
         "companion_deviation": report.companion_deviation,
         "multiplier_residual": report.multiplier_residual,
     }
-    booleans = {"invariance_ok": invariance_ok, "bound_satisfied": report.bound_satisfied}
-    if extra_residuals:
-        residuals.update(extra_residuals)
-    if extra_booleans:
-        booleans.update(extra_booleans)
-    ok = all(booleans[name] for name in require)
-    return TrialRecord(
-        suite=suite,
-        trial=trial,
-        seed=cfg.seed,
-        d=d,
-        n=n,
-        residuals=residuals,
-        booleans=booleans,
-        verdict=_verdict(ok, False),
-    )
+    invariance_ok = report.multiplier_residual <= tol.rel_eq * report.scale
+    return residuals, {"invariance_ok": invariance_ok, "bound_satisfied": report.bound_satisfied}
 
 
-def _trial_per1_side(side: str, cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
+def _trial_per1_side(side: str, cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
     """per1 perturbs the left frame, per1dual the right one (the adjoint's left frame)."""
     phi_key, psi_key = _pair_keys(cfg, trial, d, n)
     phi, psi = _frame(phi_key), _frame(psi_key)
@@ -415,10 +393,11 @@ def _trial_per1_side(side: str, cfg: ExperimentConfig, trial: int, d: int, n: in
     mu_request = 0.5 * np.sqrt(moved.bounds[0])
     moved_prime = random_frame_perturbation(moved, mu_request, (cfg.seed, trial, 3), cfg.tol)
     _, report = companion(phi, psi, m, moved_prime, cfg.tol)
-    return _companion_record(side, cfg, trial, d, phi.count, report)
+    residuals, booleans = _companion_fields(report, cfg.tol)
+    return _Measured(phi.count, residuals, booleans, all(booleans.values()))
 
 
-def _trial_per2(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
+def _trial_per2(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
     m, mult = _invertible_instance(cfg, trial, *_pair_keys(cfg, trial, d, n), zero_entry=True)
     phi, psi = mult.left, mult.right
     inv_norm = 1.0 / mult.inv_diag.sigma_min
@@ -431,20 +410,14 @@ def _trial_per2(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecor
     scaled = phi.synth * m.values[np.newaxis, :]
     lo, _ = herm_eig_extremes(scaled @ scaled.conj().T, cfg.tol)
     floor_ratio = lo * phi.bounds[1] * inv_norm**2
-    return _companion_record(
-        "per2",
-        cfg,
-        trial,
-        d,
-        phi.count,
-        report,
-        extra_residuals={"floor_ratio": float(floor_ratio)},
-        extra_booleans={"floor_ok": floor_ratio >= 1.0 - cfg.tol.rel_eq},
-        require=("invariance_ok", "floor_ok"),
-    )
+    residuals, booleans = _companion_fields(report, cfg.tol)
+    residuals["floor_ratio"] = float(floor_ratio)
+    booleans["floor_ok"] = floor_ratio >= 1.0 - cfg.tol.rel_eq
+    ok = booleans["invariance_ok"] and booleans["floor_ok"]
+    return _Measured(phi.count, residuals, booleans, ok)
 
 
-def _trial_per3(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
+def _trial_per3(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
     phi_key, psi_key = _pair_keys(cfg, trial, d, n)
     phi, psi = _frame(phi_key), _frame(psi_key)
     semi_branch = trial % 2 == 0
@@ -457,16 +430,9 @@ def _trial_per3(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecor
         eps = 0.45 * mult.inv_diag.sigma_min / phi.bounds[1]
     m_prime = perturb_symbol(m, eps, (cfg.seed, trial, 4))
     _, report = companion_per3(phi, psi, m, m_prime, mult, cfg.tol)
-    return _companion_record(
-        "per3",
-        cfg,
-        trial,
-        d,
-        phi.count,
-        report,
-        extra_booleans={"semi_branch": semi_branch},
-        require=("invariance_ok",),
-    )
+    residuals, booleans = _companion_fields(report, cfg.tol)
+    booleans["semi_branch"] = semi_branch
+    return _Measured(phi.count, residuals, booleans, booleans["invariance_ok"])
 
 
 def _probe_direction(shape: tuple[int, int], rng_seed) -> np.ndarray:
@@ -475,19 +441,17 @@ def _probe_direction(shape: tuple[int, int], rng_seed) -> np.ndarray:
     return _read_only(direction / op_norm(direction))
 
 
-def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
+def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
     """Gamma against duals of the left frame, or Theta against duals of the right frame."""
     phi_key, psi_key = _pair_keys(cfg, trial, d, n)
     m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=False)
     tol = cfg.tol
     rep_of, dual_key = (gamma_of, phi_key) if side == "gamma" else (theta_of, psi_key)
     rep = rep_of(mult, tol)
-    seed = (cfg.seed, trial, 7)
-    direction = _shared(("probe", seed, rep.op.shape), _probe_direction, rep.op.shape, seed)
+    direction = _shared(_probe_direction, rep.op.shape, (cfg.seed, trial, 7))
     probe = rep.op + direction * (1e3 * tol.rel_eq)
-    decomposition, probed = _decomposition_residuals(
-        mult, rep.kind, [rep.op, probe], _duals(cfg, trial, dual_key), tol
-    )
+    duals = _shared(_sample_duals, dual_key, (cfg.seed, trial, 5), tol)
+    decomposition, probed = _decomposition_residuals(mult, rep.kind, [rep.op, probe], duals, tol)
     scale = max(1.0, op_norm(invert(mult, tol)))
     max_dec = max(r for _, r in decomposition)
     breakage = max(r for _, r in probed)
@@ -498,25 +462,17 @@ def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: i
         "uniqueness_ok": breakage >= 1e2 * tol.rel_eq,
     }
     ok = booleans["decomposition_ok"] and booleans["annihilation_ok"] and booleans["uniqueness_ok"]
-    return TrialRecord(
-        suite=side,
-        trial=trial,
-        seed=cfg.seed,
-        d=d,
-        n=mult.left.count,
-        residuals={
-            "op_norm": op_norm(rep.op),
-            "annihilation": rep.annihilation_residual,
-            "masked_annihilation": rep.masked_annihilation_residual,
-            "max_decomposition": max_dec,
-            "probe_breakage": breakage,
-        },
-        booleans=booleans,
-        verdict=_verdict(ok, False),
-    )
+    residuals = {
+        "op_norm": op_norm(rep.op),
+        "annihilation": rep.annihilation_residual,
+        "masked_annihilation": rep.masked_annihilation_residual,
+        "max_decomposition": max_dec,
+        "probe_breakage": breakage,
+    }
+    return _Measured(mult.left.count, residuals, booleans, ok)
 
 
-def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> TrialRecord:
+def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
     phi_key, psi_key = _pair_keys(cfg, trial, d, n)
     phi, _ = _frame(phi_key), _frame(psi_key)  # a failed right frame fails this trial too
     tol = cfg.tol
@@ -533,29 +489,22 @@ def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> Tri
     minv = invert(mult, tol)
     scale = max(1.0, op_norm(minv))
     gamma_norm = op_norm(gamma_of(mult, tol).op)
-    max_formula = float(_formula_residuals(mult, minv, _duals(cfg, trial, phi_key), tol).max())
+    duals = _shared(_sample_duals, phi_key, (cfg.seed, trial, 5), tol)
+    max_formula = float(_formula_residuals(mult, minv, duals, tol).max())
 
     agree = verdict3.equivalent == verdict3.gamma_zero == verdict3.all_duals_formula
     indeterminate = _near_boundary(gamma_norm / scale, tol) or _near_boundary(
         max_formula / scale, tol
     )
-    return TrialRecord(
-        suite="equivalence",
-        trial=trial,
-        seed=cfg.seed,
-        d=d,
-        n=phi.count,
-        residuals={"gamma_norm": gamma_norm, "max_formula_residual": max_formula},
-        booleans={
-            "equivalent": verdict3.equivalent,
-            "gamma_zero": verdict3.gamma_zero,
-            "all_duals_formula": verdict3.all_duals_formula,
-            "agree": agree,
-            "expected_positive": positive,
-        },
-        indeterminate=indeterminate,
-        verdict=_verdict(agree, indeterminate),
-    )
+    booleans = {
+        "equivalent": verdict3.equivalent,
+        "gamma_zero": verdict3.gamma_zero,
+        "all_duals_formula": verdict3.all_duals_formula,
+        "agree": agree,
+        "expected_positive": positive,
+    }
+    residuals = {"gamma_norm": gamma_norm, "max_formula_residual": max_formula}
+    return _Measured(phi.count, residuals, booleans, agree, indeterminate)
 
 
 _TRIAL_BODIES = {
@@ -576,19 +525,25 @@ _TRIAL_ERRORS = (FrameMultError, ValueError, ArithmeticError)
 
 
 def _run_one(name: str, cfg: ExperimentConfig, trial: int) -> TrialRecord:
+    """The record of one suite on one trial: what its body measured, or the error it raised."""
     d, n = cfg.dims[trial % len(cfg.dims)]
+    note = ""
     try:
-        return _TRIAL_BODIES[name](cfg, trial, d, n)
+        got = _TRIAL_BODIES[name](cfg, trial, d, n)
     except _TRIAL_ERRORS as exc:
-        return TrialRecord(
-            suite=name,
-            trial=trial,
-            seed=cfg.seed,
-            d=d,
-            n=n,
-            verdict="fail",
-            note=f"{type(exc).__name__}: {exc}",
-        )
+        got, note = _Measured(n, {}, {}, ok=False), f"{type(exc).__name__}: {exc}"
+    return TrialRecord(
+        suite=name,
+        trial=trial,
+        seed=cfg.seed,
+        d=d,
+        n=got.n,
+        residuals=got.residuals,
+        booleans=got.booleans,
+        indeterminate=got.indeterminate,
+        verdict=_verdict(got.ok, got.indeterminate),
+        note=note,
+    )
 
 
 def run_suite(cfg: ExperimentConfig) -> SuiteReport:

@@ -7,6 +7,7 @@ import pytest
 
 from framemult import ConfigInvalid, ExperimentConfig, run_suite, validate_config
 from framemult import suites
+from framemult.serialize import report_to_json
 
 
 @pytest.mark.parametrize(
@@ -68,3 +69,19 @@ def test_numpy_integer_dims_run_like_python_ints():
     assert scrubbed(report) == scrubbed(plain)
     again = run_suite(ExperimentConfig(suite="per1", dims=((3, 7),), trials=np.int64(2), seed=3))
     assert scrubbed(again) == scrubbed(plain)
+
+
+def test_numpy_integer_seed_runs_like_a_python_int():
+    plain = run_suite(ExperimentConfig(suite="per1", dims=((3, 7),), trials=2, seed=3))
+    numpy_seed = ExperimentConfig(suite="per1", dims=((3, 7),), trials=2, seed=np.int64(3))
+    cfg = validate_config(numpy_seed)
+    assert cfg.seed == 3 and type(cfg.seed) is int
+    report = run_suite(numpy_seed)
+    assert all(type(record.seed) is int for record in report.records)
+
+    def scrubbed(rep):
+        doc = json.loads(report_to_json(rep))
+        doc["aggregate"]["wall_time_s"] = 0.0
+        return json.dumps(doc, sort_keys=True)
+
+    assert scrubbed(report) == scrubbed(plain)

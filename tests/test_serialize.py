@@ -99,6 +99,24 @@ class TestLoadFrameRejections:
         with pytest.raises(ParseError, match=r"\(1, 1\)"):
             load_frame(path)
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["NaN", "Infinity", "-Infinity", "1e400", "9" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "huge-int"],
+    )
+    def test_non_finite_entry(self, tmp_path, entry):
+        text = '{"dim": 2, "count": 2, "entries": [[[1, 0], [0, %s]], [[0, 0], [1, 0]]]}' % entry
+        with pytest.raises(ParseError, match=r"\(0, 1\)"):
+            load_frame(self._write(tmp_path, text))
+
+    @pytest.mark.parametrize("field", ["dim", "count"])
+    def test_bool_dims(self, tmp_path, field):
+        doc = {"dim": 1, "count": 1, "entries": [[[1, 0]]]}
+        doc[field] = True
+        path = self._write(tmp_path, json.dumps(doc))
+        with pytest.raises(ParseError, match="positive integers"):
+            load_frame(path)
+
     def test_non_integer_dims(self, tmp_path):
         doc = {"dim": 2.0, "count": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
         path = self._write(tmp_path, json.dumps(doc))

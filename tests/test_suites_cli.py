@@ -1,5 +1,6 @@
 """Experiment suites and the command line wrapper."""
 
+import gc
 import json
 import re
 
@@ -38,6 +39,13 @@ class TestValidateConfig:
             dict(dims=((0, 4),)),
             dict(generator="fourier"),
             dict(format="yaml"),
+            dict(seed=-1),
+            dict(seed=2.5),
+            dict(seed=True),
+            dict(seed="x"),
+            dict(dims=(3,)),
+            dict(dims=((2, 5), 3)),
+            dict(dims=3),
         ],
     )
     def test_rejects(self, kwargs):
@@ -195,6 +203,24 @@ class TestCli:
     def test_malformed_dims_exits_two(self, capsys):
         code = main(["--suite", "per1", "--dims", "banana", "--trials", "1"])
         assert code == 2
+
+    def test_negative_seed_exits_two(self, capsys):
+        code = main(["--suite", "per1", "--dims", "3x6", "--trials", "1", "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_repeated_calls_leave_no_cyclic_garbage(self, capsys):
+        argv = ["--suite", "per1", "--trials", "1"]
+        assert main(argv) == 0  # warm-up: first-use caches, the parser among them
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_out_writes_json(self, tmp_path, capsys):
         path = tmp_path / "report.json"
