@@ -65,6 +65,11 @@ class Multiplier:
         return inverse, op_norm(self.matrix @ inverse - np.eye(self.left.dim))
 
     @cached_property
+    def _inverse_op_norm(self) -> float:
+        """||M^{-1}||, computed once; read it only after invert passes (see _inverse_norm)."""
+        return op_norm(self._inverse[0])
+
+    @cached_property
     def _gammas(self) -> dict:
         """The Gamma RepResult built under each Tol; gamma_of fills it after invert passes."""
         return {}
@@ -160,6 +165,12 @@ def invert(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     return inverse
 
 
+def _inverse_norm(mult: Multiplier, tol: Tol) -> float:
+    """op_norm(invert(mult, tol)), the norm computed once per multiplier; invert judges tol per call."""
+    invert(mult, tol)
+    return mult._inverse_op_norm
+
+
 def _inverse_formula_left(mult: Multiplier, tol: Tol) -> np.ndarray:
     """T_{Psi~} diag(1/m) for Psi~ the canonical dual of Psi: mult(1/m, Psi~, F) is this times U_F."""
     inv_symbol = reciprocal(mult.symbol)  # ZeroEntry when m is not semi-normalized
@@ -211,7 +222,7 @@ def thm1_report(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Thm1Report:
     candidate = canonical_inverse_candidate(mult, tol)
     direct_residual = op_norm(minv - candidate)
     # rel_residual(minv, candidate), reusing ||minv - candidate||
-    direct_norm_residual = direct_residual / max(1.0, op_norm(minv), op_norm(candidate))
+    direct_norm_residual = direct_residual / max(1.0, mult._inverse_op_norm, op_norm(candidate))
     direct_equal = direct_norm_residual <= tol.rel_eq
 
     phi, psi = mult.left, mult.right

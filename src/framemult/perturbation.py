@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, HypothesisViolated, Singular
-from .frames import Frame, new_frame
+from .frames import Frame, _read_only, new_frame
 from .linalg import DEFAULT_TOL, Tol, _op_norms, as_matrix, herm_eig_extremes, op_norm
 from .multiplier import Multiplier
 from .symbols import Symbol, conj
@@ -67,14 +67,25 @@ def random_frame_perturbation(
     """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu!r}")
+    return _perturbed(f, mu, _noise(rng_seed, f.dim, f.count), tol)
+
+
+def _noise(rng_seed, d: int, n: int) -> tuple[np.ndarray, float]:
+    """The seeded d x N noise of random_frame_perturbation (read-only) and its op norm."""
     rng = np.random.default_rng(rng_seed)
-    shape = (f.dim, f.count)
+    shape = (d, n)
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     norm = op_norm(noise)
     if norm == 0.0:  # pragma: no cover - measure-zero draw
         noise = np.ones(shape, dtype=np.complex128)
         norm = op_norm(noise)
-    return new_frame(f.synth + noise * (0.9 * mu / norm), tol)
+    return _read_only(noise), norm
+
+
+def _perturbed(f: Frame, mu: float, noise: tuple[np.ndarray, float], tol: Tol) -> Frame:
+    """The frame T_F + 0.9 mu noise / ||noise|| for noise = _noise(seed, d, N) and mu > 0."""
+    direction, norm = noise
+    return new_frame(f.synth + direction * (0.9 * mu / norm), tol)
 
 
 def _scaled_system(synth: np.ndarray, weights: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray, float]:
@@ -193,6 +204,13 @@ def companion_per2(
     reported coefficient is sup|m| sqrt(B_psi) / sqrt(lambda_min(S_{mPhi'})),
     which bounds the companion deviation by submultiplicativity.
     """
+    return _companion_per2(phi, psi, m, phi_prime, mult, tol)[:2]
+
+
+def _companion_per2(
+    phi: Frame, psi: Frame, m: Symbol, phi_prime: Frame, mult: Multiplier, tol: Tol
+) -> tuple[Frame, PerturbReport, float]:
+    """companion_per2 plus the lambda_min(S_{mPhi}) its floor check solved for."""
     _check_shapes(phi, psi, m, phi_prime)
     if not mult.inv_diag.invertible:
         raise HypothesisViolated("multiplier must be invertible")
@@ -213,7 +231,8 @@ def companion_per2(
     t_new, s_new, lo_new = _scaled_system(phi_prime.synth, m.values, tol)
     psi_prime = new_frame(_companion_synth(psi.synth, t_old, t_new, s_new), tol)
     lam = m.sup_mod * np.sqrt(psi.bounds[1]) / np.sqrt(lo_new)
-    return psi_prime, _invariance_report(psi, psi_prime, t_old, t_new, mu, float(lam), tol)
+    report = _invariance_report(psi, psi_prime, t_old, t_new, mu, float(lam), tol)
+    return psi_prime, report, lo_old
 
 
 def companion_per3(

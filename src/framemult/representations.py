@@ -12,14 +12,15 @@ and Theta is the Gamma of the adjoint multiplier M* = mult(conj(m), Psi, Phi).
 Gamma vanishes exactly when the right frame is equivalent to the
 symbol-scaled left frame, which is also exactly when the correction-free
 formula holds for every dual; equivalence_criterion packages that three-way
-agreement.
+agreement on the seed-2026 sample of duals; its core _equivalence takes the
+family as a callable, so the suites pass their own (seed, trial, 5) family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,6 +74,11 @@ class RepResult:
     masked_annihilation_residual: float
     decomposition_residuals: tuple[tuple[int, float], ...] = ()
 
+    @cached_property
+    def _op_norm(self) -> float:
+        """||op||, computed once; gamma_of's memo keeps one per multiplier and Tol."""
+        return op_norm(self.op)
+
 
 class EquivalenceVerdict(NamedTuple):
     """Three booleans that must agree on every clear-margin instance."""
@@ -123,14 +129,6 @@ def _dual_stack(duals: list[DualFrame], parent: Frame, tol: Tol) -> np.ndarray:
     stack = np.stack([dual.frame.synth for dual in duals])
     _check_duality(stack, parent, tol)
     return stack
-
-
-def _formula_residuals(
-    mult: Multiplier, minv: np.ndarray, duals: list[DualFrame], tol: Tol
-) -> np.ndarray:
-    """||M^{-1} - mult(1/m, canonical dual of Psi, Phi^d)|| per dual Phi^d of the left frame."""
-    left = _inverse_formula_left(mult, tol)
-    return _op_norms(minv - left @ _adjoint(np.stack([dual.frame.synth for dual in duals])))
 
 
 def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
@@ -221,28 +219,37 @@ def verify_theta_decomposition(
     return replace(t, decomposition_residuals=residuals)
 
 
+def _equivalence(
+    mult: Multiplier, tol: Tol, duals: Callable[[], list[DualFrame]]
+) -> tuple[EquivalenceVerdict, np.ndarray]:
+    """equivalence_criterion against the duals() of the left frame, and each dual's formula residual.
+
+    duals is called only once the inverse, the equivalence map and Gamma have
+    passed, so their errors come first.
+    """
+    minv = invert(mult, tol)
+    scale = max(1.0, mult._inverse_op_norm)
+
+    scaled = scale_by_symbol(mult.left, mult.symbol, tol)
+    equivalent = equivalence_map(scaled, mult.right, tol) is not None
+
+    gamma_zero = gamma_of(mult, tol)._op_norm <= tol.rel_eq * scale
+
+    synth = np.stack([dual.frame.synth for dual in duals()])
+    # ||M^{-1} - mult(1/m, canonical dual of Psi, Phi^d)|| per dual Phi^d
+    residuals = _op_norms(minv - _inverse_formula_left(mult, tol) @ _adjoint(synth))
+    all_duals = not np.any(residuals > tol.rel_eq * scale)
+    return EquivalenceVerdict(equivalent, gamma_zero, all_duals), residuals
+
+
 def equivalence_criterion(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> EquivalenceVerdict:
     """Three equivalent readings of 'the right frame is the symbol-scaled left frame up to an invertible map'.
 
     equivalent: an invertible V with V(m_n phi_n) = psi_n exists.
     gamma_zero: the Gamma correction vanishes.
     all_duals_formula: the correction-free inverse formula holds against the
-    canonical dual and a sample of random duals of the left frame.
+    canonical dual and the seed-2026 sample of random duals of the left frame.
 
     Residual thresholds are scaled by max(1, ||M^{-1}||).
     """
-    minv = invert(mult, tol)
-    scale = max(1.0, op_norm(minv))
-
-    scaled = scale_by_symbol(mult.left, mult.symbol, tol)
-    equivalent = equivalence_map(scaled, mult.right, tol) is not None
-
-    g = gamma_of(mult, tol)
-    gamma_zero = op_norm(g.op) <= tol.rel_eq * scale
-
-    duals = sample_duals(mult.left, DUAL_SAMPLE_COUNT, tol=tol)  # the shared seed-2026 block
-    residuals = _formula_residuals(mult, minv, duals, tol)
-    all_duals = not np.any(residuals > tol.rel_eq * scale)
-    return EquivalenceVerdict(
-        equivalent=equivalent, gamma_zero=gamma_zero, all_duals_formula=all_duals
-    )
+    return _equivalence(mult, tol, lambda: sample_duals(mult.left, tol=tol))[0]

@@ -12,11 +12,12 @@ fixture, perturbation, sampled dual, and residual bit-for-bit.
 A combined run executes trial-major: for each trial, every suite in turn.
 The suites of one trial share the seeded fixtures they have in common (the
 frame pair, the semi-normalized symbol, the invertible instances, the
-(seed, trial, 5) W block and dual families, and the (seed, trial, 7) probe
-direction), each built and validated once. A fixture is keyed by its own
-call, (make, *args), so its key cannot leave out an argument. Records are
-still reported suite by suite, in the same order and with the same bytes as
-running the suites one after another.
+(seed, trial, 5) W block and dual families, the (seed, trial, 3) noise and
+the (seed, trial, 7) probe direction), each built and validated once; the
+equivalence suite judges all_duals_formula on that (seed, trial, 5) family.
+A fixture is keyed by its own call, (make, *args), so its key cannot leave
+out an argument. Records are still reported suite by suite, in the same
+order and with the same bytes as running the suites one after another.
 
 A suite body returns only what it measured (N, residuals, booleans, whether
 the claim held, whether the trial is indeterminate). _run_one builds every
@@ -43,21 +44,21 @@ from .generators import (
     random_symbol,
     riesz_basis,
 )
-from .linalg import DEFAULT_TOL, Tol, herm_eig_extremes, op_norm
-from .multiplier import Multiplier, _near_boundary, build, invert, thm1_report
+from .linalg import DEFAULT_TOL, Tol, op_norm
+from .multiplier import Multiplier, _inverse_norm, _near_boundary, build, thm1_report
 from .perturbation import (
+    _companion_per2,
+    _noise,
+    _perturbed,
     companion_per1,
     companion_per1_dual_side,
-    companion_per2,
     companion_per3,
-    random_frame_perturbation,
 )
 from .representations import (
     DUAL_SAMPLE_COUNT,
     _decomposition_residuals,
-    _formula_residuals,
+    _equivalence,
     _unit_w,
-    equivalence_criterion,
     gamma_of,
     theta_of,
 )
@@ -391,7 +392,8 @@ def _trial_per1_side(side: str, cfg: ExperimentConfig, trial: int, d: int, n: in
     m = _semi_symbol(cfg, trial, phi.count)
     moved, companion = (phi, companion_per1) if side == "per1" else (psi, companion_per1_dual_side)
     mu_request = 0.5 * np.sqrt(moved.bounds[0])
-    moved_prime = random_frame_perturbation(moved, mu_request, (cfg.seed, trial, 3), cfg.tol)
+    noise = _shared(_noise, (cfg.seed, trial, 3), moved.dim, moved.count)  # shared with per2
+    moved_prime = _perturbed(moved, mu_request, noise, cfg.tol)
     _, report = companion(phi, psi, m, moved_prime, cfg.tol)
     residuals, booleans = _companion_fields(report, cfg.tol)
     return _Measured(phi.count, residuals, booleans, all(booleans.values()))
@@ -405,10 +407,9 @@ def _trial_per2(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
         0.9 / (np.sqrt(phi.bounds[1]) * inv_norm * m.sup_mod),
         np.sqrt(phi.bounds[0]),
     )
-    phi_prime = random_frame_perturbation(phi, mu_request, (cfg.seed, trial, 3), cfg.tol)
-    _, report = companion_per2(phi, psi, m, phi_prime, mult, cfg.tol)
-    scaled = phi.synth * m.values[np.newaxis, :]
-    lo, _ = herm_eig_extremes(scaled @ scaled.conj().T, cfg.tol)
+    noise = _shared(_noise, (cfg.seed, trial, 3), phi.dim, phi.count)
+    phi_prime = _perturbed(phi, mu_request, noise, cfg.tol)
+    _, report, lo = _companion_per2(phi, psi, m, phi_prime, mult, cfg.tol)  # lo = lambda_min(S_{mPhi})
     floor_ratio = lo * phi.bounds[1] * inv_norm**2
     residuals, booleans = _companion_fields(report, cfg.tol)
     residuals["floor_ratio"] = float(floor_ratio)
@@ -452,7 +453,7 @@ def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: i
     probe = rep.op + direction * (1e3 * tol.rel_eq)
     duals = _shared(_sample_duals, dual_key, (cfg.seed, trial, 5), tol)
     decomposition, probed = _decomposition_residuals(mult, rep.kind, [rep.op, probe], duals, tol)
-    scale = max(1.0, op_norm(invert(mult, tol)))
+    scale = max(1.0, _inverse_norm(mult, tol))
     max_dec = max(r for _, r in decomposition)
     breakage = max(r for _, r in probed)
     booleans = {
@@ -463,7 +464,7 @@ def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: i
     }
     ok = booleans["decomposition_ok"] and booleans["annihilation_ok"] and booleans["uniqueness_ok"]
     residuals = {
-        "op_norm": op_norm(rep.op),
+        "op_norm": rep._op_norm,
         "annihilation": rep.annihilation_residual,
         "masked_annihilation": rep.masked_annihilation_residual,
         "max_decomposition": max_dec,
@@ -485,12 +486,11 @@ def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Me
     else:
         psi_key = _frame_key("random", d, phi.count, (cfg.seed, trial, 1), tol)
         m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=False)
-    verdict3 = equivalence_criterion(mult, tol)
-    minv = invert(mult, tol)
-    scale = max(1.0, op_norm(minv))
-    gamma_norm = op_norm(gamma_of(mult, tol).op)
-    duals = _shared(_sample_duals, phi_key, (cfg.seed, trial, 5), tol)
-    max_formula = float(_formula_residuals(mult, minv, duals, tol).max())
+    duals = partial(_shared, _sample_duals, phi_key, (cfg.seed, trial, 5), tol)
+    verdict3, formula = _equivalence(mult, tol, duals)
+    scale = max(1.0, _inverse_norm(mult, tol))
+    gamma_norm = gamma_of(mult, tol)._op_norm
+    max_formula = float(formula.max())
 
     agree = verdict3.equivalent == verdict3.gamma_zero == verdict3.all_duals_formula
     indeterminate = _near_boundary(gamma_norm / scale, tol) or _near_boundary(
