@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, Singular
+from .errors import DimensionMismatch, NumericalOverflow, Singular
 from .frames import Frame, _read_only, canonical_dual, new_frame
 from .linalg import DEFAULT_TOL, Tol, op_norm
 from .symbols import Symbol, conj, reciprocal
@@ -116,7 +116,10 @@ class Thm1Report:
 
 
 def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multiplier:
-    """Realize T_Phi diag(m) U_Psi as a d x d matrix with invertibility diagnostics."""
+    """Realize T_Phi diag(m) U_Psi as a d x d matrix with invertibility diagnostics.
+
+    A matrix that overflows although m, Phi and Psi are finite is a NumericalOverflow.
+    """
     if phi.dim != psi.dim:
         raise DimensionMismatch(f"frame dimensions differ: {phi.dim} vs {psi.dim}")
     if not (m.count == phi.count == psi.count):
@@ -124,6 +127,8 @@ def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multipli
             f"lengths differ: symbol {m.count}, left frame {phi.count}, right frame {psi.count}"
         )
     matrix = (phi.synth * m.values[np.newaxis, :]) @ psi.analysis_op
+    if not np.isfinite(matrix).all():
+        raise NumericalOverflow("multiplier matrix of finite inputs overflows")
     s = np.linalg.svd(matrix, compute_uv=False)
     sigma_min, sigma_max = float(s[-1]), float(s[0])
     invertible = sigma_max > 0.0 and sigma_min / sigma_max >= tol.inv_cond

@@ -6,25 +6,26 @@ that restores the original operator EXACTLY, together with a quantitative
 report: how large the input perturbation was, how far the companion moved,
 and whether the move respects the advertised Lipschitz-style coefficient.
 
-All three companions share one formula. With the old scaled system mPhi and
-the new scaled system mPhi' (new frame or new symbol), the companion is
+All four companions share one formula on scaled frames. With mPhi = (m_n phi_n)
+and mPhi' (new frame or new symbol) built by scale_by_symbol, the companion is
 
     T_Psi' = T_Psi (U_{mPhi} S_{mPhi'}^{-1} T_{mPhi'} + I - U_{mPhi'} S_{mPhi'}^{-1} T_{mPhi'}),
 
 i.e. the old analysis is rerouted through the new scaled system on its range
 and left untouched on the complementary kernel. Invariance of the multiplier
-is then an identity, not an estimate.
+is then an identity, not an estimate. A perturbed right frame takes the
+left-frame construction on the adjoint (frames swapped, symbol conjugated).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, HypothesisViolated, Singular
-from .frames import Frame, _read_only, new_frame
-from .linalg import DEFAULT_TOL, Tol, _op_norms, as_matrix, herm_eig_extremes, op_norm
+from .errors import DimensionMismatch, HypothesisViolated
+from .frames import Frame, _read_only, new_frame, scale_by_symbol
+from .linalg import DEFAULT_TOL, Tol, _op_norms, as_matrix, op_norm
 from .multiplier import Multiplier
 from .symbols import Symbol, conj
 
@@ -88,64 +89,42 @@ def _perturbed(f: Frame, mu: float, noise: tuple[np.ndarray, float], tol: Tol) -
     return new_frame(f.synth + direction * (0.9 * mu / norm), tol)
 
 
-def _scaled_system(synth: np.ndarray, weights: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray, float]:
-    """(T_scaled, S_scaled, lambda_min(S_scaled)) for the weighted sequence; Singular if S degenerates."""
-    t = synth * weights[np.newaxis, :]
-    s = t @ t.conj().T
-    lo, hi = herm_eig_extremes(s, tol)
-    if hi <= 0.0 or lo <= tol.inv_cond * hi:
-        raise Singular(
-            f"scaled frame operator degenerates: lambda_min={lo:.3e}, lambda_max={hi:.3e}"
-        )
-    return t, s, lo
+def _restore(psi: Frame, old: Frame, new: Frame, tol: Tol) -> tuple[Frame, float]:
+    """The companion of psi for the scaled frames old -> new, and its deviation ||T_Psi' - T_Psi||.
+
+    T_Psi' = T_Psi (U_old S_new^{-1} T_new + I - U_new S_new^{-1} T_new).
+    """
+    sol = new._canonical_synth
+    mix = old.analysis_op @ sol + np.eye(psi.count) - new.analysis_op @ sol
+    psi_prime = new_frame(psi.synth @ mix, tol)
+    return psi_prime, op_norm(psi_prime.synth - psi.synth)
 
 
-def _companion_synth(
-    psi_synth: np.ndarray, t_old: np.ndarray, t_new: np.ndarray, s_new: np.ndarray
-) -> np.ndarray:
-    """T_Psi (U_old S_new^{-1} T_new + I - U_new S_new^{-1} T_new)."""
-    n = psi_synth.shape[1]
-    sol = np.linalg.solve(s_new, t_new)  # S_new^{-1} T_new
-    mix = t_old.conj().T @ sol + np.eye(n) - t_new.conj().T @ sol
-    return psi_synth @ mix
-
-
-def _invariance_report(
-    psi: Frame,
-    psi_prime: Frame,
-    t_old: np.ndarray,
-    t_new: np.ndarray,
-    achieved_mu: float,
-    bound_coefficient: float,
-    tol: Tol,
+def _report(
+    m_old: np.ndarray, m_new: np.ndarray, mu: float, coefficient: float, deviation: float, tol: Tol
 ) -> PerturbReport:
-    deviation = op_norm(psi_prime.synth - psi.synth)
-    residual, scale = _invariance(t_old @ psi.analysis_op, t_new @ psi_prime.analysis_op)
+    """The report of a companion whose multiplier moved m_old -> m_new; one stacked SVD."""
+    stack = np.stack([as_matrix(a) for a in (m_new - m_old, m_old, m_new)])
+    gap, norm_old, norm_new = _op_norms(stack).tolist()
     return PerturbReport(
-        achieved_mu=achieved_mu,
-        bound_coefficient=bound_coefficient,
+        achieved_mu=mu,
+        bound_coefficient=coefficient,
         companion_deviation=deviation,
-        multiplier_residual=residual,
-        bound_satisfied=deviation <= bound_coefficient * achieved_mu + tol.rel_eq,
-        scale=scale,
+        multiplier_residual=gap,
+        bound_satisfied=deviation <= coefficient * mu + tol.rel_eq,
+        scale=max(1.0, norm_old, norm_new),
     )
 
 
-def _invariance(m_old: np.ndarray, m_new: np.ndarray) -> tuple[float, float]:
-    """(multiplier_residual, scale) of a companion: the three op_norms from one stacked SVD."""
-    stack = np.stack([as_matrix(a) for a in (m_new - m_old, m_old, m_new)])
-    gap, norm_old, norm_new = _op_norms(stack).tolist()
-    return gap, max(1.0, norm_old, norm_new)
-
-
-def _check_shapes(phi: Frame, psi: Frame, m: Symbol, other: Frame) -> None:
-    if phi.dim != psi.dim or phi.dim != other.dim:
+def _check_shapes(frames: tuple[Frame, ...], symbols: tuple[Symbol, ...]) -> None:
+    dims, counts = [f.dim for f in frames], [f.count for f in frames]
+    if len(set(dims)) > 1:
+        raise DimensionMismatch(f"frame dimensions differ: {'/'.join(map(str, dims))}")
+    lengths = [m.count for m in symbols]
+    if len(set(lengths + counts)) > 1:
         raise DimensionMismatch(
-            f"frame dimensions differ: {phi.dim}, {psi.dim}, {other.dim}"
-        )
-    if not (m.count == phi.count == psi.count == other.count):
-        raise DimensionMismatch(
-            f"lengths differ: symbol {m.count}, frames {phi.count}/{psi.count}/{other.count}"
+            f"lengths differ: symbols {'/'.join(map(str, lengths))}, "
+            f"frames {'/'.join(map(str, counts))}"
         )
 
 
@@ -157,7 +136,16 @@ def companion_per1(
     Hypothesis: mu = ||T_phi - T_phi'|| < sqrt(A_phi). The companion moves by
     at most lambda * mu with lambda = sup|m| sqrt(B_psi) / (inf|m| (sqrt(A_phi) - mu)).
     """
-    _check_shapes(phi, psi, m, phi_prime)
+    psi_prime, old, new, mu, lam, deviation = _per1(phi, psi, m, phi_prime, tol)
+    m_old, m_new = old.synth @ psi.analysis_op, new.synth @ psi_prime.analysis_op
+    return psi_prime, _report(m_old, m_new, mu, lam, deviation, tol)
+
+
+def _per1(
+    phi: Frame, psi: Frame, m: Symbol, phi_prime: Frame, tol: Tol
+) -> tuple[Frame, Frame, Frame, float, float, float]:
+    """Admission and restore of companion_per1: (psi_prime, mPhi, mPhi', mu, lambda, deviation)."""
+    _check_shapes((phi, psi, phi_prime), (m,))
     if not m.semi_normalized:
         raise HypothesisViolated("symbol must be semi-normalized (no zero entries)")
     mu = op_norm(phi_prime.synth - phi.synth)
@@ -166,11 +154,10 @@ def companion_per1(
         raise HypothesisViolated(
             f"perturbation {mu:.3e} reaches sqrt(A_phi) = {np.sqrt(a_phi):.3e}"
         )
-    t_old, _, _ = _scaled_system(phi.synth, m.values, tol)
-    t_new, s_new, _ = _scaled_system(phi_prime.synth, m.values, tol)
-    psi_prime = new_frame(_companion_synth(psi.synth, t_old, t_new, s_new), tol)
+    old, new = scale_by_symbol(phi, m, tol), scale_by_symbol(phi_prime, m, tol)
+    psi_prime, deviation = _restore(psi, old, new, tol)
     lam = m.sup_mod * np.sqrt(psi.bounds[1]) / (m.inf_mod * (np.sqrt(a_phi) - mu))
-    return psi_prime, _invariance_report(psi, psi_prime, t_old, t_new, mu, float(lam), tol)
+    return psi_prime, old, new, mu, float(lam), deviation
 
 
 def companion_per1_dual_side(
@@ -178,15 +165,14 @@ def companion_per1_dual_side(
 ) -> tuple[Frame, PerturbReport]:
     """Companion for a perturbed RIGHT frame; mu must stay below sqrt(A_psi).
 
-    Runs the left-side construction on the adjoint multiplier (conjugated
-    symbol, frames swapped) and reports the residual in the original
-    orientation, where it coincides by the adjoint identity.
+    Runs the left-side admission and restore on the adjoint multiplier
+    (conjugated symbol, frames swapped) and reports the residual in the
+    original orientation, where it coincides by the adjoint identity.
     """
-    phi_prime, swapped = companion_per1(psi, phi, conj(m), psi_prime, tol)
+    phi_prime, _, _, mu, lam, deviation = _per1(psi, phi, conj(m), psi_prime, tol)
     m_old = (phi.synth * m.values[np.newaxis, :]) @ psi.analysis_op
     m_new = (phi_prime.synth * m.values[np.newaxis, :]) @ psi_prime.analysis_op
-    residual, scale = _invariance(m_old, m_new)
-    return phi_prime, replace(swapped, multiplier_residual=residual, scale=scale)
+    return phi_prime, _report(m_old, m_new, mu, lam, deviation, tol)
 
 
 def companion_per2(
@@ -211,7 +197,7 @@ def _companion_per2(
     phi: Frame, psi: Frame, m: Symbol, phi_prime: Frame, mult: Multiplier, tol: Tol
 ) -> tuple[Frame, PerturbReport, float]:
     """companion_per2 plus the lambda_min(S_{mPhi}) its floor check solved for."""
-    _check_shapes(phi, psi, m, phi_prime)
+    _check_shapes((phi, psi, phi_prime), (m,))
     if not mult.inv_diag.invertible:
         raise HypothesisViolated("multiplier must be invertible")
     inv_norm = 1.0 / mult.inv_diag.sigma_min
@@ -222,17 +208,18 @@ def _companion_per2(
             f"mu * sup|m| = {mu * m.sup_mod:.3e} reaches "
             f"1/(sqrt(B_phi)||M^-1||) = {1.0 / (np.sqrt(b_phi) * inv_norm):.3e}"
         )
-    t_old, _, lo_old = _scaled_system(phi.synth, m.values, tol)
+    old = scale_by_symbol(phi, m, tol)
+    lo_old = old.bounds[0]
     if lo_old < 1.0 / (b_phi * inv_norm**2) - tol.rel_eq:
         raise HypothesisViolated(
             f"scaled-frame lower bound {lo_old:.3e} falls below the certified "
             f"floor {1.0 / (b_phi * inv_norm**2):.3e}"
         )
-    t_new, s_new, lo_new = _scaled_system(phi_prime.synth, m.values, tol)
-    psi_prime = new_frame(_companion_synth(psi.synth, t_old, t_new, s_new), tol)
-    lam = m.sup_mod * np.sqrt(psi.bounds[1]) / np.sqrt(lo_new)
-    report = _invariance_report(psi, psi_prime, t_old, t_new, mu, float(lam), tol)
-    return psi_prime, report, lo_old
+    new = scale_by_symbol(phi_prime, m, tol)
+    psi_prime, deviation = _restore(psi, old, new, tol)
+    lam = m.sup_mod * np.sqrt(psi.bounds[1]) / np.sqrt(new.bounds[0])
+    m_old, m_new = old.synth @ psi.analysis_op, new.synth @ psi_prime.analysis_op
+    return psi_prime, _report(m_old, m_new, mu, float(lam), deviation, tol), lo_old
 
 
 def companion_per3(
@@ -253,13 +240,7 @@ def companion_per3(
     No closed-form coefficient is advertised for this construction, so the
     report records the empirical ratio companion_deviation / eps instead.
     """
-    if phi.dim != psi.dim:
-        raise DimensionMismatch(f"frame dimensions differ: {phi.dim} vs {psi.dim}")
-    if not (m.count == m_prime.count == phi.count == psi.count):
-        raise DimensionMismatch(
-            f"lengths differ: symbols {m.count}/{m_prime.count}, "
-            f"frames {phi.count}/{psi.count}"
-        )
+    _check_shapes((phi, psi), (m, m_prime))
     eps = float(np.max(np.abs(m.values - m_prime.values)))
     b_phi = phi.bounds[1]
     invertible_branch = (
@@ -272,17 +253,8 @@ def companion_per3(
             f"eps = {eps:.3e} admits neither the invertible-multiplier branch "
             f"nor the semi-normalized-symbol branch"
         )
-    t_old, _, _ = _scaled_system(phi.synth, m.values, tol)
-    t_new, s_new, _ = _scaled_system(phi.synth, m_prime.values, tol)
-    psi_prime = new_frame(_companion_synth(psi.synth, t_old, t_new, s_new), tol)
-    deviation = op_norm(psi_prime.synth - psi.synth)
+    old, new = scale_by_symbol(phi, m, tol), scale_by_symbol(phi, m_prime, tol)
+    psi_prime, deviation = _restore(psi, old, new, tol)
     delta = deviation / eps if eps > 0.0 else 1.0
-    residual, scale = _invariance(t_old @ psi.analysis_op, t_new @ psi_prime.analysis_op)
-    return psi_prime, PerturbReport(
-        achieved_mu=eps,
-        bound_coefficient=float(delta),
-        companion_deviation=deviation,
-        multiplier_residual=residual,
-        bound_satisfied=deviation <= delta * eps + tol.rel_eq,
-        scale=scale,
-    )
+    m_old, m_new = old.synth @ psi.analysis_op, new.synth @ psi_prime.analysis_op
+    return psi_prime, _report(m_old, m_new, eps, float(delta), deviation, tol)

@@ -5,6 +5,7 @@ import pytest
 
 from framemult import (
     DimensionMismatch,
+    NumericalOverflow,
     Singular,
     Tol,
     build,
@@ -86,6 +87,16 @@ class TestBuild:
         # both frames must live on the same space for the report machinery
         with pytest.raises(DimensionMismatch):
             build(new_symbol(np.ones(7)), random_frame(3, 7, 0), random_frame(4, 7, 0))
+
+    def test_overflowing_matrix_is_a_numerical_overflow(self):
+        # Finite frames and a finite symbol whose realized matrix overflows;
+        # the diagnostics would otherwise read sigma_min = nan.
+        f = random_frame(3, 7, (37, 0))
+        m = new_symbol(np.full(7, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite((f.synth * m.values) @ f.analysis_op).all()
+            with pytest.raises(NumericalOverflow, match="overflows"):
+                build(m, f, f)
 
     def test_inv_diag_flags_singular(self):
         m = new_symbol([0.0, 1.0, 1.0])
