@@ -300,11 +300,18 @@ def scale_by_symbol(f: Frame, m: Symbol, tol: Tol = DEFAULT_TOL) -> Frame:
     """The weighted sequence (m_n phi_n)_n, so T_{mF} = T_F diag(m).
 
     Raises NotAFrame when the weights destroy the spanning property, which can
-    happen only if m has zero entries.
+    happen only if m has zero entries, and NumericalOverflow when a weighted
+    vector or the frame operator overflows.
     """
     if m.count != f.count:
         raise DimensionMismatch(f"symbol length {m.count} != frame count {f.count}")
-    return new_frame(f.synth * m.values[np.newaxis, :], tol)
+    scaled = f.synth * m.values[np.newaxis, :]
+    try:
+        return new_frame(scaled, tol)
+    except ValueError:  # f and m are finite, so a non-finite m_n phi_n is an overflow
+        if np.isfinite(scaled).all():
+            raise
+        raise NumericalOverflow("weighted vectors m_n phi_n of finite entries overflow") from None
 
 
 def equivalence_map(f: Frame, g: Frame, tol: Tol = DEFAULT_TOL) -> np.ndarray | None:

@@ -10,6 +10,7 @@ ties to that question.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,7 +119,8 @@ class Thm1Report:
 def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multiplier:
     """Realize T_Phi diag(m) U_Psi as a d x d matrix with invertibility diagnostics.
 
-    A matrix that overflows although m, Phi and Psi are finite is a NumericalOverflow.
+    A matrix, or its largest singular value, that overflows although m, Phi and
+    Psi are finite is a NumericalOverflow.
     """
     if phi.dim != psi.dim:
         raise DimensionMismatch(f"frame dimensions differ: {phi.dim} vs {psi.dim}")
@@ -131,6 +133,8 @@ def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multipli
         raise NumericalOverflow("multiplier matrix of finite inputs overflows")
     s = np.linalg.svd(matrix, compute_uv=False)
     sigma_min, sigma_max = float(s[-1]), float(s[0])
+    if not math.isfinite(sigma_max):
+        raise NumericalOverflow("largest singular value of a finite multiplier matrix overflows")
     invertible = sigma_max > 0.0 and sigma_min / sigma_max >= tol.inv_cond
     matrix = matrix.copy()
     matrix.setflags(write=False)

@@ -5,7 +5,8 @@ values are written in Python's shortest round-tripping decimal form (at most
 17 significant digits), so save -> load reproduces every entry bit-exactly.
 
 Reports serialize either hierarchically (json) or as a flat table (csv) with
-a fixed column order shared by all suites.
+a fixed column order shared by all suites. Each format has one writer, which
+streams into a file handle; the string renderings aim it at a StringIO.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -112,15 +114,22 @@ def load_frame(path, tol: Tol = DEFAULT_TOL) -> Frame:
     return new_frame(matrix, tol)
 
 
-def report_to_json(report: "SuiteReport") -> str:
+# iterencode yields one short string per token; a report is written in joined
+# batches of this many, so peak memory is the records plus one batch.
+_JSON_BATCH = 1024
+
+
+def _write_json(report: "SuiteReport", handle) -> None:
     """Hierarchical rendering; key order is sorted so output is reproducible."""
-    return json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report.as_dict())
+    while batch := "".join(islice(chunks, _JSON_BATCH)):
+        handle.write(batch)
+    handle.write("\n")
 
 
-def report_to_csv(report: "SuiteReport") -> str:
+def _write_csv(report: "SuiteReport", handle) -> None:
     """Flat table: one row per trial in the fixed CSV_COLUMNS order."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for record in report.records:
         row = {
@@ -132,23 +141,48 @@ def report_to_csv(report: "SuiteReport") -> str:
             "verdict": record.verdict,
         }
         for key, value in record.residuals.items():
-            if key not in RESIDUAL_COLUMNS:
-                raise ValueError(f"residual field {key!r} missing from CSV_COLUMNS")
             row[key] = format(value, ".17g")
         writer.writerow(row)
+
+
+def _report_writer(report: "SuiteReport", fmt: str):
+    """The writer of fmt, after every check that can reject the report."""
+    if fmt == "json":
+        return _write_json
+    if fmt != "csv":
+        raise ValueError(f"unknown report format {fmt!r}")
+    for record in report.records:
+        for key in record.residuals:
+            if key not in RESIDUAL_COLUMNS:
+                raise ValueError(f"residual field {key!r} missing from CSV_COLUMNS")
+    return _write_csv
+
+
+def _render(report: "SuiteReport", fmt: str) -> str:
+    buffer = io.StringIO()
+    _report_writer(report, fmt)(report, buffer)
     return buffer.getvalue()
 
 
+def report_to_json(report: "SuiteReport") -> str:
+    """The JSON report text, as save_report writes it."""
+    return _render(report, "json")
+
+
+def report_to_csv(report: "SuiteReport") -> str:
+    """The CSV report text, as save_report writes it."""
+    return _render(report, "csv")
+
+
 def save_report(report: "SuiteReport", path, fmt: str = "json") -> None:
-    """Write a suite report as json or csv."""
-    if fmt == "json":
-        text = report_to_json(report)
-    elif fmt == "csv":
-        text = report_to_csv(report)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+    """Stream a suite report into path as json or csv.
+
+    The report is checked before path is opened, so a rejected report leaves
+    an existing file untouched.
+    """
+    write = _report_writer(report, fmt)
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write(report, handle)
     except OSError as exc:
         raise IoError(f"cannot write report file {path}: {exc}") from exc

@@ -123,7 +123,7 @@ class ExperimentConfig:
     format: str = "json"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     suite: str
     trial: int
