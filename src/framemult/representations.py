@@ -172,8 +172,10 @@ def _decomposition_residuals(
 ) -> list[tuple[tuple[int, float], ...]]:
     """verify_*_decomposition's (dual index, residual) pairs for each op of the given kind.
 
-    The duals are re-checked and the op-free term is formed once for all ops;
-    all residuals come from one stacked SVD.
+    The duals are re-checked and the op-free term is formed once for all ops.
+    Each op's gaps minv - (formula + correction) are built in place in one
+    preallocated (len(ops), K, d, d) array, from which one stacked SVD takes
+    all residuals.
     """
     minv = invert(mult, tol)
     inv_m = reciprocal(mult.symbol).values  # ZeroEntry guard
@@ -185,11 +187,15 @@ def _decomposition_residuals(
     if gamma:  # mult(1/m, canonical dual of Psi, Phi^d) + op* U_{Phi^d}
         dual_analysis = _adjoint(stack)
         formula = (tilde.synth * inv_m[np.newaxis, :]) @ dual_analysis
-        corrections = [op.conj().T @ dual_analysis for op in ops]
+        correction = lambda op: op.conj().T @ dual_analysis
     else:  # mult(1/m, Psi^d, canonical dual of Phi) + T_{Psi^d} op
         formula = (stack * inv_m[np.newaxis, np.newaxis, :]) @ tilde.analysis_op
-        corrections = [stack @ op for op in ops]
-    residuals = _op_norms(np.stack([minv - (formula + c) for c in corrections]))
+        correction = lambda op: stack @ op
+    gaps = np.empty((len(ops), *formula.shape), dtype=np.result_type(minv, formula))
+    for gap, op in zip(gaps, ops):
+        np.add(formula, correction(op), out=gap)  # the correction is freed here
+        np.subtract(minv, gap, out=gap)
+    residuals = _op_norms(gaps)
     return [tuple(enumerate(row)) for row in residuals.tolist()]
 
 

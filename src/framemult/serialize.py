@@ -6,7 +6,10 @@ values are written in Python's shortest round-tripping decimal form (at most
 
 Reports serialize either hierarchically (json) or as a flat table (csv) with
 a fixed column order shared by all suites. Each format has one writer, which
-streams into a file handle; the string renderings aim it at a StringIO.
+streams into a file handle; the string renderings aim it at a StringIO. The
+JSON writer turns each record into a dict only as the encoder reaches it, so
+the report never exists as one dict tree. Every check that can reject a
+report runs before the first byte is written.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from itertools import islice
 from typing import TYPE_CHECKING
 
@@ -115,13 +119,26 @@ def load_frame(path, tol: Tol = DEFAULT_TOL) -> Frame:
 
 
 # iterencode yields one short string per token; a report is written in joined
-# batches of this many, so peak memory is the records plus one batch.
+# batches of this many, so peak memory is the records plus one record's dict
+# and one batch.
 _JSON_BATCH = 1024
 
 
+class _RecordDicts(list):
+    """The records, each turned into a dict only as the encoder iterates to it."""
+
+    def __iter__(self):
+        return (record.as_dict() for record in super().__iter__())
+
+
 def _write_json(report: "SuiteReport", handle) -> None:
-    """Hierarchical rendering; key order is sorted so output is reproducible."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report.as_dict())
+    """Hierarchical rendering; key order is sorted so output is reproducible.
+
+    The bytes are those of json.dumps(report.as_dict(), sort_keys=True,
+    indent=2) plus a newline.
+    """
+    document = {**report._header(), "records": _RecordDicts(report.records)}
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(document)
     while batch := "".join(islice(chunks, _JSON_BATCH)):
         handle.write(batch)
     handle.write("\n")
@@ -145,9 +162,30 @@ def _write_csv(report: "SuiteReport", handle) -> None:
         writer.writerow(row)
 
 
+def _check_json_fields(records) -> None:
+    """Reject records whose booleans, residuals or notes JSON would encode as another type.
+
+    Each distinct type is checked once: a set of types per field costs less
+    than an isinstance per value.
+    """
+    booleans = {type(v) for r in records for v in r.booleans.values()}
+    residuals = {type(v) for r in records for v in r.residuals.values()}
+    notes = {type(r.note) for r in records}
+    for name, base, wanted, types in (
+        ("boolean value", bool, "a bool", booleans),
+        ("residual value", numbers.Real, "real", residuals),
+        ("note", str, "a str", notes),
+    ):
+        for cls in types:
+            if not issubclass(cls, base):
+                got = f"{cls.__module__}.{cls.__qualname__}"
+                raise ValueError(f"every {name} must be {wanted}, got {got}")
+
+
 def _report_writer(report: "SuiteReport", fmt: str):
     """The writer of fmt, after every check that can reject the report."""
     if fmt == "json":
+        _check_json_fields(report.records)
         return _write_json
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")

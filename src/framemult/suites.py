@@ -163,6 +163,10 @@ class SuiteReport:
     wall_time_s: float
 
     def as_dict(self) -> dict:
+        return {**self._header(), "records": [record.as_dict() for record in self.records]}
+
+    def _header(self) -> dict:
+        """as_dict without its records; the JSON writer encodes those one at a time."""
         return {
             "suite": self.suite,
             "config": {
@@ -183,7 +187,6 @@ class SuiteReport:
                 "max_residual": self.max_residual,
                 "wall_time_s": self.wall_time_s,
             },
-            "records": [record.as_dict() for record in self.records],
         }
 
 
@@ -568,11 +571,8 @@ def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     passed = sum(1 for r in records if r.verdict == "pass")
     failed = sum(1 for r in records if r.verdict == "fail")
     indet = sum(1 for r in records if r.verdict == "indeterminate")
-    max_residual = 0.0
-    for record in records:
-        for key, value in record.residuals.items():
-            if key in _AGG_KEYS:
-                max_residual = max(max_residual, float(value))
+    aggregated = [float(v) for r in records for k, v in r.residuals.items() if k in _AGG_KEYS]
+    max_residual = float(np.max(aggregated, initial=0.0))  # a NaN residual gives NaN
     return SuiteReport(
         suite=cfg.suite,
         config=cfg,
