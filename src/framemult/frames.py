@@ -77,8 +77,8 @@ class Frame:
         return _read_only(np.eye(self.count) - self.analysis_op @ self._canonical_synth)
 
     @cached_property
-    def _canonical_duals(self) -> dict[Tol, tuple[Frame, np.ndarray]]:
-        """(frame, v_part) of the canonical dual validated under each Tol.
+    def _canonical_duals(self) -> dict[Tol, Frame]:
+        """The frame of the canonical dual validated under each Tol.
 
         The DualFrame itself is not stored: it points back to this frame, and
         the cycle would keep both alive until the cyclic collector runs.
@@ -88,11 +88,23 @@ class Frame:
 
 @dataclass(frozen=True)
 class DualFrame:
-    """A dual of `parent`: synthesis T_dual = S^{-1}T_parent + v_part."""
+    """A dual of `parent`: synthesis T_dual = S^{-1}T_parent + W(I - U S^{-1}T_parent).
+
+    w is the read-only d x N matrix W that carved the dual out, a view into
+    its family's W block, or None for the canonical dual. The dual keeps W,
+    not the product v_part, which is formed when asked for.
+    """
 
     frame: Frame
     parent: Frame
-    v_part: np.ndarray  # d x N; zero exactly for the canonical dual
+    w: np.ndarray | None
+
+    @property
+    def v_part(self) -> np.ndarray:
+        """The read-only d x N part W(I - U S^{-1}T) beyond the canonical dual; zero exactly for it."""
+        if self.w is None:
+            return _read_only(np.zeros((self.parent.dim, self.parent.count), dtype=np.complex128))
+        return _read_only(self.w @ self.parent._kernel_proj)
 
 
 def _read_only(mat: np.ndarray) -> np.ndarray:
@@ -215,21 +227,21 @@ def _raise_first(failures) -> None:
 def _dual_family(f: Frame, w: np.ndarray | None, tol: Tol) -> list[DualFrame]:
     """The duals S^{-1}T + W_k(I - U S^{-1}T) of f for a (K, d, N) stack of W_k.
 
-    w=None gives the canonical dual alone. All K duals are checked in one
-    stacked pass, in the order random_dual checks one dual: T_dual U finite,
-    the duality check, then new_frame's overflow, Hermitian, bounded
-    extremes and rank tests on each frame operator T_dual T_dual*.
+    w=None gives the canonical dual alone. Each dual keeps a view of its W_k,
+    so w must be read-only and edited by no one (random_dual passes a copy).
+    All K duals are checked in one stacked pass, in the order random_dual
+    checks one dual: T_dual U finite, the duality check, then new_frame's
+    overflow, Hermitian, bounded extremes and rank tests on each frame
+    operator T_dual T_dual*.
     """
     if w is None:
         synth = f._canonical_synth[np.newaxis]
-        v = np.zeros_like(synth)
     else:
-        v = w @ f._kernel_proj
-        synth = f._canonical_synth + v
+        synth = f._canonical_synth + w @ f._kernel_proj
     recon_ok, recon = _finite_or_zero(synth @ f.analysis_op)
     gram_ok, gram = _finite_or_zero(synth @ _adjoint(synth))
     # The stacks are owned here; each dual gets read-only views of its slices.
-    synth, gram, v = (_read_only(a) for a in (synth, gram, v))
+    synth, gram = _read_only(synth), _read_only(gram)
     skew, lo, hi = _herm_extremes(gram, tol)
     _raise_first(
         [
@@ -251,7 +263,7 @@ def _dual_family(f: Frame, w: np.ndarray | None, tol: Tol) -> list[DualFrame]:
                 bounds=(float(lo[k]), float(hi[k])),
             ),
             parent=f,
-            v_part=v[k],
+            w=None if w is None else w[k],
         )
         for k in range(len(synth))
     ]
@@ -263,27 +275,27 @@ def canonical_dual(f: Frame, tol: Tol = DEFAULT_TOL) -> DualFrame:
     It is a function of f and tol alone, so it is validated once per Tol and
     then served from f's memo in a fresh DualFrame.
     """
-    cached = f._canonical_duals.get(tol)
-    if cached is None:
+    frame = f._canonical_duals.get(tol)
+    if frame is None:
         dual = _dual_family(f, None, tol)[0]
-        f._canonical_duals[tol] = (dual.frame, dual.v_part)
+        f._canonical_duals[tol] = dual.frame
         return dual
-    frame, v_part = cached
-    return DualFrame(frame=frame, parent=f, v_part=v_part)
+    return DualFrame(frame=frame, parent=f, w=None)
 
 
 def random_dual(f: Frame, w, tol: Tol = DEFAULT_TOL) -> DualFrame:
     """The dual S^{-1}T + W(I - U S^{-1} T) carved out by a free d x N matrix W.
 
     W = 0 recovers the canonical dual; for a Riesz basis every W does, since
-    the kernel projection vanishes.
+    the kernel projection vanishes. The dual keeps a frozen copy of W, so a
+    later edit to the caller's array cannot change it.
     """
     w_mat = as_matrix(w)
     if w_mat.shape != (f.dim, f.count):
         raise DimensionMismatch(
             f"W has shape {w_mat.shape}, expected {(f.dim, f.count)}"
         )
-    return _dual_family(f, w_mat[np.newaxis], tol)[0]
+    return _dual_family(f, _freeze(w_mat)[np.newaxis], tol)[0]
 
 
 def proj_ker_synthesis(f: Frame) -> np.ndarray:

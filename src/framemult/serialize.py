@@ -8,13 +8,14 @@ Reports serialize either hierarchically (json) or as a flat table (csv) with
 a fixed column order shared by all suites. Each format has one writer, which
 streams into a file handle; the string renderings aim it at a StringIO. The
 JSON writer turns each record into a dict only as the encoder reaches it, so
-the report never exists as one dict tree. Every check that can reject a
-report runs before the first byte is written.
+the report never exists as one dict tree. The CSV writer formats each row
+itself, quoting as csv.writer(lineterminator="\n") does, so no row buffer
+outlives a row. Every check that can reject a report runs before the first
+byte is written.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import numbers
@@ -144,40 +145,52 @@ def _write_json(report: "SuiteReport", handle) -> None:
     handle.write("\n")
 
 
+def _csv_text(value) -> str:
+    """A text cell as csv.writer writes it: quoted, inner quotes doubled, if it holds ',', '"' or a newline."""
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(report: "SuiteReport", handle) -> None:
-    """Flat table: one row per trial in the fixed CSV_COLUMNS order."""
-    writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for record in report.records:
-        row = {
-            "suite": record.suite,
-            "trial": record.trial,
-            "seed": record.seed,
-            "d": record.d,
-            "N": record.n,
-            "verdict": record.verdict,
-        }
-        for key, value in record.residuals.items():
-            row[key] = format(value, ".17g")
-        writer.writerow(row)
+    """Flat table: one row per trial in the fixed CSV_COLUMNS order.
 
-
-def _check_json_fields(records) -> None:
-    """Reject records whose booleans, residuals or notes JSON would encode as another type.
-
-    Each distinct type is checked once: a set of types per field costs less
-    than an isinstance per value.
+    The bytes are those of csv.DictWriter(handle, CSV_COLUMNS,
+    lineterminator="\n") given each residual as format(value, ".17g").
     """
+    handle.write(",".join(CSV_COLUMNS) + "\n")
+    for record in report.records:
+        residuals = record.residuals
+        cells = [_csv_text(record.suite), str(record.trial), str(record.seed), str(record.d), str(record.n)]
+        cells += [format(residuals[key], ".17g") if key in residuals else "" for key in RESIDUAL_COLUMNS]
+        cells.append(_csv_text(record.verdict))
+        handle.write(",".join(cells) + "\n")
+
+
+def _check_json_fields(report: "SuiteReport") -> None:
+    """Reject a report whose integers, booleans, residuals or notes JSON would encode as another type.
+
+    The integers are each record's trial, seed, d and N and the config's
+    trials, seed and dims entries; a SuiteReport built by hand may hold numpy
+    integers there. Each distinct type is checked once: a set of types per
+    field costs less than an isinstance per value.
+    """
+    records, config = report.records, report.config
+    integers = {type(v) for r in records for v in (r.trial, r.seed, r.d, r.n)}
+    integers |= {type(config.trials), type(config.seed)}
+    integers |= {type(v) for pair in config.dims for v in pair}
     booleans = {type(v) for r in records for v in r.booleans.values()}
     residuals = {type(v) for r in records for v in r.residuals.values()}
     notes = {type(r.note) for r in records}
-    for name, base, wanted, types in (
-        ("boolean value", bool, "a bool", booleans),
-        ("residual value", numbers.Real, "real", residuals),
-        ("note", str, "a str", notes),
+    for name, wanted, admits, types in (
+        ("integer field", "an int", lambda cls: issubclass(cls, int) and cls is not bool, integers),
+        ("boolean value", "a bool", lambda cls: issubclass(cls, bool), booleans),
+        ("residual value", "real", lambda cls: issubclass(cls, numbers.Real), residuals),
+        ("note", "a str", lambda cls: issubclass(cls, str), notes),
     ):
         for cls in types:
-            if not issubclass(cls, base):
+            if not admits(cls):
                 got = f"{cls.__module__}.{cls.__qualname__}"
                 raise ValueError(f"every {name} must be {wanted}, got {got}")
 
@@ -185,7 +198,7 @@ def _check_json_fields(records) -> None:
 def _report_writer(report: "SuiteReport", fmt: str):
     """The writer of fmt, after every check that can reject the report."""
     if fmt == "json":
-        _check_json_fields(report.records)
+        _check_json_fields(report)
         return _write_json
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
