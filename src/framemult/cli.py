@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 
 from .errors import ConfigInvalid, FrameMultError
 from .linalg import Tol
@@ -99,14 +100,11 @@ def _parse_dims(raw: list[str] | None) -> tuple[tuple[int, int], ...]:
 
 def _summarize(report: SuiteReport) -> str:
     lines = []
-    suites = sorted({record.suite for record in report.records}, key=SUITE_NAMES.index)
-    for name in suites:
-        records = [r for r in report.records if r.suite == name]
-        passed = sum(1 for r in records if r.verdict == "pass")
-        failed = sum(1 for r in records if r.verdict == "fail")
-        indet = sum(1 for r in records if r.verdict == "indeterminate")
+    tally = Counter((r.suite, r.verdict) for r in report.records)
+    for name in sorted({suite for suite, _ in tally}, key=SUITE_NAMES.index):
+        passed, failed, indet = (tally[name, v] for v in ("pass", "fail", "indeterminate"))
         lines.append(
-            f"suite={name} trials={len(records)} pass={passed} fail={failed} "
+            f"suite={name} trials={passed + failed + indet} pass={passed} fail={failed} "
             f"indeterminate={indet}"
         )
     lines.append(

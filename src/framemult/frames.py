@@ -22,6 +22,7 @@ from .linalg import (
     Tol,
     _adjoint,
     _herm_extremes,
+    _invertible,
     _norm_bounds,
     _op_norms,
     _unbounded,
@@ -105,6 +106,24 @@ class DualFrame:
         if self.w is None:
             return _read_only(np.zeros((self.parent.dim, self.parent.count), dtype=np.complex128))
         return _read_only(self.w @ self.parent._kernel_proj)
+
+
+def _check_shapes(frames: tuple[Frame, ...], symbols: tuple[Symbol, ...] = ()) -> None:
+    """Raise DimensionMismatch unless the frames share d and the frames and symbols share N.
+
+    A message lists each distinct value once, in order of first appearance, so
+    one mismatch reads the same whichever function finds it.
+    """
+    if len({f.dim for f in frames}) > 1:
+        raise DimensionMismatch(f"frame dimensions differ: {_distinct(f.dim for f in frames)}")
+    counts, lengths = [f.count for f in frames], [m.count for m in symbols]
+    if len(set(counts + lengths)) > 1:
+        named = f"symbols {_distinct(lengths)}, " if symbols else ""
+        raise DimensionMismatch(f"lengths differ: {named}frames {_distinct(counts)}")
+
+
+def _distinct(values) -> str:
+    return "/".join(dict.fromkeys(map(str, values)))
 
 
 def _read_only(mat: np.ndarray) -> np.ndarray:
@@ -315,8 +334,7 @@ def scale_by_symbol(f: Frame, m: Symbol, tol: Tol = DEFAULT_TOL) -> Frame:
     happen only if m has zero entries, and NumericalOverflow when a weighted
     vector or the frame operator overflows.
     """
-    if m.count != f.count:
-        raise DimensionMismatch(f"symbol length {m.count} != frame count {f.count}")
+    _check_shapes((f,), (m,))
     scaled = f.synth * m.values[np.newaxis, :]
     try:
         return new_frame(scaled, tol)
@@ -332,15 +350,9 @@ def equivalence_map(f: Frame, g: Frame, tol: Tol = DEFAULT_TOL) -> np.ndarray | 
     The candidate is V0 = T_G pinv(T_F); it is accepted iff it maps column to
     column within rel_eq and is invertible per inv_cond.
     """
-    if f.dim != g.dim or f.count != g.count:
-        raise DimensionMismatch(
-            f"cannot compare a {f.dim}x{f.count} frame with a {g.dim}x{g.count} frame"
-        )
+    _check_shapes((f, g))
     v0 = g.synth @ pinv(f.synth, tol)
     residual = op_norm(v0 @ f.synth - g.synth) / max(1.0, op_norm(g.synth))
-    if residual > tol.rel_eq:
-        return None
-    sigma_min, sigma_max = sv_extremes(v0)
-    if sigma_max == 0.0 or sigma_min / sigma_max < tol.inv_cond:
+    if residual > tol.rel_eq or not _invertible(*sv_extremes(v0), tol):
         return None
     return v0

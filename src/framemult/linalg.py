@@ -183,13 +183,18 @@ def sv_extremes(a) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
+def _invertible(sigma_min: float, sigma_max: float, tol: Tol) -> bool:
+    """The singularity proxy: sigma_max > 0 and sigma_min/sigma_max >= inv_cond (False on NaN)."""
+    return sigma_max > 0.0 and sigma_min / sigma_max >= tol.inv_cond
+
+
 def inv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse, guarded by the singularity proxy sigma_min/sigma_max >= inv_cond."""
+    """Matrix inverse, guarded by the singularity proxy (see _invertible)."""
     mat = as_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"cannot invert a {mat.shape[0]}x{mat.shape[1]} matrix")
     sigma_min, sigma_max = sv_extremes(mat)
-    if sigma_max == 0.0 or sigma_min / sigma_max < tol.inv_cond:
+    if not _invertible(sigma_min, sigma_max, tol):
         raise Singular(
             f"sigma_min/sigma_max = {sigma_min:.3e}/{sigma_max:.3e} below inv_cond={tol.inv_cond:g}"
         )

@@ -6,6 +6,9 @@ symbol and the two canonical duals? The report carries the direct comparison
 plus four scalar indicators (norm identities for the inverse frame operators
 and optimal-bound identities for the two induced dual frames) that the theory
 ties to that question.
+
+The indicators come in adjoint pairs, since M* = M_{conj(m), Psi, Phi}: the
+second induced frame and conditions iii/iv are the first frame and i/ii of M*.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalOverflow, Singular
-from .frames import Frame, _read_only, canonical_dual, new_frame
-from .linalg import DEFAULT_TOL, Tol, op_norm
+from .errors import NumericalOverflow, Singular
+from .frames import Frame, _check_shapes, _read_only, canonical_dual, new_frame
+from .linalg import DEFAULT_TOL, Tol, _invertible, op_norm
 from .symbols import Symbol, conj, reciprocal
 
 __all__ = [
@@ -96,10 +99,10 @@ class Thm1Report:
 
     direct: M^{-1} compared against the multiplier of (1/m, canonical dual of
     Psi, canonical dual of Phi). cond_i/cond_ii tie the norm of S_Psi^{-1} to
-    the frame induced by M^{-1}(m_n phi_n); cond_iii/cond_iv mirror that with
-    the roles of the frames exchanged and the adjoint inverse. consistent
-    records whether all five verdicts agree; indeterminate flags instances
-    where any residual sits too close to the threshold to call.
+    the frame induced by M^{-1}(m_n phi_n); cond_iii/cond_iv are cond_i/cond_ii
+    of adjoint(M), which tie S_Phi^{-1} to (M^{-1})*(conj(m_n) psi_n).
+    consistent records whether all five verdicts agree; indeterminate flags
+    instances where any residual sits too close to the threshold to call.
     """
 
     direct_equal: bool
@@ -122,12 +125,7 @@ def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multipli
     A matrix, or its largest singular value, that overflows although m, Phi and
     Psi are finite is a NumericalOverflow.
     """
-    if phi.dim != psi.dim:
-        raise DimensionMismatch(f"frame dimensions differ: {phi.dim} vs {psi.dim}")
-    if not (m.count == phi.count == psi.count):
-        raise DimensionMismatch(
-            f"lengths differ: symbol {m.count}, left frame {phi.count}, right frame {psi.count}"
-        )
+    _check_shapes((phi, psi), (m,))
     matrix = (phi.synth * m.values[np.newaxis, :]) @ psi.analysis_op
     if not np.isfinite(matrix).all():
         raise NumericalOverflow("multiplier matrix of finite inputs overflows")
@@ -135,16 +133,9 @@ def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multipli
     sigma_min, sigma_max = float(s[-1]), float(s[0])
     if not math.isfinite(sigma_max):
         raise NumericalOverflow("largest singular value of a finite multiplier matrix overflows")
-    invertible = sigma_max > 0.0 and sigma_min / sigma_max >= tol.inv_cond
-    matrix = matrix.copy()
-    matrix.setflags(write=False)
-    return Multiplier(
-        symbol=m,
-        left=phi,
-        right=psi,
-        matrix=matrix,
-        inv_diag=InvDiag(sigma_min=sigma_min, sigma_max=sigma_max, invertible=invertible),
-    )
+    invertible = _invertible(sigma_min, sigma_max, tol)
+    diag = InvDiag(sigma_min=sigma_min, sigma_max=sigma_max, invertible=invertible)
+    return Multiplier(symbol=m, left=phi, right=psi, matrix=_read_only(matrix.copy()), inv_diag=diag)
 
 
 def adjoint(mult: Multiplier) -> Multiplier:
@@ -197,19 +188,18 @@ def canonical_inverse_candidate(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> np.
     return left @ canonical_dual(mult.left, tol).frame.analysis_op
 
 
+def _dagger(mult: Multiplier, tol: Tol) -> Frame:
+    """The frame (M^{-1}(m_n phi_n))_n, a dual of the right frame: the duality product is M^{-1}M."""
+    return new_frame(invert(mult, tol) @ (mult.left.synth * mult.symbol.values[np.newaxis, :]), tol)
+
+
 def dagger_frames(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> tuple[Frame, Frame]:
     """The two frames induced by the inverse: (M^{-1}(m_n phi_n))_n and ((M^{-1})*(conj(m_n) psi_n))_n.
 
-    The first is always a dual of Psi and the second a dual of Phi: the
-    duality products collapse to M^{-1}M and (M*)^{-1}M* by construction.
+    The second is the first of adjoint(mult), so the first is a dual of Psi
+    and the second a dual of Phi.
     """
-    minv = invert(mult, tol)
-    m = mult.symbol.values
-    psi_dagger = new_frame(minv @ (mult.left.synth * m[np.newaxis, :]), tol)
-    phi_dagger = new_frame(
-        minv.conj().T @ (mult.right.synth * np.conj(m)[np.newaxis, :]), tol
-    )
-    return psi_dagger, phi_dagger
+    return _dagger(mult, tol), _dagger(adjoint(mult), tol)
 
 
 def _scalar_condition(lhs: float, rhs: float, tol: Tol) -> Condition:
@@ -221,11 +211,23 @@ def _near_boundary(residual: float, tol: Tol) -> bool:
     return tol.rel_eq < residual <= BOUNDARY_FACTOR * tol.rel_eq
 
 
+def _side_conditions(mult: Multiplier, dagger: Frame, tol: Tol) -> tuple[Condition, Condition]:
+    """Conditions i and ii: ||S_Psi^{-1}|| = 1/lambda_min(S_Psi) against ||M^{-1} T_{|m|Phi}||^2 and B_dagger.
+
+    dagger is _dagger(mult, tol); on adjoint(mult) these are conditions iii and iv.
+    """
+    inv_norm_s = 1.0 / mult.right.bounds[0]
+    weighted = mult.left.synth * np.abs(mult.symbol.values)[np.newaxis, :]
+    return (
+        _scalar_condition(inv_norm_s, op_norm(invert(mult, tol) @ weighted) ** 2, tol),
+        _scalar_condition(inv_norm_s, dagger.bounds[1], tol),
+    )
+
+
 def thm1_report(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Thm1Report:
     """Evaluate the five inversion indicators on an invertible multiplier.
 
-    Inverse frame-operator norms are computed as 1/lambda_min of the forward
-    operator, never by explicit inversion.
+    Conditions iii and iv are conditions i and ii of adjoint(mult).
     """
     minv = invert(mult, tol)
     candidate = canonical_inverse_candidate(mult, tol)
@@ -234,30 +236,14 @@ def thm1_report(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Thm1Report:
     direct_norm_residual = direct_residual / max(1.0, mult._inverse_op_norm, op_norm(candidate))
     direct_equal = direct_norm_residual <= tol.rel_eq
 
-    phi, psi = mult.left, mult.right
-    abs_m = np.abs(mult.symbol.values)
-    psi_dagger, phi_dagger = dagger_frames(mult, tol)
+    adj = adjoint(mult)
+    psi_dagger, phi_dagger = _dagger(mult, tol), _dagger(adj, tol)  # dagger_frames, sharing adj
+    cond_i, cond_ii = _side_conditions(mult, psi_dagger, tol)
+    cond_iii, cond_iv = _side_conditions(adj, phi_dagger, tol)
 
-    inv_norm_s_psi = 1.0 / psi.bounds[0]
-    inv_norm_s_phi = 1.0 / phi.bounds[0]
-
-    cond_i = _scalar_condition(
-        inv_norm_s_psi, op_norm(minv @ (phi.synth * abs_m[np.newaxis, :])) ** 2, tol
-    )
-    cond_ii = _scalar_condition(inv_norm_s_psi, psi_dagger.bounds[1], tol)
-    cond_iii = _scalar_condition(
-        inv_norm_s_phi, op_norm(minv.conj().T @ (psi.synth * abs_m[np.newaxis, :])) ** 2, tol
-    )
-    cond_iv = _scalar_condition(inv_norm_s_phi, phi_dagger.bounds[1], tol)
-
-    verdicts = [direct_equal, cond_i.holds, cond_ii.holds, cond_iii.holds, cond_iv.holds]
-    residuals = [
-        direct_norm_residual,
-        cond_i.residual,
-        cond_ii.residual,
-        cond_iii.residual,
-        cond_iv.residual,
-    ]
+    conditions = (cond_i, cond_ii, cond_iii, cond_iv)
+    verdicts = [direct_equal, *(c.holds for c in conditions)]
+    residuals = [direct_norm_residual, *(c.residual for c in conditions)]
     return Thm1Report(
         direct_equal=direct_equal,
         direct_residual=direct_residual,

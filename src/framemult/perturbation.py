@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, HypothesisViolated
-from .frames import Frame, _read_only, new_frame, scale_by_symbol
+from .errors import HypothesisViolated
+from .frames import Frame, _check_shapes, _read_only, new_frame, scale_by_symbol
 from .linalg import DEFAULT_TOL, Tol, _op_norms, as_matrix, op_norm
 from .multiplier import Multiplier
 from .symbols import Symbol, conj
@@ -116,18 +116,6 @@ def _report(
     )
 
 
-def _check_shapes(frames: tuple[Frame, ...], symbols: tuple[Symbol, ...]) -> None:
-    dims, counts = [f.dim for f in frames], [f.count for f in frames]
-    if len(set(dims)) > 1:
-        raise DimensionMismatch(f"frame dimensions differ: {'/'.join(map(str, dims))}")
-    lengths = [m.count for m in symbols]
-    if len(set(lengths + counts)) > 1:
-        raise DimensionMismatch(
-            f"lengths differ: symbols {'/'.join(map(str, lengths))}, "
-            f"frames {'/'.join(map(str, counts))}"
-        )
-
-
 def companion_per1(
     phi: Frame, psi: Frame, m: Symbol, phi_prime: Frame, tol: Tol = DEFAULT_TOL
 ) -> tuple[Frame, PerturbReport]:
@@ -196,7 +184,7 @@ def companion_per2(
 def _companion_per2(
     phi: Frame, psi: Frame, m: Symbol, phi_prime: Frame, mult: Multiplier, tol: Tol
 ) -> tuple[Frame, PerturbReport, float]:
-    """companion_per2 plus the lambda_min(S_{mPhi}) its floor check solved for."""
+    """companion_per2 plus its floor ratio lambda_min(S_{mPhi}) B_phi ||M^{-1}||^2, certified >= 1."""
     _check_shapes((phi, psi, phi_prime), (m,))
     if not mult.inv_diag.invertible:
         raise HypothesisViolated("multiplier must be invertible")
@@ -219,7 +207,8 @@ def _companion_per2(
     psi_prime, deviation = _restore(psi, old, new, tol)
     lam = m.sup_mod * np.sqrt(psi.bounds[1]) / np.sqrt(new.bounds[0])
     m_old, m_new = old.synth @ psi.analysis_op, new.synth @ psi_prime.analysis_op
-    return psi_prime, _report(m_old, m_new, mu, float(lam), deviation, tol), lo_old
+    floor_ratio = lo_old * b_phi * inv_norm**2
+    return psi_prime, _report(m_old, m_new, mu, float(lam), deviation, tol), floor_ratio
 
 
 def companion_per3(

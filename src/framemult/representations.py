@@ -19,7 +19,7 @@ family as a callable, so the suites pass their own (seed, trial, 5) family.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -96,12 +96,6 @@ def _unit_w(rng: np.random.Generator, count: int, d: int, n: int) -> np.ndarray:
     return _read_only(w / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis])
 
 
-@lru_cache(maxsize=64)
-def _default_unit_w(count: int, d: int, n: int) -> np.ndarray:
-    """_unit_w of a fresh seed-2026 stream: a function of the shape alone, so drawn once per shape."""
-    return _unit_w(np.random.default_rng(_DUAL_SAMPLE_SEED), count, d, n)
-
-
 def sample_duals(
     f: Frame,
     count: int = DUAL_SAMPLE_COUNT,
@@ -110,12 +104,12 @@ def sample_duals(
 ) -> list[DualFrame]:
     """Canonical dual plus `count` random duals with unit-op-norm W matrices (see _unit_w).
 
-    Without rng the W matrices come from a fresh seed-2026 stream, whose
-    normalized block is shared by every frame of the same shape.
+    Without rng the W matrices come from a fresh seed-2026 stream.
     """
     canonical = canonical_dual(f, tol)
-    shape = (count, f.dim, f.count)
-    w = _default_unit_w(*shape) if rng is None else _unit_w(rng, *shape)
+    if rng is None:
+        rng = np.random.default_rng(_DUAL_SAMPLE_SEED)
+    w = _unit_w(rng, count, f.dim, f.count)
     return [canonical, *_dual_family(f, w, tol)]
 
 

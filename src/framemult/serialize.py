@@ -99,10 +99,12 @@ def load_frame(path, tol: Tol = DEFAULT_TOL) -> Frame:
         raise ParseError("dim and count must be positive integers")
     if not isinstance(entries, list) or len(entries) != dim:
         raise ParseError(f"entries must hold exactly {dim} rows")
-    matrix = np.empty((dim, count), dtype=np.complex128)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != count:
             raise ParseError(f"row {i} must hold exactly {count} entries")
+    # Every row is checked first, so the matrix is no larger than the parsed document.
+    matrix = np.empty((dim, count), dtype=np.complex128)
+    for i, row in enumerate(entries):
         for j, pair in enumerate(row):
             if (
                 not isinstance(pair, list)

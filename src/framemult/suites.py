@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numbers
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
@@ -412,8 +413,7 @@ def _trial_per2(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
     )
     noise = _shared(_noise, (cfg.seed, trial, 3), phi.dim, phi.count)
     phi_prime = _perturbed(phi, mu_request, noise, cfg.tol)
-    _, report, lo = _companion_per2(phi, psi, m, phi_prime, mult, cfg.tol)  # lo = lambda_min(S_{mPhi})
-    floor_ratio = lo * phi.bounds[1] * inv_norm**2
+    _, report, floor_ratio = _companion_per2(phi, psi, m, phi_prime, mult, cfg.tol)
     residuals, booleans = _companion_fields(report, cfg.tol)
     residuals["floor_ratio"] = float(floor_ratio)
     booleans["floor_ok"] = floor_ratio >= 1.0 - cfg.tol.rel_eq
@@ -568,18 +568,16 @@ def run_suite(cfg: ExperimentConfig) -> SuiteReport:
         _FIXTURES.clear()
     records = [record for name in names for record in by_suite[name]]
     wall = time.perf_counter() - start
-    passed = sum(1 for r in records if r.verdict == "pass")
-    failed = sum(1 for r in records if r.verdict == "fail")
-    indet = sum(1 for r in records if r.verdict == "indeterminate")
+    tally = Counter(r.verdict for r in records)
     aggregated = [float(v) for r in records for k, v in r.residuals.items() if k in _AGG_KEYS]
     max_residual = float(np.max(aggregated, initial=0.0))  # a NaN residual gives NaN
     return SuiteReport(
         suite=cfg.suite,
         config=cfg,
         records=tuple(records),
-        passed=passed,
-        failed=failed,
-        indeterminate=indet,
+        passed=tally["pass"],
+        failed=tally["fail"],
+        indeterminate=tally["indeterminate"],
         max_residual=max_residual,
         wall_time_s=wall,
     )

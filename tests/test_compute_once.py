@@ -38,7 +38,6 @@ from framemult.multiplier import BOUNDARY_FACTOR
 from framemult.representations import (
     DUAL_SAMPLE_COUNT,
     _decomposition_residuals,
-    _default_unit_w,
     _unit_w,
 )
 
@@ -131,15 +130,17 @@ def test_memoized_gamma_still_raises_singular_under_a_tighter_tol():
 
 
 @pytest.mark.parametrize("d, n", [(4, 9), (8, 17), (3, 3)])
-def test_cached_seed_2026_block_equals_a_fresh_draw(d, n):
-    block = _default_unit_w(DUAL_SAMPLE_COUNT, d, n)
-    assert _default_unit_w(DUAL_SAMPLE_COUNT, d, n) is block
+def test_seed_2026_block_equals_a_hand_draw(d, n):
+    block = _unit_w(np.random.default_rng(2026), DUAL_SAMPLE_COUNT, d, n)
     assert not block.flags.writeable
     rng = np.random.default_rng(2026)
     for w in block:  # real part then imaginary part, dual by dual
         draw = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
         assert w.tobytes() == (draw / op_norm(draw)).tobytes()
-    assert block.tobytes() == _unit_w(np.random.default_rng(2026), DUAL_SAMPLE_COUNT, d, n).tobytes()
+    f = random_frame(d, n, (307, 9))
+    for _ in range(2):  # every call without rng draws the same block afresh
+        duals = sample_duals(f)
+        assert [dual.w.tobytes() for dual in duals[1:]] == [w.tobytes() for w in block]
 
 
 @pytest.mark.parametrize("name", sorted(FRAME_PAIRS))

@@ -142,8 +142,10 @@ def test_public_criterion_uses_the_seed_2026_family(name, make):
 
 
 def test_combined_run_takes_each_norm_once_and_samples_no_seed_2026_family(monkeypatch):
+    # The suites draw their W blocks through their own reference to _unit_w, so
+    # any call through the module attribute is a seed-2026 draw by sample_duals.
     sampled = []
-    for name in ("sample_duals", "_default_unit_w"):
+    for name in ("sample_duals", "_unit_w"):
         monkeypatch.setattr(representations, name, lambda *a, _n=name, **k: sampled.append(_n))
     normed = []
     real_op_norm = op_norm
