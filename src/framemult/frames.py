@@ -335,6 +335,11 @@ def scale_by_symbol(f: Frame, m: Symbol, tol: Tol = DEFAULT_TOL) -> Frame:
     vector or the frame operator overflows.
     """
     _check_shapes((f,), (m,))
+    return _scaled(f, m, tol)
+
+
+def _scaled(f: Frame, m: Symbol, tol: Tol) -> Frame:
+    """scale_by_symbol for a caller that has already checked the shapes."""
     scaled = f.synth * m.values[np.newaxis, :]
     try:
         return new_frame(scaled, tol)

@@ -7,7 +7,7 @@ report: how large the input perturbation was, how far the companion moved,
 and whether the move respects the advertised Lipschitz-style coefficient.
 
 All four companions share one formula on scaled frames. With mPhi = (m_n phi_n)
-and mPhi' (new frame or new symbol) built by scale_by_symbol, the companion is
+and mPhi' (new frame or new symbol) built by frames._scaled, the companion is
 
     T_Psi' = T_Psi (U_{mPhi} S_{mPhi'}^{-1} T_{mPhi'} + I - U_{mPhi'} S_{mPhi'}^{-1} T_{mPhi'}),
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated
-from .frames import Frame, _check_shapes, _read_only, new_frame, scale_by_symbol
+from .frames import Frame, _check_shapes, _read_only, _scaled, new_frame
 from .linalg import DEFAULT_TOL, Tol, _op_norms, as_matrix, op_norm
 from .multiplier import Multiplier
 from .symbols import Symbol, conj
@@ -142,7 +142,7 @@ def _per1(
         raise HypothesisViolated(
             f"perturbation {mu:.3e} reaches sqrt(A_phi) = {np.sqrt(a_phi):.3e}"
         )
-    old, new = scale_by_symbol(phi, m, tol), scale_by_symbol(phi_prime, m, tol)
+    old, new = _scaled(phi, m, tol), _scaled(phi_prime, m, tol)
     psi_prime, deviation = _restore(psi, old, new, tol)
     lam = m.sup_mod * np.sqrt(psi.bounds[1]) / (m.inf_mod * (np.sqrt(a_phi) - mu))
     return psi_prime, old, new, mu, float(lam), deviation
@@ -196,14 +196,14 @@ def _companion_per2(
             f"mu * sup|m| = {mu * m.sup_mod:.3e} reaches "
             f"1/(sqrt(B_phi)||M^-1||) = {1.0 / (np.sqrt(b_phi) * inv_norm):.3e}"
         )
-    old = scale_by_symbol(phi, m, tol)
+    old = _scaled(phi, m, tol)
     lo_old = old.bounds[0]
     if lo_old < 1.0 / (b_phi * inv_norm**2) - tol.rel_eq:
         raise HypothesisViolated(
             f"scaled-frame lower bound {lo_old:.3e} falls below the certified "
             f"floor {1.0 / (b_phi * inv_norm**2):.3e}"
         )
-    new = scale_by_symbol(phi_prime, m, tol)
+    new = _scaled(phi_prime, m, tol)
     psi_prime, deviation = _restore(psi, old, new, tol)
     lam = m.sup_mod * np.sqrt(psi.bounds[1]) / np.sqrt(new.bounds[0])
     m_old, m_new = old.synth @ psi.analysis_op, new.synth @ psi_prime.analysis_op
@@ -242,7 +242,7 @@ def companion_per3(
             f"eps = {eps:.3e} admits neither the invertible-multiplier branch "
             f"nor the semi-normalized-symbol branch"
         )
-    old, new = scale_by_symbol(phi, m, tol), scale_by_symbol(phi, m_prime, tol)
+    old, new = _scaled(phi, m, tol), _scaled(phi, m_prime, tol)
     psi_prime, deviation = _restore(psi, old, new, tol)
     delta = deviation / eps if eps > 0.0 else 1.0
     m_old, m_new = old.synth @ psi.analysis_op, new.synth @ psi_prime.analysis_op

@@ -31,9 +31,9 @@ from .frames import (
     _check_duality,
     _dual_family,
     _read_only,
+    _scaled,
     canonical_dual,
     equivalence_map,
-    scale_by_symbol,
 )
 from .linalg import DEFAULT_TOL, Tol, _adjoint, _op_norms, op_norm
 from .multiplier import Multiplier, _inverse_formula_left, adjoint, invert
@@ -230,7 +230,7 @@ def _equivalence(
     minv = invert(mult, tol)
     scale = max(1.0, mult._inverse_op_norm)
 
-    scaled = scale_by_symbol(mult.left, mult.symbol, tol)
+    scaled = _scaled(mult.left, mult.symbol, tol)  # build checked the shapes
     equivalent = equivalence_map(scaled, mult.right, tol) is not None
 
     gamma_zero = gamma_of(mult, tol)._op_norm <= tol.rel_eq * scale

@@ -170,40 +170,50 @@ def _write_csv(report: "SuiteReport", handle) -> None:
         handle.write(",".join(cells) + "\n")
 
 
+def _check_types(name: str, wanted: str, admits, types) -> None:
+    """Raise ValueError naming the first of types that admits rejects."""
+    for cls in types:
+        if not admits(cls):
+            got = f"{cls.__module__}.{cls.__qualname__}"
+            raise ValueError(f"every {name} must be {wanted}, got {got}")
+
+
+def _check_residuals(report: "SuiteReport") -> None:
+    """Reject a report holding a residual that is not numbers.Real; both formats write it as a real number.
+
+    Each distinct type is checked once: a set of types costs less than an
+    isinstance per value.
+    """
+    residuals = {type(v) for r in report.records for v in r.residuals.values()}
+    _check_types("residual value", "real", lambda cls: issubclass(cls, numbers.Real), residuals)
+
+
 def _check_json_fields(report: "SuiteReport") -> None:
-    """Reject a report whose integers, booleans, residuals or notes JSON would encode as another type.
+    """Reject a report whose integers, booleans or notes JSON would encode as another type.
 
     The integers are each record's trial, seed, d and N and the config's
     trials, seed and dims entries; a SuiteReport built by hand may hold numpy
-    integers there. Each distinct type is checked once: a set of types per
-    field costs less than an isinstance per value.
+    integers there.
     """
     records, config = report.records, report.config
     integers = {type(v) for r in records for v in (r.trial, r.seed, r.d, r.n)}
     integers |= {type(config.trials), type(config.seed)}
     integers |= {type(v) for pair in config.dims for v in pair}
     booleans = {type(v) for r in records for v in r.booleans.values()}
-    residuals = {type(v) for r in records for v in r.residuals.values()}
     notes = {type(r.note) for r in records}
-    for name, wanted, admits, types in (
-        ("integer field", "an int", lambda cls: issubclass(cls, int) and cls is not bool, integers),
-        ("boolean value", "a bool", lambda cls: issubclass(cls, bool), booleans),
-        ("residual value", "real", lambda cls: issubclass(cls, numbers.Real), residuals),
-        ("note", "a str", lambda cls: issubclass(cls, str), notes),
-    ):
-        for cls in types:
-            if not admits(cls):
-                got = f"{cls.__module__}.{cls.__qualname__}"
-                raise ValueError(f"every {name} must be {wanted}, got {got}")
+    _check_types("integer field", "an int", lambda cls: issubclass(cls, int) and cls is not bool, integers)
+    _check_types("boolean value", "a bool", lambda cls: issubclass(cls, bool), booleans)
+    _check_types("note", "a str", lambda cls: issubclass(cls, str), notes)
 
 
 def _report_writer(report: "SuiteReport", fmt: str):
     """The writer of fmt, after every check that can reject the report."""
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    _check_residuals(report)
     if fmt == "json":
         _check_json_fields(report)
         return _write_json
-    if fmt != "csv":
-        raise ValueError(f"unknown report format {fmt!r}")
     for record in report.records:
         for key in record.residuals:
             if key not in RESIDUAL_COLUMNS:

@@ -22,6 +22,8 @@ order and with the same bytes as running the suites one after another.
 A suite body returns only what it measured (N, residuals, booleans, whether
 the claim held, whether the trial is indeterminate). _run_one builds every
 record from that, or from the error the body raised, and applies the verdict.
+It stores the residuals and booleans as read-only rows: every row takes its
+key tuple from one table per run, and equal booleans rows are one object.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import numbers
 import time
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
@@ -131,8 +134,8 @@ class TrialRecord:
     seed: int
     d: int
     n: int
-    residuals: dict[str, float] = field(default_factory=dict)
-    booleans: dict[str, bool] = field(default_factory=dict)
+    residuals: Mapping[str, float] = field(default_factory=dict)
+    booleans: Mapping[str, bool] = field(default_factory=dict)
     indeterminate: bool = False
     verdict: str = "pass"
     note: str = ""
@@ -145,7 +148,7 @@ class TrialRecord:
             "d": self.d,
             "N": self.n,
             "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "booleans": dict(self.booleans),
+            "booleans": dict(self.booleans.items()),
             "indeterminate": self.indeterminate,
             "verdict": self.verdict,
             "note": self.note,
@@ -522,13 +525,75 @@ _TRIAL_BODIES = {
 }
 
 
+# ------------------------------------------------------------------- records
+
+
+class _Row(Mapping):
+    """A read-only mapping: a key tuple shared with other rows, and the values as the body gave them.
+
+    items() and values() iterate the stored tuples directly. A row equals any
+    mapping with the same items, a dict included.
+    """
+
+    __slots__ = ("_keys", "_values")
+
+    def __init__(self, keys: tuple[str, ...], values: tuple):
+        self._keys = keys
+        self._values = values
+
+    def __getitem__(self, key):
+        try:
+            return self._values[self._keys.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys
+
+    def items(self):
+        return zip(self._keys, self._values)
+
+    def values(self):
+        return iter(self._values)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _row(rows: dict, fields: dict, whole: bool) -> _Row:
+    """fields as a _Row over the run's copy of its key tuple; whole shares an equal row itself.
+
+    Rows count as equal only when their values have the same types too, so
+    True, 1 and np.bool_(True) never share a row.
+    """
+    keys = tuple(fields)
+    keys = rows.setdefault(keys, keys)
+    values = tuple(fields.values())
+    if not whole:
+        return _Row(keys, values)
+    key = (keys, values, tuple(map(type, values)))
+    if key not in rows:
+        rows[key] = _Row(keys, values)
+    return rows[key]
+
+
 # Errors that fail the one trial raising them: the package's own, plus the
 # numerical ones numpy raises (LinAlgError is a ValueError).
 _TRIAL_ERRORS = (FrameMultError, ValueError, ArithmeticError)
 
 
-def _run_one(name: str, cfg: ExperimentConfig, trial: int) -> TrialRecord:
-    """The record of one suite on one trial: what its body measured, or the error it raised."""
+def _run_one(name: str, cfg: ExperimentConfig, trial: int, rows: dict) -> TrialRecord:
+    """The record of one suite on one trial: what its body measured, or the error it raised.
+
+    rows is the run's intern table: every row takes its key tuple from it, and
+    equal booleans rows are one object.
+    """
     d, n = cfg.dims[trial % len(cfg.dims)]
     note = ""
     try:
@@ -541,8 +606,8 @@ def _run_one(name: str, cfg: ExperimentConfig, trial: int) -> TrialRecord:
         seed=cfg.seed,
         d=d,
         n=got.n,
-        residuals=got.residuals,
-        booleans=got.booleans,
+        residuals=_row(rows, got.residuals, whole=False),
+        booleans=_row(rows, got.booleans, whole=True),
         indeterminate=got.indeterminate,
         verdict=_verdict(got.ok, got.indeterminate),
         note=note,
@@ -559,11 +624,12 @@ def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     start = time.perf_counter()
     by_suite: dict[str, list[TrialRecord]] = {name: [] for name in names}
+    rows: dict = {}
     try:
         for trial in range(cfg.trials):
             _FIXTURES.clear()
             for name in names:
-                by_suite[name].append(_run_one(name, cfg, trial))
+                by_suite[name].append(_run_one(name, cfg, trial, rows))
     finally:
         _FIXTURES.clear()
     records = [record for name in names for record in by_suite[name]]

@@ -76,8 +76,13 @@ def reciprocal(m: Symbol) -> Symbol:
 
 
 def conj(m: Symbol) -> Symbol:
-    """Entrywise complex conjugate."""
-    return new_symbol(np.conj(m.values))
+    """Entrywise complex conjugate.
+
+    m is already valid and |conj z| is |z| bit for bit, so the moduli carry over.
+    """
+    values = np.conj(m.values)
+    values.setflags(write=False)
+    return Symbol(values=values, inf_mod=m.inf_mod, sup_mod=m.sup_mod)
 
 
 def modulus(m: Symbol) -> Symbol:
