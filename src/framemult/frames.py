@@ -25,7 +25,6 @@ from .linalg import (
     _invertible,
     _norm_bounds,
     _op_norms,
-    _unbounded,
     _unless_cleared,
     as_matrix,
     herm_eig_extremes,
@@ -168,7 +167,7 @@ def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
         raise NumericalOverflow(_GRAM_OVERFLOW) from None
     if _rank_deficient(lo, hi, tol):
         raise _rank_error(lo, hi)
-    return Frame(dim=d, count=n, synth=_freeze(synth), cached_S=_freeze(s), bounds=(lo, hi))
+    return Frame(dim=d, count=n, synth=_freeze(synth), cached_S=_read_only(s), bounds=(lo, hi))
 
 
 def analysis(f: Frame, vec) -> np.ndarray:
@@ -243,20 +242,16 @@ def _raise_first(failures) -> None:
         raise failures[int(np.argmax(bad[:, k]))][1](k)
 
 
-def _dual_family(f: Frame, w: np.ndarray | None, tol: Tol) -> list[DualFrame]:
+def _dual_family(f: Frame, w: np.ndarray, tol: Tol) -> list[DualFrame]:
     """The duals S^{-1}T + W_k(I - U S^{-1}T) of f for a (K, d, N) stack of W_k.
 
-    w=None gives the canonical dual alone. Each dual keeps a view of its W_k,
-    so w must be read-only and edited by no one (random_dual passes a copy).
-    All K duals are checked in one stacked pass, in the order random_dual
-    checks one dual: T_dual U finite, the duality check, then new_frame's
-    overflow, Hermitian, bounded extremes and rank tests on each frame
-    operator T_dual T_dual*.
+    Each dual keeps a view of its W_k, so w must be read-only and edited by
+    no one (random_dual passes a copy). All K duals are checked in one
+    stacked pass, in the order canonical_dual checks its one dual: T_dual U
+    finite, the duality check, then new_frame's overflow, Hermitian, bounded
+    extremes and rank tests on each frame operator T_dual T_dual*.
     """
-    if w is None:
-        synth = f._canonical_synth[np.newaxis]
-    else:
-        synth = f._canonical_synth + w @ f._kernel_proj
+    synth = f._canonical_synth + w @ f._kernel_proj
     recon_ok, recon = _finite_or_zero(synth @ f.analysis_op)
     gram_ok, gram = _finite_or_zero(synth @ _adjoint(synth))
     # The stacks are owned here; each dual gets read-only views of its slices.
@@ -268,7 +263,7 @@ def _dual_family(f: Frame, w: np.ndarray | None, tol: Tol) -> list[DualFrame]:
             (_not_dual(recon, tol), lambda k: InvalidDual(_NOT_DUAL)),
             (~gram_ok, lambda k: NumericalOverflow(_GRAM_OVERFLOW)),
             (skew, lambda k: NotHermitian(_NOT_HERMITIAN)),
-            (_unbounded(lo, hi), lambda k: NumericalOverflow(_OVERFLOW)),
+            (~(np.isfinite(lo) & np.isfinite(hi)), lambda k: NumericalOverflow(_OVERFLOW)),
             (_rank_deficient(lo, hi, tol), lambda k: _rank_error(lo[k], hi[k])),
         ]
     )
@@ -282,7 +277,7 @@ def _dual_family(f: Frame, w: np.ndarray | None, tol: Tol) -> list[DualFrame]:
                 bounds=(float(lo[k]), float(hi[k])),
             ),
             parent=f,
-            w=None if w is None else w[k],
+            w=w[k],
         )
         for k in range(len(synth))
     ]
@@ -296,9 +291,10 @@ def canonical_dual(f: Frame, tol: Tol = DEFAULT_TOL) -> DualFrame:
     """
     frame = f._canonical_duals.get(tol)
     if frame is None:
-        dual = _dual_family(f, None, tol)[0]
-        f._canonical_duals[tol] = dual.frame
-        return dual
+        # as_matrix raises the ValueError of a non-finite T_dual U before the duality check.
+        if _not_dual(as_matrix(f._canonical_synth @ f.analysis_op), tol):
+            raise InvalidDual(_NOT_DUAL)
+        frame = f._canonical_duals[tol] = new_frame(f._canonical_synth, tol)
     return DualFrame(frame=frame, parent=f, w=None)
 
 

@@ -24,7 +24,7 @@ from framemult import (
     random_frame,
 )
 from framemult import frames, linalg
-from framemult.frames import _dual_family, _not_dual
+from framemult.frames import _not_dual
 from framemult.linalg import _herm_extremes
 
 SCALES = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
@@ -146,7 +146,7 @@ def test_second_canonical_dual_is_bit_identical():
     f = random_frame(4, 9, (311, 0))
     first = canonical_dual(f)
     second = canonical_dual(f)
-    fresh = _dual_family(f, None, DEFAULT_TOL)[0]
+    fresh = canonical_dual(new_frame(f.synth))  # a new frame's memo is empty
     assert second is not first and second.parent is f
     for dual in (second, fresh):
         for got, want in (
@@ -161,11 +161,12 @@ def test_second_canonical_dual_is_bit_identical():
 def test_each_tol_is_validated_separately(monkeypatch):
     tols = []
 
-    def recording(f, w, tol):
+    def recording(columns, tol):
         tols.append(tol)
-        return _dual_family(f, w, tol)
+        return new_frame(columns, tol)
 
-    monkeypatch.setattr(frames, "_dual_family", recording)
+    # canonical_dual validates its one dual through frames.new_frame.
+    monkeypatch.setattr(frames, "new_frame", recording)
     f = random_frame(4, 9, (311, 1))
     loose = Tol(rel_eq=1e-6)
     for tol in (DEFAULT_TOL, DEFAULT_TOL, loose, loose, Tol()):
