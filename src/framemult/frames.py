@@ -25,6 +25,7 @@ from .linalg import (
     _invertible,
     _norm_bounds,
     _op_norms,
+    _unbounded,
     _unless_cleared,
     as_matrix,
     herm_eig_extremes,
@@ -152,7 +153,11 @@ def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
     The rank test is spectral: lambda_min(S) must exceed inv_cond times
     lambda_max(S). A frame operator that overflows is a NumericalOverflow.
     """
-    synth = as_matrix(columns)
+    return _new_frame(_freeze(as_matrix(columns)), tol)
+
+
+def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
+    """new_frame for a finite, read-only complex128 synth that the frame keeps without a copy."""
     d, n = synth.shape
     if d < 1 or n < 1:
         raise NotAFrame(f"empty synthesis matrix of shape {d}x{n}")
@@ -167,7 +172,7 @@ def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
         raise NumericalOverflow(_GRAM_OVERFLOW) from None
     if _rank_deficient(lo, hi, tol):
         raise _rank_error(lo, hi)
-    return Frame(dim=d, count=n, synth=_freeze(synth), cached_S=_read_only(s), bounds=(lo, hi))
+    return Frame(dim=d, count=n, synth=synth, cached_S=_read_only(s), bounds=(lo, hi))
 
 
 def analysis(f: Frame, vec) -> np.ndarray:
@@ -263,7 +268,7 @@ def _dual_family(f: Frame, w: np.ndarray, tol: Tol) -> list[DualFrame]:
             (_not_dual(recon, tol), lambda k: InvalidDual(_NOT_DUAL)),
             (~gram_ok, lambda k: NumericalOverflow(_GRAM_OVERFLOW)),
             (skew, lambda k: NotHermitian(_NOT_HERMITIAN)),
-            (~(np.isfinite(lo) & np.isfinite(hi)), lambda k: NumericalOverflow(_OVERFLOW)),
+            (_unbounded(lo, hi), lambda k: NumericalOverflow(_OVERFLOW)),
             (_rank_deficient(lo, hi, tol), lambda k: _rank_error(lo[k], hi[k])),
         ]
     )
@@ -294,7 +299,7 @@ def canonical_dual(f: Frame, tol: Tol = DEFAULT_TOL) -> DualFrame:
         # as_matrix raises the ValueError of a non-finite T_dual U before the duality check.
         if _not_dual(as_matrix(f._canonical_synth @ f.analysis_op), tol):
             raise InvalidDual(_NOT_DUAL)
-        frame = f._canonical_duals[tol] = new_frame(f._canonical_synth, tol)
+        frame = f._canonical_duals[tol] = _new_frame(f._canonical_synth, tol)
     return DualFrame(frame=frame, parent=f, w=None)
 
 

@@ -4,9 +4,8 @@ Everything downstream works with plain 2-D complex128 ndarrays. Operators stay
 dense; problem sizes are desk scale (d at most 8, N at most a few dozen), so
 the cost is call overhead around tiny LAPACK calls, not flops. The private
 stack helpers take a (K, m, n) stack of matrices and run one batched LAPACK
-call where a loop would make K; each matrix gets the bits it gets alone. A
-lone matrix is checked for Hermitian symmetry by a scalar path in Python
-bools and floats, with the same rule and the same bits as the stacked one.
+call where a loop would make K; each matrix gets the bits it gets alone.
+herm_eig_extremes runs a lone matrix through the same Hermitian kernel.
 
 Check-only spectral-norm comparisons (is H Hermitian, is T_dual U = I) are
 decided bound first, SVD second. The bound ||A|| <= sqrt(mn) max|a_ij|
@@ -20,7 +19,6 @@ the exact rule rejects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,13 +130,6 @@ def _eig_extremes(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues[..., 0], eigenvalues[..., -1]
 
 
-def _skew_cleared(d: int, peak, lo, hi, tol: Tol):
-    """d max|H - H*| <= rel_eq/2 * max(|lambda_min|, |lambda_max|), on Python floats or stacks."""
-    bound, half = d * peak, 0.5 * tol.rel_eq
-    # lo <= hi fails only on NaN (eigvalsh sorts), so NaN extremes never clear.
-    return (lo <= hi) & ((bound <= half * abs(lo)) | (bound <= half * abs(hi)))
-
-
 def _herm_extremes(stack: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(not Hermitian, lambda_min, lambda_max) for each matrix of a finite (..., d, d) stack.
 
@@ -150,31 +141,29 @@ def _herm_extremes(stack: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray,
     An entry of H - H* that overflows exceeds the largest double, while
     ||H|| <= d max|h_ij| stays below d times it, so the rule rejects the
     matrix whenever d * rel_eq < 1; it is flagged without an SVD. The
-    extremes can still overflow, or turn NaN where (H + H*)/2 does.
+    extremes can still overflow, or turn NaN where (H + H*)/2 does (see _unbounded).
     """
     adj = _adjoint(stack)
     lo, hi = _eig_extremes((stack + adj) / 2.0)
     diff = stack - adj
     peak = np.abs(diff).max(axis=(-2, -1))  # infinite where an entry of H - H* overflows
     overflow = np.isinf(peak)
+    # stack.shape[-1] * peak is _norm_bounds(diff) for a square stack; NaN extremes never clear.
+    cleared = stack.shape[-1] * peak <= 0.5 * tol.rel_eq * np.maximum(np.abs(lo), np.abs(hi))
     skew = _unless_cleared(
-        _skew_cleared(stack.shape[-1], peak, lo, hi, tol) | overflow,
+        cleared | overflow,
         lambda sel: _op_norms(diff[sel]) > tol.rel_eq * _op_norms(stack[sel]),
     )
     return skew | overflow, lo, hi
 
 
-def _herm_extremes_one(mat: np.ndarray, tol: Tol) -> tuple[bool, float, float]:
-    """_herm_extremes for one finite square matrix, as a Python bool and floats."""
-    adj = _adjoint(mat)
-    lo, hi = map(float, _eig_extremes((mat + adj) / 2.0))
-    diff = mat - adj
-    peak = float(np.abs(diff).max())  # infinite where an entry of H - H* overflows
-    skew = peak == math.inf or (
-        not _skew_cleared(mat.shape[0], peak, lo, hi, tol)
-        and bool(_op_norms(diff) > tol.rel_eq * _op_norms(mat))
-    )
-    return skew, lo, hi
+def _unbounded(lo, hi):
+    """Mask of the extremes from _herm_extremes that are not finite.
+
+    They overflow (or turn NaN) when (H + H*)/2 or its spectrum leaves the
+    floating-point range although H is finite.
+    """
+    return ~(np.isfinite(lo) & np.isfinite(hi))
 
 
 def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
@@ -188,12 +177,12 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
     mat = as_matrix(h)
     if mat.shape[0] != mat.shape[1]:
         raise NotHermitian(f"matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
-    skew, lo, hi = _herm_extremes_one(mat, tol)
+    skew, lo, hi = _herm_extremes(mat, tol)
     if skew:
         raise NotHermitian(_NOT_HERMITIAN)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if _unbounded(lo, hi):
         raise NumericalOverflow(_OVERFLOW)
-    return lo, hi
+    return float(lo), float(hi)
 
 
 def pinv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:

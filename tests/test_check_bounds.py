@@ -161,13 +161,14 @@ def test_second_canonical_dual_is_bit_identical():
 def test_each_tol_is_validated_separately(monkeypatch):
     tols = []
 
-    def recording(columns, tol):
+    def recording(synth, tol):
         tols.append(tol)
-        return new_frame(columns, tol)
+        return validate(synth, tol)
 
-    # canonical_dual validates its one dual through frames.new_frame.
-    monkeypatch.setattr(frames, "new_frame", recording)
     f = random_frame(4, 9, (311, 1))
+    # canonical_dual validates its one dual through frames._new_frame.
+    validate = frames._new_frame
+    monkeypatch.setattr(frames, "_new_frame", recording)
     loose = Tol(rel_eq=1e-6)
     for tol in (DEFAULT_TOL, DEFAULT_TOL, loose, loose, Tol()):
         canonical_dual(f, tol)

@@ -1,9 +1,9 @@
-"""The scalar Hermitian path of a lone matrix against the stacked one.
+"""A lone matrix or frame against a stack of one.
 
-herm_eig_extremes, new_frame and canonical_dual check one matrix in Python
-bools and floats; _herm_extremes and _dual_family check stacks. Both apply
-the same rule and give the same bits, including for matrices whose
-symmetrization (H + H*)/2 overflows.
+herm_eig_extremes, new_frame and canonical_dual check one matrix or dual;
+_herm_extremes and _dual_family check stacks. Both give the same bits and
+the same verdicts, including for matrices whose symmetrization (H + H*)/2
+overflows.
 """
 
 import numpy as np
@@ -141,3 +141,15 @@ def test_dual_family_with_an_overflowing_gram_raises_its_typed_error():
             random_dual(f, w)
         with pytest.raises(NumericalOverflow):
             _dual_family(f, np.stack([zero, w, zero]), DEFAULT_TOL)
+
+
+def test_canonical_dual_keeps_the_parents_cached_synth_and_new_frame_copies():
+    f = harmonic_tight(3, 7)
+    dual = canonical_dual(f).frame
+    assert dual.synth is f._canonical_synth
+    assert not dual.synth.flags.writeable and not dual.cached_S.flags.writeable
+    columns = np.array(f.synth)
+    g = new_frame(columns)
+    columns[0, 0] = 5.0
+    assert not np.shares_memory(g.synth, columns)
+    assert g.synth.tobytes() == f.synth.tobytes()
