@@ -247,44 +247,59 @@ def _raise_first(failures) -> None:
         raise failures[int(np.argmax(bad[:, k]))][1](k)
 
 
-def _dual_family(f: Frame, w: np.ndarray, tol: Tol) -> list[DualFrame]:
-    """The duals S^{-1}T + W_k(I - U S^{-1}T) of f for a (K, d, N) stack of W_k.
+def _family_stack(f: Frame, w: np.ndarray, tol: Tol) -> tuple[np.ndarray, ...]:
+    """The read-only (K+1, d, N) synthesis stack of f's duals for a (K, d, N) stack of W_k.
 
-    Each dual keeps a view of its W_k, so w must be read-only and edited by
-    no one (random_dual passes a copy). All K duals are checked in one
-    stacked pass, in the order canonical_dual checks its one dual: T_dual U
-    finite, the duality check, then new_frame's overflow, Hermitian, bounded
-    extremes and rank tests on each frame operator T_dual T_dual*.
+    Row 0 is S^{-1}T, row k is S^{-1}T + w[k - 1](I - U S^{-1}T). Rows 1..K are
+    checked in one stacked pass, in the order canonical_dual checks its one
+    dual: T_dual U finite, the duality check, then new_frame's overflow,
+    Hermitian, bounded extremes and rank tests on each frame operator
+    T_dual T_dual*. Also returns the read-only (K, d, d) stack of those frame
+    operators and their extremal eigenvalues.
     """
-    synth = f._canonical_synth + w @ f._kernel_proj
+    stack = np.empty((len(w) + 1, f.dim, f.count), dtype=np.complex128)
+    stack[0] = f._canonical_synth
+    synth = np.matmul(w, f._kernel_proj, out=stack[1:])
+    synth += f._canonical_synth
     recon_ok, recon = _finite_or_zero(synth @ f.analysis_op)
+    not_dual = _not_dual(recon, tol)
+    del recon  # freed before the frame operators are formed
     gram_ok, gram = _finite_or_zero(synth @ _adjoint(synth))
-    # The stacks are owned here; each dual gets read-only views of its slices.
-    synth, gram = _read_only(synth), _read_only(gram)
     skew, lo, hi = _herm_extremes(gram, tol)
     _raise_first(
         [
             (~recon_ok, lambda k: ValueError(_NOT_FINITE)),
-            (_not_dual(recon, tol), lambda k: InvalidDual(_NOT_DUAL)),
+            (not_dual, lambda k: InvalidDual(_NOT_DUAL)),
             (~gram_ok, lambda k: NumericalOverflow(_GRAM_OVERFLOW)),
             (skew, lambda k: NotHermitian(_NOT_HERMITIAN)),
             (_unbounded(lo, hi), lambda k: NumericalOverflow(_OVERFLOW)),
             (_rank_deficient(lo, hi, tol), lambda k: _rank_error(lo[k], hi[k])),
         ]
     )
+    return _read_only(stack), _read_only(gram), lo, hi
+
+
+def _dual_family(f: Frame, w: np.ndarray, tol: Tol) -> list[DualFrame]:
+    """The duals S^{-1}T + W_k(I - U S^{-1}T) of f for a (K, d, N) stack of W_k; see _family_stack.
+
+    Each dual keeps a view of its W_k, so w must be read-only and edited by
+    no one (random_dual passes a copy), and read-only views of its rows of
+    the family's synthesis and frame-operator stacks.
+    """
+    stack, gram, lo, hi = _family_stack(f, w, tol)
     return [
         DualFrame(
             frame=Frame(
                 dim=f.dim,
                 count=f.count,
-                synth=synth[k],
+                synth=stack[k + 1],
                 cached_S=gram[k],
                 bounds=(float(lo[k]), float(hi[k])),
             ),
             parent=f,
             w=w[k],
         )
-        for k in range(len(synth))
+        for k in range(len(w))
     ]
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalOverflow, Singular
+from .errors import DimensionMismatch, NumericalOverflow, Singular
 from .frames import Frame, _check_shapes, _read_only, canonical_dual, new_frame
 from .linalg import DEFAULT_TOL, Tol, _invertible, op_norm
 from .symbols import Symbol, conj, reciprocal
@@ -54,13 +54,24 @@ class InvDiag:
 
 @dataclass(frozen=True)
 class Multiplier:
-    """Immutable multiplier: symbol m, left frame Phi, right frame Psi."""
+    """Immutable multiplier: symbol m, left frame Phi, right frame Psi.
+
+    However it is made (build, adjoint, dataclasses.replace), the frames must
+    share d, all three must share N and the matrix must be d x d, or
+    construction raises DimensionMismatch.
+    """
 
     symbol: Symbol
     left: Frame
     right: Frame
     matrix: np.ndarray  # d x d realization
     inv_diag: InvDiag
+
+    def __post_init__(self) -> None:
+        _check_shapes((self.left, self.right), (self.symbol,))
+        d = self.left.dim
+        if self.matrix.shape != (d, d):
+            raise DimensionMismatch(f"matrix has shape {self.matrix.shape}, expected {(d, d)}")
 
     @cached_property
     def _inverse(self) -> tuple[np.ndarray, float]:

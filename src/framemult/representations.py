@@ -12,8 +12,9 @@ and Theta is the Gamma of the adjoint multiplier M* = mult(conj(m), Psi, Phi).
 Gamma vanishes exactly when the right frame is equivalent to the
 symbol-scaled left frame, which is also exactly when the correction-free
 formula holds for every dual; equivalence_criterion packages that three-way
-agreement on the seed-2026 sample of duals; its core _equivalence takes the
-family as a callable, so the suites pass their own (seed, trial, 5) family.
+agreement on the seed-2026 sample of duals; its core _equivalence takes a
+callable that returns the family's synthesis stack, so the suites pass the
+stack of their own (seed, trial, 5) family.
 """
 
 from __future__ import annotations
@@ -113,18 +114,6 @@ def sample_duals(
     return [canonical, *_dual_family(f, w, tol)]
 
 
-def _dual_stack(duals: list[DualFrame], parent: Frame, tol: Tol) -> np.ndarray:
-    """The (K, d, N) synthesis stack of the supplied duals, each re-checked as a dual of parent."""
-    shapes = {dual.frame.synth.shape for dual in duals}
-    if shapes != {(parent.dim, parent.count)}:
-        raise InvalidDual(
-            f"dual shapes {sorted(shapes)} do not match parent {parent.dim}x{parent.count}"
-        )
-    stack = np.stack([dual.frame.synth for dual in duals])
-    _check_duality(stack, parent, tol)
-    return stack
-
-
 def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
     """Gamma = U_Phi (M^{-1})* - diag(1/conj(m)) U_Psi S_Psi^{-1}, as N x d.
 
@@ -161,12 +150,13 @@ def theta_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
     return replace(gamma_of(adjoint(mult), tol), kind="Theta")
 
 
-def _decomposition_residuals(
-    mult: Multiplier, kind: str, ops: list[np.ndarray], duals: list[DualFrame], tol: Tol
+def _decompose(
+    mult: Multiplier, kind: str, ops: list[np.ndarray], stack: np.ndarray, tol: Tol
 ) -> list[tuple[tuple[int, float], ...]]:
     """verify_*_decomposition's (dual index, residual) pairs for each op of the given kind.
 
-    The duals are re-checked and the op-free term is formed once for all ops.
+    stack is the (K, d, N) synthesis stack of the duals, re-checked here as
+    duals of the kind's frame. The op-free term is formed once for all ops.
     Each op's gaps minv - (formula + correction) are built in place in one
     preallocated (len(ops), K, d, d) array, from which one stacked SVD takes
     all residuals.
@@ -175,9 +165,9 @@ def _decomposition_residuals(
     inv_m = reciprocal(mult.symbol).values  # ZeroEntry guard
     gamma = kind == "Gamma"
     tilde = canonical_dual(mult.right if gamma else mult.left, tol).frame
-    if not duals:
+    if not len(stack):
         return [() for _ in ops]
-    stack = _dual_stack(duals, mult.left if gamma else mult.right, tol)
+    _check_duality(stack, mult.left if gamma else mult.right, tol)
     if gamma:  # mult(1/m, canonical dual of Psi, Phi^d) + op* U_{Phi^d}
         dual_analysis = _adjoint(stack)
         formula = (tilde.synth * inv_m[np.newaxis, :]) @ dual_analysis
@@ -191,6 +181,21 @@ def _decomposition_residuals(
         np.subtract(minv, gap, out=gap)
     residuals = _op_norms(gaps)
     return [tuple(enumerate(row)) for row in residuals.tolist()]
+
+
+def _decomposition_residuals(
+    mult: Multiplier, kind: str, ops: list[np.ndarray], duals: list[DualFrame], tol: Tol
+) -> list[tuple[tuple[int, float], ...]]:
+    """_decompose over the synthesis stack of the supplied duals of the kind's frame."""
+    parent = mult.left if kind == "Gamma" else mult.right
+    shapes = {dual.frame.synth.shape for dual in duals}
+    if shapes - {(parent.dim, parent.count)}:
+        raise InvalidDual(
+            f"dual shapes {sorted(shapes)} do not match parent {parent.dim}x{parent.count}"
+        )
+    synths = [dual.frame.synth for dual in duals]
+    stack = np.stack(synths) if synths else np.empty((0, parent.dim, parent.count), np.complex128)
+    return _decompose(mult, kind, ops, stack, tol)
 
 
 def verify_gamma_decomposition(
@@ -220,12 +225,13 @@ def verify_theta_decomposition(
 
 
 def _equivalence(
-    mult: Multiplier, tol: Tol, duals: Callable[[], list[DualFrame]]
+    mult: Multiplier, tol: Tol, duals: Callable[[], np.ndarray]
 ) -> tuple[EquivalenceVerdict, np.ndarray]:
-    """equivalence_criterion against the duals() of the left frame, and each dual's formula residual.
+    """equivalence_criterion, and each dual's formula residual, against duals of the left frame.
 
-    duals is called only once the inverse, the equivalence map and Gamma have
-    passed, so their errors come first.
+    duals() returns their (K, d, N) synthesis stack. It is called only once
+    the inverse, the equivalence map and Gamma have passed, so their errors
+    come first.
     """
     minv = invert(mult, tol)
     scale = max(1.0, mult._inverse_op_norm)
@@ -235,9 +241,8 @@ def _equivalence(
 
     gamma_zero = gamma_of(mult, tol)._op_norm <= tol.rel_eq * scale
 
-    synth = np.stack([dual.frame.synth for dual in duals()])
     # ||M^{-1} - mult(1/m, canonical dual of Psi, Phi^d)|| per dual Phi^d
-    residuals = _op_norms(minv - _inverse_formula_left(mult, tol) @ _adjoint(synth))
+    residuals = _op_norms(minv - _inverse_formula_left(mult, tol) @ _adjoint(duals()))
     all_duals = not np.any(residuals > tol.rel_eq * scale)
     return EquivalenceVerdict(equivalent, gamma_zero, all_duals), residuals
 
@@ -252,4 +257,5 @@ def equivalence_criterion(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Equivalen
 
     Residual thresholds are scaled by max(1, ||M^{-1}||).
     """
-    return _equivalence(mult, tol, lambda: sample_duals(mult.left, tol=tol))[0]
+    duals = lambda: np.stack([dual.frame.synth for dual in sample_duals(mult.left, tol=tol)])
+    return _equivalence(mult, tol, duals)[0]

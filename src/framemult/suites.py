@@ -12,9 +12,10 @@ fixture, perturbation, sampled dual, and residual bit-for-bit.
 A combined run executes trial-major: for each trial, every suite in turn.
 The suites of one trial share the seeded fixtures they have in common (the
 frame pair, the semi-normalized symbol, the invertible instances, the
-(seed, trial, 5) W block and dual families, the (seed, trial, 3) noise and
-the (seed, trial, 7) probe direction), each built and validated once; the
-equivalence suite judges all_duals_formula on that (seed, trial, 5) family.
+(seed, trial, 5) W block, the synthesis stack of each frame's dual family,
+the (seed, trial, 3) noise and the (seed, trial, 7) probe direction), each
+built and validated once; the equivalence suite judges all_duals_formula on
+that (seed, trial, 5) family. Each run keeps these in a memo of its own.
 A fixture is keyed by its own call, (make, *args), so its key cannot leave
 out an argument. Records are still reported suite by suite, in the same
 order and with the same bytes as running the suites one after another.
@@ -32,6 +33,7 @@ import numbers
 import time
 from collections import Counter
 from collections.abc import Mapping
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
@@ -39,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigInvalid, FrameMultError
-from .frames import DualFrame, Frame, _dual_family, _read_only, canonical_dual, new_frame
+from .frames import Frame, _family_stack, _read_only, canonical_dual, new_frame
 from .generators import (
     finite_gabor,
     harmonic_tight,
@@ -60,7 +62,7 @@ from .perturbation import (
 )
 from .representations import (
     DUAL_SAMPLE_COUNT,
-    _decomposition_residuals,
+    _decompose,
     _equivalence,
     _unit_w,
     gamma_of,
@@ -231,19 +233,22 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 # ------------------------------------------------------------- trial fixtures
 
-# Fixtures of the trial being run, shared by its suites (see run_suite). A
-# fixture is keyed by its call, (make, *args), so a hit is the object a fresh
-# call would give. A fixture that raises is not stored: each suite asking for
-# it builds it again and records the same error.
-_FIXTURES: dict[tuple, object] = {}
+# The memo of the trial being run, shared by its suites. Each run_suite call
+# sets its own, so runs in concurrent threads never share one; a suite body
+# called outside a run finds none and raises LookupError. A fixture is keyed
+# by its call, (make, *args), so a hit is the object a fresh call would give.
+# A fixture that raises is not stored: each suite asking for it builds it
+# again and records the same error.
+_MEMO: ContextVar[dict] = ContextVar("framemult.suites.memo")
 
 
 def _shared(make, *args):
     """make(*args), built at most once per trial."""
+    memo = _MEMO.get()
     key = (make, *args)
-    if key not in _FIXTURES:
-        _FIXTURES[key] = make(*args)
-    return _FIXTURES[key]
+    if key not in memo:
+        memo[key] = make(*args)
+    return memo[key]
 
 
 _SEEDED_GENERATORS = ("random", "riesz")
@@ -329,15 +334,16 @@ def _draw_w(seed: tuple, d: int, n: int) -> np.ndarray:
     return _unit_w(np.random.default_rng(seed), DUAL_SAMPLE_COUNT, d, n)
 
 
-def _sample_duals(frame_key: tuple, seed: tuple, tol: Tol) -> list[DualFrame]:
-    """What sample_duals gives the keyed frame under default_rng(seed).
+def _sample_duals(frame_key: tuple, seed: tuple, tol: Tol) -> np.ndarray:
+    """The read-only synthesis stack of sample_duals(keyed frame, rng=default_rng(seed)).
 
     The suites pass the (seed, trial, 5) stream. Its W block depends only on the
     stream and the shape, so both frames of a trial share it.
     """
     f = _frame(frame_key)
+    canonical_dual(f, tol)  # its errors come first, as in sample_duals
     w = _shared(_draw_w, seed, f.dim, f.count)
-    return [canonical_dual(f, tol), *_dual_family(f, w, tol)]
+    return _family_stack(f, w, tol)[0]
 
 
 def _verdict(ok: bool, indeterminate: bool) -> str:
@@ -458,7 +464,7 @@ def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: i
     direction = _shared(_probe_direction, rep.op.shape, (cfg.seed, trial, 7))
     probe = rep.op + direction * (1e3 * tol.rel_eq)
     duals = _shared(_sample_duals, dual_key, (cfg.seed, trial, 5), tol)
-    decomposition, probed = _decomposition_residuals(mult, rep.kind, [rep.op, probe], duals, tol)
+    decomposition, probed = _decompose(mult, rep.kind, [rep.op, probe], duals, tol)
     scale = max(1.0, _inverse_norm(mult, tol))
     max_dec = max(r for _, r in decomposition)
     breakage = max(r for _, r in probed)
@@ -625,13 +631,16 @@ def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     start = time.perf_counter()
     by_suite: dict[str, list[TrialRecord]] = {name: [] for name in names}
     rows: dict = {}
+    memo: dict = {}
+    token = _MEMO.set(memo)
     try:
         for trial in range(cfg.trials):
-            _FIXTURES.clear()
+            memo.clear()
             for name in names:
                 by_suite[name].append(_run_one(name, cfg, trial, rows))
     finally:
-        _FIXTURES.clear()
+        memo.clear()
+        _MEMO.reset(token)
     records = [record for name in names for record in by_suite[name]]
     wall = time.perf_counter() - start
     tally = Counter(r.verdict for r in records)

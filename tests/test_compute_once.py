@@ -157,17 +157,19 @@ def test_sample_duals_without_rng_is_the_seed_2026_family(name):
 
 def test_combined_run_draws_each_trial_block_once(monkeypatch):
     real = suites._draw_w
-    draws = []
+    draws, memos = [], []
 
     def counting(seed, d, n):
         draws.append(seed)
+        memos.append(suites._MEMO.get())  # the run's memo
         return real(seed, d, n)
 
     monkeypatch.setattr(suites, "_draw_w", counting)
     cfg = ExperimentConfig(suite="all", dims=((2, 5), (3, 7)), trials=4, seed=4243)
     run_suite(cfg)
     assert draws == [(4243, t, 5) for t in range(4)]
-    assert suites._FIXTURES == {}
+    assert all(memo is memos[0] for memo in memos)
+    assert memos[0] == {}
 
 
 # ------------------------------------------------ companion_per2, thm1_report

@@ -198,9 +198,11 @@ def test_memoized_inverse_norm_still_raises_singular_under_a_tighter_tol():
 def test_per2_floor_ratio_equals_the_former_eigenvalue_expression():
     cfg = ExperimentConfig(suite="per2", trials=14, seed=5)
     checked = 0
+    memo: dict = {}
+    token = suites._MEMO.set(memo)  # the bodies run outside run_suite, so this test gives them a memo
     try:
         for trial in range(cfg.trials):
-            suites._FIXTURES.clear()
+            memo.clear()
             d, n = cfg.dims[trial % len(cfg.dims)]
             try:
                 got = suites._trial_per2(cfg, trial, d, n)
@@ -214,7 +216,8 @@ def test_per2_floor_ratio_equals_the_former_eigenvalue_expression():
             assert np.float64(got.residuals["floor_ratio"]).tobytes() == np.float64(expected).tobytes()
             checked += 1
     finally:
-        suites._FIXTURES.clear()
+        memo.clear()
+        suites._MEMO.reset(token)
     assert checked >= 10
 
 

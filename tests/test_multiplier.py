@@ -1,5 +1,7 @@
 """Multiplier assembly, inversion, dagger frames, and the five-way report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from framemult import (
     canonical_dual,
     canonical_inverse_candidate,
     dagger_frames,
+    equivalence_criterion,
     frame_bounds,
+    gamma_of,
     harmonic_tight,
     invert,
     new_frame,
@@ -22,6 +26,7 @@ from framemult import (
     random_frame,
     random_symbol,
     scale_by_symbol,
+    theta_of,
     thm1_report,
 )
 from framemult.linalg import op_norm, rel_residual
@@ -97,6 +102,27 @@ class TestBuild:
             assert not np.isfinite((f.synth * m.values) @ f.analysis_op).all()
             with pytest.raises(NumericalOverflow, match="overflows"):
                 build(m, f, f)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            thm1_report,
+            gamma_of,
+            theta_of,
+            dagger_frames,
+            canonical_inverse_candidate,
+            equivalence_criterion,
+        ],
+    )
+    @pytest.mark.parametrize("field", ["symbol", "matrix"])
+    def test_a_multiplier_not_made_by_build_is_shape_checked(self, fn, field):
+        # Without the check at construction, each function reached a numpy
+        # broadcast ValueError.
+        phi, psi = random_frame(3, 7, (43, 0)), random_frame(3, 7, (43, 1))
+        mult = build(random_symbol(7, 0.5, 2.0, (43, 2)), phi, psi)
+        bad = {"symbol": random_symbol(8, 0.5, 2.0, (43, 3)), "matrix": np.eye(4, dtype=complex)}[field]
+        with pytest.raises(DimensionMismatch):
+            fn(replace(mult, **{field: bad}))
 
     def test_inv_diag_flags_singular(self):
         m = new_symbol([0.0, 1.0, 1.0])

@@ -1,6 +1,8 @@
 """`--suite all` runs trial by trial: same report as the solo suites, one trial's fixtures at a time."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -100,40 +102,81 @@ def _trials_in(key) -> set[int]:
     return found
 
 
+def _run_memo(memos: list) -> dict:
+    """The one memo every body of a run saw."""
+    assert memos and all(memo is memos[0] for memo in memos)
+    return memos[0]
+
+
 @pytest.mark.parametrize("generator", ["random", "riesz", "harmonic"])
 def test_memo_holds_one_trial_and_is_empty_after_the_run(monkeypatch, generator):
-    seen = []
+    seen, memos = [], []
     for name, body in list(suites._TRIAL_BODIES.items()):
 
         def watched(cfg, trial, d, n, body=body, name=name):
-            held = {t for key in suites._FIXTURES for t in _trials_in(key)}
+            memo = suites._MEMO.get()
+            memos.append(memo)
+            held = {t for key in memo for t in _trials_in(key)}
             if name == SUITE_NAMES[0]:
-                assert not suites._FIXTURES  # cleared before each trial
+                assert not memo  # cleared before each trial
             assert held <= {trial}
             try:
                 return body(cfg, trial, d, n)
             finally:
-                held = {t for key in suites._FIXTURES for t in _trials_in(key)}
+                held = {t for key in memo for t in _trials_in(key)}
                 assert held <= {trial}
-                seen.append(len(suites._FIXTURES))
+                seen.append(len(memo))
 
         monkeypatch.setitem(suites._TRIAL_BODIES, name, watched)
     run_suite(_cfg("all", generator))
     assert len(seen) == len(SUITE_NAMES) * TRIALS
     assert max(seen) > 0
-    assert suites._FIXTURES == {}
+    assert _run_memo(memos) == {}
 
 
 def test_memo_is_empty_after_a_programming_error(monkeypatch):
     body = suites._TRIAL_BODIES["gamma"]
+    memos = []
 
     def broken(cfg, trial, d, n):
+        memos.append(suites._MEMO.get())
         if trial == 2:
-            assert suites._FIXTURES  # earlier suites of this trial stored fixtures
+            assert memos[-1]  # earlier suites of this trial stored fixtures
             raise KeyError("missing")
         return body(cfg, trial, d, n)
 
     monkeypatch.setitem(suites._TRIAL_BODIES, "gamma", broken)
     with pytest.raises(KeyError):
         run_suite(_cfg("all", "random"))
-    assert suites._FIXTURES == {}
+    assert _run_memo(memos) == {}
+
+
+# ------------------------------------------------------------ concurrent runs
+
+
+def test_concurrent_runs_each_give_the_serial_report():
+    # Small frames make trials short, so the runs clear their memos often.
+    cfg = ExperimentConfig(suite="all", dims=((1, 2),), trials=10, seed=SEED)
+    serial = _records(run_suite(cfg))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-3)
+    try:
+        for _ in range(20):
+            reports, errors = [None, None], []
+
+            def run(slot):
+                try:
+                    reports[slot] = run_suite(cfg)
+                except Exception as exc:  # recorded and asserted on below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert errors == []
+            assert [_records(report) for report in reports] == [serial, serial]
+    finally:
+        sys.setswitchinterval(interval)
