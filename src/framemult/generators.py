@@ -26,10 +26,17 @@ MAX_RETRIES = 64
 DEFAULT_CONDITION_CAP = 100.0
 
 
-def onb(d: int) -> Frame:
-    """The canonical orthonormal basis of C^d (identity synthesis)."""
+def _check_size(d: int, n: int | None = None) -> None:
+    """The size rule of every generator: d >= 1, and n >= d where a count n is given."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d!r}")
+    if n is not None and n < d:
+        raise ValueError(f"need at least d = {d} vectors, got {n}")
+
+
+def onb(d: int) -> Frame:
+    """The canonical orthonormal basis of C^d (identity synthesis)."""
+    _check_size(d)
     return new_frame(np.eye(d, dtype=np.complex128))
 
 
@@ -38,10 +45,7 @@ def harmonic_tight(d: int, n: int) -> Frame:
 
     Entry (k, j) is exp(2*pi*i*k*j/n)/sqrt(d); the frame operator is (n/d) I.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d!r}")
-    if n < d:
-        raise ValueError(f"need at least d = {d} vectors, got {n}")
+    _check_size(d, n)
     k = np.arange(d)[:, np.newaxis]
     j = np.arange(n)[np.newaxis, :]
     return new_frame(np.exp(2j * np.pi * k * j / n) / np.sqrt(d))
@@ -55,8 +59,7 @@ def finite_gabor(d: int, a: int, b: int) -> Frame:
     normalized in l2. a and b must divide d; undersampled lattices
     ((d/a)(d/b) < d) fail frame validation.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d!r}")
+    _check_size(d)
     if a < 1 or d % a != 0:
         raise ValueError(f"a = {a!r} must be a positive divisor of d = {d}")
     if b < 1 or d % b != 0:
@@ -85,7 +88,8 @@ def random_frame(
     are redrawn from the seeded stream until the ratio passes, a bounded
     number of times.
     """
-    if condition_cap < 1.0:
+    _check_size(d, n)
+    if not condition_cap >= 1.0:  # NaN too
         raise ValueError(f"condition_cap must be at least 1, got {condition_cap!r}")
     rng = np.random.default_rng(rng_seed)
     for _ in range(MAX_RETRIES):

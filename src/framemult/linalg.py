@@ -19,6 +19,7 @@ the exact rule rejects.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ class Tol:
     def __post_init__(self) -> None:
         for name in ("rel_eq", "inv_cond", "pinv_cutoff"):
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
+            if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
                 raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
@@ -72,6 +73,14 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D array, got ndim={mat.ndim}")
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
+    return mat
+
+
+def _nonempty(a) -> np.ndarray:
+    """as_matrix for a function that needs at least one entry."""
+    mat = as_matrix(a)
+    if mat.size == 0:
+        raise ValueError(f"expected a non-empty matrix, got shape {mat.shape[0]}x{mat.shape[1]}")
     return mat
 
 
@@ -174,7 +183,7 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
     are rejected with NotHermitian; finite inputs whose extremes overflow are
     rejected with NumericalOverflow.
     """
-    mat = as_matrix(h)
+    mat = _nonempty(h)
     if mat.shape[0] != mat.shape[1]:
         raise NotHermitian(f"matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
     skew, lo, hi = _herm_extremes(mat, tol)
@@ -192,7 +201,7 @@ def pinv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
 
 def sv_extremes(a) -> tuple[float, float]:
     """(sigma_min, sigma_max) of a matrix."""
-    s = np.linalg.svd(as_matrix(a), compute_uv=False)
+    s = np.linalg.svd(_nonempty(a), compute_uv=False)
     return float(s[-1]), float(s[0])
 
 

@@ -66,8 +66,8 @@ def random_frame_perturbation(
     Raises NotAFrame when the perturbed sequence stops spanning (possible
     once mu reaches sqrt(A_F)).
     """
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
+    if not 0.0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
     return _perturbed(f, mu, _noise(rng_seed, f.dim, f.count), tol)
 
 
@@ -101,19 +101,42 @@ def _restore(psi: Frame, old: Frame, new: Frame, tol: Tol) -> tuple[Frame, float
 
 
 def _report(
-    m_old: np.ndarray, m_new: np.ndarray, mu: float, coefficient: float, deviation: float, tol: Tol
+    old: np.ndarray, new: np.ndarray, psi: Frame, psi_new: Frame, mu: float, coef: float, dev: float, tol: Tol
 ) -> PerturbReport:
-    """The report of a companion whose multiplier moved m_old -> m_new; one stacked SVD."""
+    """The report of a companion whose multiplier moved T_old U_psi -> T_new U_psi_new; one stacked SVD."""
+    m_old, m_new = old @ psi.analysis_op, new @ psi_new.analysis_op
     stack = np.stack([as_matrix(a) for a in (m_new - m_old, m_old, m_new)])
     gap, norm_old, norm_new = _op_norms(stack).tolist()
     return PerturbReport(
         achieved_mu=mu,
-        bound_coefficient=coefficient,
-        companion_deviation=deviation,
+        bound_coefficient=coef,
+        companion_deviation=dev,
         multiplier_residual=gap,
-        bound_satisfied=deviation <= coefficient * mu + tol.rel_eq,
+        bound_satisfied=dev <= coef * mu + tol.rel_eq,
         scale=max(1.0, norm_old, norm_new),
     )
+
+
+# Each hypothesis is written once, as the size it admits: a companion admits a
+# move below share 1 of it, and the suites request a fixed share inside it.
+def _per1_cap(moved: Frame, share: float = 1.0):
+    """share * sqrt(A) of the frame that moves: per1 admits mu < sqrt(A_phi)."""
+    return share * np.sqrt(moved.bounds[0])
+
+
+def _per2_cap(phi: Frame, m: Symbol, mult: Multiplier, share: float = 1.0):
+    """share / (sqrt(B_phi) ||M^-1|| sup|m|): per2 admits mu * sup|m| < 1 / (sqrt(B_phi) ||M^-1||)."""
+    return share / (np.sqrt(phi.bounds[1]) * (1.0 / mult.inv_diag.sigma_min) * m.sup_mod)
+
+
+def _per3_invertible_cap(phi: Frame, mult: Multiplier, share: float = 1.0) -> float:
+    """share * sigma_min(M) / B_phi: per3's invertible branch admits eps B_phi < 1 / ||M^-1||."""
+    return share * mult.inv_diag.sigma_min / phi.bounds[1]
+
+
+def _per3_semi_cap(m: Symbol, share: float = 1.0) -> float:
+    """share * inf|m|: per3's semi-normalized branch admits eps < inf|m|."""
+    return share * m.inf_mod
 
 
 def companion_per1(
@@ -124,28 +147,26 @@ def companion_per1(
     Hypothesis: mu = ||T_phi - T_phi'|| < sqrt(A_phi). The companion moves by
     at most lambda * mu with lambda = sup|m| sqrt(B_psi) / (inf|m| (sqrt(A_phi) - mu)).
     """
-    psi_prime, old, new, mu, lam, deviation = _per1(phi, psi, m, phi_prime, tol)
-    m_old, m_new = old.synth @ psi.analysis_op, new.synth @ psi_prime.analysis_op
-    return psi_prime, _report(m_old, m_new, mu, lam, deviation, tol)
+    psi_prime, mu, lam, deviation = _per1(phi, psi, m, phi_prime, tol)
+    w = m.values[np.newaxis, :]
+    return psi_prime, _report(phi.synth * w, phi_prime.synth * w, psi, psi_prime, mu, lam, deviation, tol)
 
 
 def _per1(
     phi: Frame, psi: Frame, m: Symbol, phi_prime: Frame, tol: Tol
-) -> tuple[Frame, Frame, Frame, float, float, float]:
-    """Admission and restore of companion_per1: (psi_prime, mPhi, mPhi', mu, lambda, deviation)."""
+) -> tuple[Frame, float, float, float]:
+    """Admission and restore of companion_per1: (psi_prime, mu, lambda, deviation)."""
     _check_shapes((phi, psi, phi_prime), (m,))
     if not m.semi_normalized:
         raise HypothesisViolated("symbol must be semi-normalized (no zero entries)")
     mu = op_norm(phi_prime.synth - phi.synth)
-    a_phi = phi.bounds[0]
-    if mu >= np.sqrt(a_phi):
-        raise HypothesisViolated(
-            f"perturbation {mu:.3e} reaches sqrt(A_phi) = {np.sqrt(a_phi):.3e}"
-        )
+    root_a = _per1_cap(phi)
+    if mu >= root_a:
+        raise HypothesisViolated(f"perturbation {mu:.3e} reaches sqrt(A_phi) = {root_a:.3e}")
     old, new = _scaled(phi, m, tol), _scaled(phi_prime, m, tol)
     psi_prime, deviation = _restore(psi, old, new, tol)
-    lam = m.sup_mod * np.sqrt(psi.bounds[1]) / (m.inf_mod * (np.sqrt(a_phi) - mu))
-    return psi_prime, old, new, mu, float(lam), deviation
+    lam = m.sup_mod * np.sqrt(psi.bounds[1]) / (m.inf_mod * (root_a - mu))
+    return psi_prime, mu, float(lam), deviation
 
 
 def companion_per1_dual_side(
@@ -157,10 +178,9 @@ def companion_per1_dual_side(
     (conjugated symbol, frames swapped) and reports the residual in the
     original orientation, where it coincides by the adjoint identity.
     """
-    phi_prime, _, _, mu, lam, deviation = _per1(psi, phi, conj(m), psi_prime, tol)
-    m_old = (phi.synth * m.values[np.newaxis, :]) @ psi.analysis_op
-    m_new = (phi_prime.synth * m.values[np.newaxis, :]) @ psi_prime.analysis_op
-    return phi_prime, _report(m_old, m_new, mu, lam, deviation, tol)
+    phi_prime, mu, lam, deviation = _per1(psi, phi, conj(m), psi_prime, tol)
+    w = m.values[np.newaxis, :]
+    return phi_prime, _report(phi.synth * w, phi_prime.synth * w, psi, psi_prime, mu, lam, deviation, tol)
 
 
 def companion_per2(
@@ -188,27 +208,28 @@ def _companion_per2(
     _check_shapes((phi, psi, phi_prime), (m,))
     if not mult.inv_diag.invertible:
         raise HypothesisViolated("multiplier must be invertible")
-    inv_norm = 1.0 / mult.inv_diag.sigma_min
     mu = op_norm(phi_prime.synth - phi.synth)
-    b_phi = phi.bounds[1]
-    if mu * m.sup_mod >= 1.0 / (np.sqrt(b_phi) * inv_norm):
-        raise HypothesisViolated(
-            f"mu * sup|m| = {mu * m.sup_mod:.3e} reaches "
-            f"1/(sqrt(B_phi)||M^-1||) = {1.0 / (np.sqrt(b_phi) * inv_norm):.3e}"
-        )
+    cap = _per2_cap(phi, m, mult)
+    if mu >= cap:
+        raise HypothesisViolated(f"mu = {mu:.3e} reaches 1/(sqrt(B_phi)||M^-1|| sup|m|) = {cap:.3e}")
+    inv_norm, b_phi = 1.0 / mult.inv_diag.sigma_min, phi.bounds[1]
     old = _scaled(phi, m, tol)
-    lo_old = old.bounds[0]
-    if lo_old < 1.0 / (b_phi * inv_norm**2) - tol.rel_eq:
+    lo_old, floor = old.bounds[0], 1.0 / (b_phi * inv_norm**2)
+    if lo_old < floor - tol.rel_eq:
         raise HypothesisViolated(
-            f"scaled-frame lower bound {lo_old:.3e} falls below the certified "
-            f"floor {1.0 / (b_phi * inv_norm**2):.3e}"
+            f"scaled-frame lower bound {lo_old:.3e} falls below the certified floor {floor:.3e}"
         )
     new = _scaled(phi_prime, m, tol)
     psi_prime, deviation = _restore(psi, old, new, tol)
     lam = m.sup_mod * np.sqrt(psi.bounds[1]) / np.sqrt(new.bounds[0])
-    m_old, m_new = old.synth @ psi.analysis_op, new.synth @ psi_prime.analysis_op
     floor_ratio = lo_old * b_phi * inv_norm**2
-    return psi_prime, _report(m_old, m_new, mu, float(lam), deviation, tol), floor_ratio
+    report = _report(old.synth, new.synth, psi, psi_prime, mu, float(lam), deviation, tol)
+    return psi_prime, report, floor_ratio
+
+
+def _floor_ok(floor_ratio: float, tol: Tol) -> bool:
+    """per2's floor verdict on _companion_per2's ratio: relative slack, where its raise allows absolute."""
+    return floor_ratio >= 1.0 - tol.rel_eq
 
 
 def companion_per3(
@@ -223,20 +244,15 @@ def companion_per3(
 
     Admission requires one of two hypotheses on eps = sup|m - m'|:
     either the multiplier is invertible with eps * B_phi < 1 / ||M^{-1}||,
-    or m is semi-normalized with eps * sqrt(B_phi) < inf|m| * sqrt(B_phi)
-    (taken literally; the common factor cancels to eps < inf|m|).
+    or m is semi-normalized with eps < inf|m|.
 
     No closed-form coefficient is advertised for this construction, so the
     report records the empirical ratio companion_deviation / eps instead.
     """
     _check_shapes((phi, psi), (m, m_prime))
     eps = float(np.max(np.abs(m.values - m_prime.values)))
-    b_phi = phi.bounds[1]
-    invertible_branch = (
-        mult.inv_diag.invertible
-        and eps * b_phi < mult.inv_diag.sigma_min  # eps B_phi < 1/||M^-1||
-    )
-    semi_branch = m.semi_normalized and eps * np.sqrt(b_phi) < m.inf_mod * np.sqrt(b_phi)
+    invertible_branch = mult.inv_diag.invertible and eps < _per3_invertible_cap(phi, mult)
+    semi_branch = m.semi_normalized and eps < _per3_semi_cap(m)
     if not (invertible_branch or semi_branch):
         raise HypothesisViolated(
             f"eps = {eps:.3e} admits neither the invertible-multiplier branch "
@@ -245,5 +261,4 @@ def companion_per3(
     old, new = _scaled(phi, m, tol), _scaled(phi, m_prime, tol)
     psi_prime, deviation = _restore(psi, old, new, tol)
     delta = deviation / eps if eps > 0.0 else 1.0
-    m_old, m_new = old.synth @ psi.analysis_op, new.synth @ psi_prime.analysis_op
-    return psi_prime, _report(m_old, m_new, eps, float(delta), deviation, tol)
+    return psi_prime, _report(old.synth, new.synth, psi, psi_prime, eps, float(delta), deviation, tol)

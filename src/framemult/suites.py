@@ -54,7 +54,12 @@ from .linalg import DEFAULT_TOL, Tol, op_norm
 from .multiplier import Multiplier, _inverse_norm, _near_boundary, build, thm1_report
 from .perturbation import (
     _companion_per2,
+    _floor_ok,
     _noise,
+    _per1_cap,
+    _per2_cap,
+    _per3_invertible_cap,
+    _per3_semi_cap,
     _perturbed,
     companion_per1,
     companion_per1_dual_side,
@@ -404,7 +409,7 @@ def _trial_per1_side(side: str, cfg: ExperimentConfig, trial: int, d: int, n: in
     phi, psi = _frame(phi_key), _frame(psi_key)
     m = _semi_symbol(cfg, trial, phi.count)
     moved, companion = (phi, companion_per1) if side == "per1" else (psi, companion_per1_dual_side)
-    mu_request = 0.5 * np.sqrt(moved.bounds[0])
+    mu_request = _per1_cap(moved, 0.5)
     noise = _shared(_noise, (cfg.seed, trial, 3), moved.dim, moved.count)  # shared with per2
     moved_prime = _perturbed(moved, mu_request, noise, cfg.tol)
     _, report = companion(phi, psi, m, moved_prime, cfg.tol)
@@ -415,17 +420,13 @@ def _trial_per1_side(side: str, cfg: ExperimentConfig, trial: int, d: int, n: in
 def _trial_per2(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
     m, mult = _invertible_instance(cfg, trial, *_pair_keys(cfg, trial, d, n), zero_entry=True)
     phi, psi = mult.left, mult.right
-    inv_norm = 1.0 / mult.inv_diag.sigma_min
-    mu_request = min(
-        0.9 / (np.sqrt(phi.bounds[1]) * inv_norm * m.sup_mod),
-        np.sqrt(phi.bounds[0]),
-    )
+    mu_request = min(_per2_cap(phi, m, mult, 0.9), _per1_cap(phi))
     noise = _shared(_noise, (cfg.seed, trial, 3), phi.dim, phi.count)
     phi_prime = _perturbed(phi, mu_request, noise, cfg.tol)
     _, report, floor_ratio = _companion_per2(phi, psi, m, phi_prime, mult, cfg.tol)
     residuals, booleans = _companion_fields(report, cfg.tol)
     residuals["floor_ratio"] = float(floor_ratio)
-    booleans["floor_ok"] = floor_ratio >= 1.0 - cfg.tol.rel_eq
+    booleans["floor_ok"] = _floor_ok(floor_ratio, cfg.tol)
     ok = booleans["invariance_ok"] and booleans["floor_ok"]
     return _Measured(phi.count, residuals, booleans, ok)
 
@@ -437,10 +438,10 @@ def _trial_per3(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
     if semi_branch:
         m = _semi_symbol(cfg, trial, phi.count)
         mult = build(m, phi, psi, cfg.tol)
-        eps = 0.5 * m.inf_mod
+        eps = _per3_semi_cap(m, 0.5)
     else:
         m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=True)
-        eps = 0.45 * mult.inv_diag.sigma_min / phi.bounds[1]
+        eps = _per3_invertible_cap(phi, mult, 0.45)
     m_prime = perturb_symbol(m, eps, (cfg.seed, trial, 4))
     _, report = companion_per3(phi, psi, m, m_prime, mult, cfg.tol)
     residuals, booleans = _companion_fields(report, cfg.tol)

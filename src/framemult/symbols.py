@@ -98,8 +98,8 @@ def perturb_symbol(m: Symbol, eps: float, rng_seed) -> Symbol:
     from [0.5*eps, eps]. Deterministic for a fixed seed. The result is not
     forced to stay semi-normalized; callers inspect classify().
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     rng = np.random.default_rng(rng_seed)
     n = m.count
     radii = np.sqrt(rng.uniform(0.0, 1.0, size=n))
