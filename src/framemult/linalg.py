@@ -2,10 +2,20 @@
 
 Everything downstream works with plain 2-D complex128 ndarrays. Operators stay
 dense; problem sizes are desk scale (d at most 8, N at most a few dozen), so
-the cost is call overhead around tiny LAPACK calls, not flops. The private
-stack helpers take a (K, m, n) stack of matrices and run one batched LAPACK
-call where a loop would make K; each matrix gets the bits it gets alone.
-herm_eig_extremes runs a lone matrix through the same Hermitian kernel.
+the cost is call overhead around tiny LAPACK calls, not flops.
+
+Each LAPACK routine the package calls has one private entry: _svd_values
+(values only), _eigvalsh, _inv and _solve. An entry calls numpy's gufunc in
+numpy.linalg._umath_linalg with the complex signature under np.linalg's error
+state and raises its LinAlgError and message, without np.linalg's per-call
+wrapper, which costs more than the routine here. It takes complex128 only (a
+real operand would run the complex routine) and gives np.linalg's bits; as
+_umath_linalg is private to numpy, the numpy==2.4.6 pin in CI guards it.
+
+The private stack helpers take a (K, m, n) stack of matrices and run one
+batched LAPACK call where a loop would make K; each matrix gets the bits it
+gets alone. _herm_extremes decides a lone matrix by the same rule in Python
+floats.
 
 Check-only spectral-norm comparisons (is H Hermitian, is T_dual U = I) are
 decided bound first, SVD second. The bound ||A|| <= sqrt(mn) max|a_ij|
@@ -19,10 +29,13 @@ the exact rule rejects.
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import NotHermitian, NumericalOverflow, Singular
 
@@ -66,6 +79,33 @@ _NOT_HERMITIAN = "matrix deviates from its adjoint beyond tolerance"
 _OVERFLOW = "extremal eigenvalues of (H + H*)/2 overflow"
 
 
+def _lapack(gufunc, signature: str, message: str):
+    """The entry that runs gufunc on complex128 operands as np.linalg does, raising LinAlgError(message)."""
+
+    def failed(err, flag):
+        raise LinAlgError(message)
+
+    def entry(*operands: np.ndarray) -> np.ndarray:
+        with np.errstate(call=failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            return gufunc(*operands, signature=signature, casting="no")
+
+    return entry
+
+
+_svd_values = _lapack(_umath_linalg.svd, "D->d", "SVD did not converge")  # descending
+_eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "D->d", "Eigenvalues did not converge")  # ascending
+_inv = _lapack(_umath_linalg.inv, "D->D", "Singular matrix")
+_solve = _lapack(_umath_linalg.solve, "DD->D", "Singular matrix")  # (..., m, k) right-hand sides
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, one per size."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array; reject non-finite entries."""
     mat = np.asarray(a, dtype=np.complex128)
@@ -89,12 +129,12 @@ def op_norm(a) -> float:
     mat = as_matrix(a)
     if mat.size == 0:
         return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    return float(_svd_values(mat)[0])
 
 
 def _op_norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norm of each matrix in a finite (..., m, n) stack, by one batched SVD."""
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    return _svd_values(stack)[..., 0]
 
 
 def _norm_bounds(stack: np.ndarray) -> np.ndarray:
@@ -129,17 +169,17 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
 def _eig_extremes(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_min, lambda_max) per matrix of a Hermitian (..., d, d) stack; NaN for a non-finite one."""
     try:
-        eigenvalues = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError:  # eigvalsh may not converge on a non-finite matrix
+        eigenvalues = _eigvalsh(sym)
+    except LinAlgError:  # eigvalsh may not converge on a non-finite matrix
         finite = np.isfinite(sym).all(axis=(-2, -1))
         if finite.all():
             raise
-        eigenvalues = np.linalg.eigvalsh(np.where(finite[..., np.newaxis, np.newaxis], sym, 0.0))
+        eigenvalues = _eigvalsh(np.where(finite[..., np.newaxis, np.newaxis], sym, 0.0))
         eigenvalues[~finite] = np.nan
     return eigenvalues[..., 0], eigenvalues[..., -1]
 
 
-def _herm_extremes(stack: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _herm_extremes(stack: np.ndarray, tol: Tol) -> tuple:
     """(not Hermitian, lambda_min, lambda_max) for each matrix of a finite (..., d, d) stack.
 
     A matrix is not Hermitian when ||H - H*|| > rel_eq * ||H||; the extremes
@@ -151,19 +191,30 @@ def _herm_extremes(stack: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray,
     ||H|| <= d max|h_ij| stays below d times it, so the rule rejects the
     matrix whenever d * rel_eq < 1; it is flagged without an SVD. The
     extremes can still overflow, or turn NaN where (H + H*)/2 does (see _unbounded).
+
+    A lone d x d matrix is decided by the same rules in Python scalars and
+    gets a bool and two floats; a stack gets arrays.
     """
-    adj = _adjoint(stack)
+    # H* in C order, like H: the two elementwise ufuncs below run faster on like layouts.
+    adj = np.conjugate(stack.swapaxes(-1, -2), order="C")
     lo, hi = _eig_extremes((stack + adj) / 2.0)
     diff = stack - adj
     peak = np.abs(diff).max(axis=(-2, -1))  # infinite where an entry of H - H* overflows
-    overflow = np.isinf(peak)
+    lone = stack.ndim == 2
+    if lone:  # _eig_extremes turns both extremes NaN or neither, so max keeps a NaN as np.maximum does
+        lo, hi, peak = float(lo), float(hi), float(peak)
+        extreme, overflow = max(abs(lo), abs(hi)), math.isinf(peak)
+    else:
+        extreme, overflow = np.maximum(np.abs(lo), np.abs(hi)), np.isinf(peak)
     # stack.shape[-1] * peak is _norm_bounds(diff) for a square stack; NaN extremes never clear.
-    cleared = stack.shape[-1] * peak <= 0.5 * tol.rel_eq * np.maximum(np.abs(lo), np.abs(hi))
-    skew = _unless_cleared(
-        cleared | overflow,
-        lambda sel: _op_norms(diff[sel]) > tol.rel_eq * _op_norms(stack[sel]),
-    )
-    return skew | overflow, lo, hi
+    cleared = stack.shape[-1] * peak <= 0.5 * tol.rel_eq * extreme
+
+    def exact(sel):
+        return _op_norms(diff[sel]) > tol.rel_eq * _op_norms(stack[sel])
+
+    if lone:
+        return overflow or not cleared and bool(exact(...)), lo, hi
+    return _unless_cleared(cleared | overflow, exact) | overflow, lo, hi
 
 
 def _unbounded(lo, hi):
@@ -189,9 +240,9 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
     skew, lo, hi = _herm_extremes(mat, tol)
     if skew:
         raise NotHermitian(_NOT_HERMITIAN)
-    if _unbounded(lo, hi):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericalOverflow(_OVERFLOW)
-    return float(lo), float(hi)
+    return lo, hi
 
 
 def pinv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -201,7 +252,7 @@ def pinv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
 
 def sv_extremes(a) -> tuple[float, float]:
     """(sigma_min, sigma_max) of a matrix."""
-    s = np.linalg.svd(_nonempty(a), compute_uv=False)
+    s = _svd_values(_nonempty(a))
     return float(s[-1]), float(s[0])
 
 
@@ -220,7 +271,7 @@ def inv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
         raise Singular(
             f"sigma_min/sigma_max = {sigma_min:.3e}/{sigma_max:.3e} below inv_cond={tol.inv_cond:g}"
         )
-    return np.linalg.inv(mat)
+    return _inv(mat)
 
 
 def rel_residual(x, y) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalOverflow, Singular
 from .frames import Frame, _check_shapes, _read_only, canonical_dual, new_frame
-from .linalg import DEFAULT_TOL, Tol, _invertible, op_norm
+from .linalg import DEFAULT_TOL, Tol, _identity, _inv, _invertible, _svd_values, op_norm
 from .symbols import Symbol, conj, reciprocal
 
 __all__ = [
@@ -76,8 +76,8 @@ class Multiplier:
     @cached_property
     def _inverse(self) -> tuple[np.ndarray, float]:
         """(M^{-1}, ||M M^{-1} - I||), computed once; invert judges the residual per call."""
-        inverse = _read_only(np.linalg.inv(self.matrix))
-        return inverse, op_norm(self.matrix @ inverse - np.eye(self.left.dim))
+        inverse = _read_only(_inv(self.matrix))
+        return inverse, op_norm(self.matrix @ inverse - _identity(self.left.dim))
 
     @cached_property
     def _inverse_op_norm(self) -> float:
@@ -140,7 +140,7 @@ def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multipli
     matrix = (phi.synth * m.values[np.newaxis, :]) @ psi.analysis_op
     if not np.isfinite(matrix).all():
         raise NumericalOverflow("multiplier matrix of finite inputs overflows")
-    s = np.linalg.svd(matrix, compute_uv=False)
+    s = _svd_values(matrix)
     sigma_min, sigma_max = float(s[-1]), float(s[0])
     if not math.isfinite(sigma_max):
         raise NumericalOverflow("largest singular value of a finite multiplier matrix overflows")

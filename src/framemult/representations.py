@@ -19,6 +19,7 @@ stack of their own (seed, trial, 5) family.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -91,7 +92,7 @@ class EquivalenceVerdict(NamedTuple):
 
 def _unit_w(rng: np.random.Generator, count: int, d: int, n: int) -> np.ndarray:
     """A read-only (count, d, N) stack of unit-op-norm W_k, drawn real then imaginary part per W_k."""
-    draws = rng.standard_normal((max(count, 0), 2, d, n))
+    draws = rng.standard_normal((count, 2, d, n))
     w = draws[:, 0] + 1j * draws[:, 1]
     norms = _op_norms(w)
     return _read_only(w / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis])
@@ -105,8 +106,11 @@ def sample_duals(
 ) -> list[DualFrame]:
     """Canonical dual plus `count` random duals with unit-op-norm W matrices (see _unit_w).
 
-    Without rng the W matrices come from a fresh seed-2026 stream.
+    Without rng the W matrices come from a fresh seed-2026 stream. count must
+    be a non-negative integer (numpy integers too, bool not).
     """
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     canonical = canonical_dual(f, tol)
     if rng is None:
         rng = np.random.default_rng(_DUAL_SAMPLE_SEED)

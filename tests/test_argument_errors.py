@@ -2,8 +2,8 @@
 
 Sizes go through the generators' one size rule before any draw, a
 perturbation size must be finite and positive, a tolerance must be a real
-number inside (0, 1), and a matrix function that reads extremes refuses an
-empty matrix.
+number inside (0, 1), a matrix function that reads extremes refuses an
+empty matrix, and a dual sample size is a non-negative integer.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from framemult import (
     random_frame,
     random_frame_perturbation,
     riesz_basis,
+    sample_duals,
 )
 from framemult.linalg import herm_eig_extremes, inv, sv_extremes
 
@@ -69,3 +70,18 @@ def test_extremes_refuse_an_empty_matrix(shape):
     for function in (sv_extremes, herm_eig_extremes, inv):
         with pytest.raises(ValueError):
             function(empty)
+
+
+@pytest.mark.parametrize("count", [-5, -1, True, False, 2.0, 0.5, "3", None])
+def test_dual_sample_size_must_be_a_non_negative_integer(count):
+    f = random_frame(3, 7, 13)
+    with pytest.raises(ValueError, match=f"count must be a non-negative integer, got {count!r}"):
+        sample_duals(f, count=count)
+
+
+@pytest.mark.parametrize("count", [0, 2, np.int64(2)])
+def test_dual_sample_size_zero_and_numpy_integers_are_valid(count):
+    f = random_frame(3, 7, 13)
+    duals = sample_duals(f, count=count)
+    assert len(duals) == 1 + count
+    assert duals[0].w is None

@@ -3,8 +3,11 @@
 herm_eig_extremes, new_frame and canonical_dual check one matrix or dual;
 _herm_extremes and _dual_family check stacks. Both give the same bits and
 the same verdicts, including for matrices whose symmetrization (H + H*)/2
-overflows.
+overflows. _herm_extremes decides a lone matrix in Python scalars and a
+stack in arrays; both paths give the same (skew, lambda_min, lambda_max).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from framemult import (
     random_dual,
 )
 from framemult.frames import _dual_family
+from framemult import linalg
 from framemult.linalg import _herm_extremes
 from framemult.suites import DEFAULT_DIMS, GENERATOR_NAMES, _make_frame
 
@@ -153,3 +157,69 @@ def test_canonical_dual_keeps_the_parents_cached_synth_and_new_frame_copies():
     columns[0, 0] = 5.0
     assert not np.shares_memory(g.synth, columns)
     assert g.synth.tobytes() == f.synth.tobytes()
+
+
+def _lone_and_stacked(mat, tol):
+    """_herm_extremes of mat alone and of the stack holding only mat, checked equal; the lone triple."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lone = _herm_extremes(mat, tol)
+        skew, lo, hi = _herm_extremes(mat[np.newaxis], tol)
+    assert type(lone[0]) is bool and type(lone[1]) is float and type(lone[2]) is float
+    assert lone[0] == bool(skew[0])
+    assert _bits(*lone[1:]) == _bits(lo[0], hi[0])
+    return lone
+
+
+def _near_the_clear_bound(seed, d, factor, tol):
+    """H + t E: H Hermitian, E skew, t such that d max|(H + tE) - (H + tE)*| is factor
+    times rel_eq max|lambda(H)|; the bound rule clears up to factor 1/2."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h, e = a + a.conj().T, b - b.conj().T
+    threshold = tol.rel_eq * np.abs(np.linalg.eigvalsh(h)).max() / d
+    return h + (factor * threshold / (2.0 * np.abs(e).max())) * e
+
+
+# Hermitian, just cleared, just not cleared (the exact SVD decides), either way, and skew.
+FACTORS = st.one_of(st.sampled_from([0.0, 0.49, 0.51, 1.5, 1e3]), st.floats(0.0, 1e4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 8), FACTORS, SCALES, TOLS)
+def test_lone_rule_matches_the_stack_rule(seed, d, factor, scale, tol):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = scale * _near_the_clear_bound(seed, d, factor, tol)
+    if np.isfinite(mat).all():
+        _lone_and_stacked(mat, tol)
+
+
+@pytest.mark.parametrize("factor, svd_calls", [(0.49, 0), (0.51, 2)])
+def test_lone_matrix_runs_the_exact_rule_only_when_the_bound_fails(monkeypatch, factor, svd_calls):
+    shapes = []
+    op_norms = linalg._op_norms
+
+    def counting(stack):
+        shapes.append(stack.shape)
+        return op_norms(stack)
+
+    monkeypatch.setattr(linalg, "_op_norms", counting)
+    mat = _near_the_clear_bound(5, 4, factor, DEFAULT_TOL)
+    assert _lone_and_stacked(mat, DEFAULT_TOL)[0] is False
+    assert shapes == [(4, 4)] * svd_calls + [(1, 4, 4)] * svd_calls
+
+
+@pytest.mark.parametrize(
+    "h, skew, finite",
+    [
+        ([[0.0, 1e308], [-1e308, 0.0]], True, True),  # H - H* overflows; (H + H*)/2 = 0
+        ([[1e308, 1.5e308j], [1.5e308j, 0.0]], True, False),  # complex symmetric
+        ([[1e308, 1e308], [-1e308, 1e308]], True, False),  # both overflow
+        ([[1.44e308, 0.0], [0.0, 1.44e308]], False, False),  # (H + H*)/2 overflows: NaN extremes
+        ([[1.5e308, 1e308], [1e308, 1.5e308]], False, False),
+    ],
+)
+def test_lone_rule_matches_the_stack_rule_on_overflow(h, skew, finite):
+    got_skew, lo, hi = _lone_and_stacked(np.array(h, dtype=np.complex128), DEFAULT_TOL)
+    assert got_skew is skew
+    assert (math.isfinite(lo) and math.isfinite(hi)) is finite
