@@ -22,7 +22,6 @@ from .linalg import (
     Tol,
     _adjoint,
     _herm_extremes,
-    _identity,
     _invertible,
     _norm_bounds,
     _op_norms,
@@ -77,7 +76,7 @@ class Frame:
     @cached_property
     def _kernel_proj(self) -> np.ndarray:
         """I - U S^{-1}T, the orthogonal projection onto ker(T); formed once per frame."""
-        return _read_only(_identity(self.count) - self.analysis_op @ self._canonical_synth)
+        return _read_only(np.eye(self.count) - self.analysis_op @ self._canonical_synth)
 
     @cached_property
     def _canonical_duals(self) -> dict[Tol, Frame]:
@@ -209,7 +208,7 @@ def _not_dual(recon: np.ndarray, tol: Tol) -> np.ndarray:
     a reconstruction whose bound on ||T_dual U - I|| is at most rel_eq / 2
     passes it without an SVD.
     """
-    deviation = recon - _identity(recon.shape[-1])
+    deviation = recon - np.eye(recon.shape[-1])
     return _unless_cleared(
         _norm_bounds(deviation) <= 0.5 * tol.rel_eq,
         lambda sel: _op_norms(deviation[sel])

@@ -9,8 +9,9 @@ Each LAPACK routine the package calls has one private entry: _svd_values
 numpy.linalg._umath_linalg with the complex signature under np.linalg's error
 state and raises its LinAlgError and message, without np.linalg's per-call
 wrapper, which costs more than the routine here. It takes complex128 only (a
-real operand would run the complex routine) and gives np.linalg's bits; as
-_umath_linalg is private to numpy, the numpy==2.4.6 pin in CI guards it.
+real operand would run the complex routine) and gives np.linalg's bits. As
+_umath_linalg is private to numpy, the numpy==2.4.6 pin in CI guards it, and
+pyproject.toml requires numpy 2 (1.x has no values-only svd gufunc).
 
 The private stack helpers take a (K, m, n) stack of matrices and run one
 batched LAPACK call where a loop would make K; each matrix gets the bits it
@@ -29,7 +30,6 @@ the exact rule rejects.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -96,14 +96,6 @@ _svd_values = _lapack(_umath_linalg.svd, "D->d", "SVD did not converge")  # desc
 _eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "D->d", "Eigenvalues did not converge")  # ascending
 _inv = _lapack(_umath_linalg.inv, "D->D", "Singular matrix")
 _solve = _lapack(_umath_linalg.solve, "DD->D", "Singular matrix")  # (..., m, k) right-hand sides
-
-
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """The read-only n x n identity, one per size."""
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
 
 
 def as_matrix(a) -> np.ndarray:
@@ -240,7 +232,7 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
     skew, lo, hi = _herm_extremes(mat, tol)
     if skew:
         raise NotHermitian(_NOT_HERMITIAN)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if _unbounded(lo, hi):
         raise NumericalOverflow(_OVERFLOW)
     return lo, hi
 

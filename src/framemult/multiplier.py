@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalOverflow, Singular
 from .frames import Frame, _check_shapes, _read_only, canonical_dual, new_frame
-from .linalg import DEFAULT_TOL, Tol, _identity, _inv, _invertible, _svd_values, op_norm
+from .linalg import DEFAULT_TOL, Tol, _inv, _invertible, _svd_values, op_norm
 from .symbols import Symbol, conj, reciprocal
 
 __all__ = [
@@ -77,7 +77,7 @@ class Multiplier:
     def _inverse(self) -> tuple[np.ndarray, float]:
         """(M^{-1}, ||M M^{-1} - I||), computed once; invert judges the residual per call."""
         inverse = _read_only(_inv(self.matrix))
-        return inverse, op_norm(self.matrix @ inverse - _identity(self.left.dim))
+        return inverse, op_norm(self.matrix @ inverse - np.eye(self.left.dim))
 
     @cached_property
     def _inverse_op_norm(self) -> float:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated
-from .frames import _NOT_FINITE, Frame, _check_shapes, _read_only, _scaled, new_frame
-from .linalg import DEFAULT_TOL, Tol, _identity, _op_norms, op_norm
+from .frames import Frame, _check_shapes, _read_only, _scaled, new_frame
+from .linalg import DEFAULT_TOL, Tol, _op_norms, as_matrix, op_norm
 from .multiplier import Multiplier
 from .symbols import Symbol, conj
 
@@ -95,7 +95,7 @@ def _restore(psi: Frame, old: Frame, new: Frame, tol: Tol) -> tuple[Frame, float
     T_Psi' = T_Psi (U_old S_new^{-1} T_new + I - U_new S_new^{-1} T_new).
     """
     sol = new._canonical_synth
-    mix = old.analysis_op @ sol + _identity(psi.count) - new.analysis_op @ sol
+    mix = old.analysis_op @ sol + np.eye(psi.count) - new.analysis_op @ sol
     psi_prime = new_frame(psi.synth @ mix, tol)
     return psi_prime, op_norm(psi_prime.synth - psi.synth)
 
@@ -104,13 +104,8 @@ def _report(
     old: np.ndarray, new: np.ndarray, psi: Frame, psi_new: Frame, mu: float, coef: float, dev: float, tol: Tol
 ) -> PerturbReport:
     """The report of a companion whose multiplier moved T_old U_psi -> T_new U_psi_new; one stacked SVD."""
-    # M_new - M_old, M_old and M_new, formed in place and checked finite as as_matrix would.
-    stack = np.empty((3, psi.dim, psi.dim), dtype=np.complex128)
-    np.matmul(old, psi.analysis_op, out=stack[1])
-    np.matmul(new, psi_new.analysis_op, out=stack[2])
-    np.subtract(stack[2], stack[1], out=stack[0])
-    if not np.isfinite(stack).all():
-        raise ValueError(_NOT_FINITE)
+    m_old, m_new = old @ psi.analysis_op, new @ psi_new.analysis_op
+    stack = np.stack([as_matrix(a) for a in (m_new - m_old, m_old, m_new)])
     gap, norm_old, norm_new = _op_norms(stack).tolist()
     return PerturbReport(
         achieved_mu=mu,
