@@ -25,6 +25,7 @@ from .linalg import (
     _invertible,
     _norm_bounds,
     _op_norms,
+    _rel_gap,
     _solve,
     _unbounded,
     _unless_cleared,
@@ -370,11 +371,11 @@ def equivalence_map(f: Frame, g: Frame, tol: Tol = DEFAULT_TOL) -> np.ndarray | 
     """Invertible V with V phi_n = g_n for all n, or None if no such V exists.
 
     The candidate is V0 = T_G pinv(T_F); it is accepted iff it maps column to
-    column within rel_eq and is invertible per inv_cond.
+    column under the rule, with ||T_G|| = sqrt(B_G), and is invertible per inv_cond.
     """
     _check_shapes((f, g))
     v0 = g.synth @ pinv(f.synth, tol)
-    residual = op_norm(v0 @ f.synth - g.synth) / max(1.0, op_norm(g.synth))
+    residual = _rel_gap(op_norm(v0 @ f.synth - g.synth), np.sqrt(g.bounds[1]))
     if residual > tol.rel_eq or not _invertible(*sv_extremes(v0), tol):
         return None
     return v0

@@ -26,6 +26,11 @@ The factor-2 margin dwarfs the roundoff in either side, so every matrix gets
 the verdict the SVD-only rule gives. The bound is a largest entry, not a sum
 of squares, so it cannot underflow to zero at tiny scales and clear a matrix
 the exact rule rejects.
+
+Every equality is judged by one rule, the quotient _rel_gap(gap, *norms) =
+gap / max(1, *norms): X equals Y when _rel_gap(||X - Y||, ||X||, ||Y||) <= rel_eq.
+A quotient in the band (rel_eq, BOUNDARY_FACTOR * rel_eq] is too close to
+call either way, and _near_boundary flags it indeterminate.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ __all__ = [
 class Tol:
     """Numerical policy shared by every module.
 
-    rel_eq: relative residual threshold for operator equalities.
+    rel_eq: the equality threshold of the rule (see the module docstring).
     inv_cond: sigma_min/sigma_max below which a matrix counts as singular.
     pinv_cutoff: relative singular-value cutoff for the pseudo-inverse.
     """
@@ -74,6 +79,7 @@ class Tol:
 
 
 DEFAULT_TOL = Tol()
+BOUNDARY_FACTOR = 11.0  # the indeterminate band is (rel_eq, BOUNDARY_FACTOR * rel_eq]
 
 _NOT_HERMITIAN = "matrix deviates from its adjoint beyond tolerance"
 _OVERFLOW = "extremal eigenvalues of (H + H*)/2 overflow"
@@ -266,13 +272,22 @@ def inv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     return _inv(mat)
 
 
+def _rel_gap(gap, *norms: float):
+    """The rule's quotient gap / max(1, *norms); 1.0 comes first, so a NaN norm is skipped."""
+    return gap / max(1.0, *norms)
+
+
+def _near_boundary(quotient: float, tol: Tol) -> bool:
+    """Whether a quotient of the rule lies in the indeterminate band."""
+    return tol.rel_eq < quotient <= BOUNDARY_FACTOR * tol.rel_eq
+
+
 def rel_residual(x, y) -> float:
-    """||X - Y|| / max(1, ||X||, ||Y||), the uniform scale-aware equality residual."""
-    mx = as_matrix(x)
-    my = as_matrix(y)
-    return op_norm(mx - my) / max(1.0, op_norm(mx), op_norm(my))
+    """The rule's quotient for operators X and Y."""
+    mx, my = as_matrix(x), as_matrix(y)
+    return _rel_gap(op_norm(mx - my), op_norm(mx), op_norm(my))
 
 
 def approx_equal(x, y, tol: Tol = DEFAULT_TOL) -> bool:
-    """Operator equality under the uniform policy ||X - Y|| <= rel_eq * max(1, ||X||, ||Y||)."""
+    """Operator equality under the rule: rel_residual(x, y) <= rel_eq."""
     return rel_residual(x, y) <= tol.rel_eq

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalOverflow, Singular
 from .frames import Frame, _check_shapes, _read_only, canonical_dual, new_frame
-from .linalg import DEFAULT_TOL, Tol, _inv, _invertible, _svd_values, op_norm
+from .linalg import BOUNDARY_FACTOR  # noqa: F401 - the band's factor stays importable from here
+from .linalg import DEFAULT_TOL, Tol, _inv, _invertible, _near_boundary, _rel_gap, _svd_values, op_norm
 from .symbols import Symbol, conj, reciprocal
 
 __all__ = [
@@ -36,11 +37,6 @@ __all__ = [
     "dagger_frames",
     "thm1_report",
 ]
-
-# A condition residual in (rel_eq, BOUNDARY_FACTOR * rel_eq] sits too close to
-# the equality threshold to trust either verdict; such instances are flagged
-# indeterminate and excluded from agreement statistics.
-BOUNDARY_FACTOR = 11.0
 
 
 @dataclass(frozen=True)
@@ -80,11 +76,6 @@ class Multiplier:
         return inverse, op_norm(self.matrix @ inverse - np.eye(self.left.dim))
 
     @cached_property
-    def _inverse_op_norm(self) -> float:
-        """||M^{-1}||, computed once; read it only after invert passes (see _inverse_norm)."""
-        return op_norm(self._inverse[0])
-
-    @cached_property
     def _gammas(self) -> dict:
         """The Gamma RepResult built under each Tol; gamma_of fills it after invert passes."""
         return {}
@@ -92,7 +83,7 @@ class Multiplier:
 
 @dataclass(frozen=True)
 class Condition:
-    """One scalar comparison lhs vs rhs under the relative equality policy."""
+    """One scalar comparison lhs vs rhs under the rule of linalg."""
 
     lhs: float
     rhs: float
@@ -100,8 +91,8 @@ class Condition:
 
     @property
     def residual(self) -> float:
-        """|lhs - rhs| / max(1, lhs, rhs)."""
-        return abs(self.lhs - self.rhs) / max(1.0, self.lhs, self.rhs)
+        """The rule's quotient |lhs - rhs| / max(1, lhs, rhs)."""
+        return _rel_gap(abs(self.lhs - self.rhs), self.lhs, self.rhs)
 
 
 @dataclass(frozen=True)
@@ -146,7 +137,7 @@ def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multipli
         raise NumericalOverflow("largest singular value of a finite multiplier matrix overflows")
     invertible = _invertible(sigma_min, sigma_max, tol)
     diag = InvDiag(sigma_min=sigma_min, sigma_max=sigma_max, invertible=invertible)
-    return Multiplier(symbol=m, left=phi, right=psi, matrix=_read_only(matrix.copy()), inv_diag=diag)
+    return Multiplier(symbol=m, left=phi, right=psi, matrix=_read_only(matrix), inv_diag=diag)
 
 
 def adjoint(mult: Multiplier) -> Multiplier:
@@ -177,9 +168,9 @@ def invert(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> np.ndarray:
 
 
 def _inverse_norm(mult: Multiplier, tol: Tol) -> float:
-    """op_norm(invert(mult, tol)), the norm computed once per multiplier; invert judges tol per call."""
+    """||M^{-1}|| = 1/sigma_min(M) from build's SVD, once invert(mult, tol) passes."""
     invert(mult, tol)
-    return mult._inverse_op_norm
+    return 1.0 / mult.inv_diag.sigma_min
 
 
 def _inverse_formula_left(mult: Multiplier, tol: Tol) -> np.ndarray:
@@ -214,12 +205,7 @@ def dagger_frames(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> tuple[Frame, Fram
 
 
 def _scalar_condition(lhs: float, rhs: float, tol: Tol) -> Condition:
-    holds = abs(lhs - rhs) <= tol.rel_eq * max(1.0, lhs, rhs)
-    return Condition(lhs=lhs, rhs=rhs, holds=holds)
-
-
-def _near_boundary(residual: float, tol: Tol) -> bool:
-    return tol.rel_eq < residual <= BOUNDARY_FACTOR * tol.rel_eq
+    return Condition(lhs=lhs, rhs=rhs, holds=_rel_gap(abs(lhs - rhs), lhs, rhs) <= tol.rel_eq)
 
 
 def _side_conditions(mult: Multiplier, dagger: Frame, tol: Tol) -> tuple[Condition, Condition]:
@@ -243,8 +229,8 @@ def thm1_report(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Thm1Report:
     minv = invert(mult, tol)
     candidate = canonical_inverse_candidate(mult, tol)
     direct_residual = op_norm(minv - candidate)
-    # rel_residual(minv, candidate), reusing ||minv - candidate||
-    direct_norm_residual = direct_residual / max(1.0, mult._inverse_op_norm, op_norm(candidate))
+    # rel_residual(minv, candidate), reusing ||minv - candidate|| and reading ||minv|| as 1/sigma_min
+    direct_norm_residual = _rel_gap(direct_residual, 1.0 / mult.inv_diag.sigma_min, op_norm(candidate))
     direct_equal = direct_norm_residual <= tol.rel_eq
 
     adj = adjoint(mult)

@@ -44,8 +44,8 @@ class PerturbReport:
     """Quantitative record of one companion construction.
 
     bound_satisfied checks companion_deviation <= bound_coefficient *
-    achieved_mu + rel_eq. scale = max(1, norms of the two realized
-    multipliers) is the legitimate inflation factor for multiplier_residual.
+    achieved_mu + rel_eq. scale is max(1, norms of the two realized
+    multipliers), the rule's scale (see linalg) for multiplier_residual.
     """
 
     achieved_mu: float

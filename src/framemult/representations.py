@@ -37,7 +37,7 @@ from .frames import (
     canonical_dual,
     equivalence_map,
 )
-from .linalg import DEFAULT_TOL, Tol, _adjoint, _op_norms, op_norm
+from .linalg import DEFAULT_TOL, Tol, _adjoint, _op_norms, _rel_gap, op_norm
 from .multiplier import Multiplier, _inverse_formula_left, adjoint, invert
 from .symbols import reciprocal
 
@@ -238,16 +238,16 @@ def _equivalence(
     come first.
     """
     minv = invert(mult, tol)
-    scale = max(1.0, mult._inverse_op_norm)
+    inv_norm = 1.0 / mult.inv_diag.sigma_min  # ||M^{-1}||
 
     scaled = _scaled(mult.left, mult.symbol, tol)  # build checked the shapes
     equivalent = equivalence_map(scaled, mult.right, tol) is not None
 
-    gamma_zero = gamma_of(mult, tol)._op_norm <= tol.rel_eq * scale
+    gamma_zero = _rel_gap(gamma_of(mult, tol)._op_norm, inv_norm) <= tol.rel_eq
 
     # ||M^{-1} - mult(1/m, canonical dual of Psi, Phi^d)|| per dual Phi^d
     residuals = _op_norms(minv - _inverse_formula_left(mult, tol) @ _adjoint(duals()))
-    all_duals = not np.any(residuals > tol.rel_eq * scale)
+    all_duals = not np.any(_rel_gap(residuals, inv_norm) > tol.rel_eq)
     return EquivalenceVerdict(equivalent, gamma_zero, all_duals), residuals
 
 
@@ -259,7 +259,7 @@ def equivalence_criterion(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Equivalen
     all_duals_formula: the correction-free inverse formula holds against the
     canonical dual and the seed-2026 sample of random duals of the left frame.
 
-    Residual thresholds are scaled by max(1, ||M^{-1}||).
+    Both residual verdicts are the rule of linalg with ||M^{-1}|| = 1/sigma_min(M).
     """
     duals = lambda: np.stack([dual.frame.synth for dual in sample_duals(mult.left, tol=tol)])
     return _equivalence(mult, tol, duals)[0]

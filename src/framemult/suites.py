@@ -50,8 +50,8 @@ from .generators import (
     random_symbol,
     riesz_basis,
 )
-from .linalg import DEFAULT_TOL, Tol, op_norm
-from .multiplier import Multiplier, _inverse_norm, _near_boundary, build, thm1_report
+from .linalg import DEFAULT_TOL, Tol, _near_boundary, _rel_gap, op_norm
+from .multiplier import Multiplier, _inverse_norm, build, thm1_report
 from .perturbation import (
     _companion_per2,
     _floor_ok,
@@ -399,7 +399,7 @@ def _companion_fields(report, tol: Tol) -> tuple[dict[str, float], dict[str, boo
         "companion_deviation": report.companion_deviation,
         "multiplier_residual": report.multiplier_residual,
     }
-    invariance_ok = report.multiplier_residual <= tol.rel_eq * report.scale
+    invariance_ok = _rel_gap(report.multiplier_residual, report.scale) <= tol.rel_eq
     return residuals, {"invariance_ok": invariance_ok, "bound_satisfied": report.bound_satisfied}
 
 
@@ -466,13 +466,13 @@ def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: i
     probe = rep.op + direction * (1e3 * tol.rel_eq)
     duals = _shared(_sample_duals, dual_key, (cfg.seed, trial, 5), tol)
     decomposition, probed = _decompose(mult, rep.kind, [rep.op, probe], duals, tol)
-    scale = max(1.0, _inverse_norm(mult, tol))
+    inv_norm = _inverse_norm(mult, tol)
     max_dec = max(r for _, r in decomposition)
     breakage = max(r for _, r in probed)
     booleans = {
-        "decomposition_ok": max_dec <= tol.rel_eq * scale,
-        "annihilation_ok": rep.annihilation_residual <= tol.rel_eq * scale,
-        "masked_annihilation_ok": rep.masked_annihilation_residual <= tol.rel_eq * scale,
+        "decomposition_ok": _rel_gap(max_dec, inv_norm) <= tol.rel_eq,
+        "annihilation_ok": _rel_gap(rep.annihilation_residual, inv_norm) <= tol.rel_eq,
+        "masked_annihilation_ok": _rel_gap(rep.masked_annihilation_residual, inv_norm) <= tol.rel_eq,
         "uniqueness_ok": breakage >= 1e2 * tol.rel_eq,
     }
     ok = booleans["decomposition_ok"] and booleans["annihilation_ok"] and booleans["uniqueness_ok"]
@@ -501,14 +501,12 @@ def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Me
         m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=False)
     duals = partial(_shared, _sample_duals, phi_key, (cfg.seed, trial, 5), tol)
     verdict3, formula = _equivalence(mult, tol, duals)
-    scale = max(1.0, _inverse_norm(mult, tol))
+    inv_norm = _inverse_norm(mult, tol)
     gamma_norm = gamma_of(mult, tol)._op_norm
     max_formula = float(formula.max())
 
     agree = verdict3.equivalent == verdict3.gamma_zero == verdict3.all_duals_formula
-    indeterminate = _near_boundary(gamma_norm / scale, tol) or _near_boundary(
-        max_formula / scale, tol
-    )
+    indeterminate = any(_near_boundary(_rel_gap(r, inv_norm), tol) for r in (gamma_norm, max_formula))
     booleans = {
         "equivalent": verdict3.equivalent,
         "gamma_zero": verdict3.gamma_zero,

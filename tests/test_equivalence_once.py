@@ -173,14 +173,15 @@ def test_combined_run_takes_each_norm_once_and_samples_no_seed_2026_family(monke
     inverses = [mult._inverse[0] for mult in built if "_inverse" in mult.__dict__]
     gammas = [rep.op for mult in built if "_gammas" in mult.__dict__ for rep in mult._gammas.values()]
     assert inverses and gammas
-    assert [times_normed(a) for a in inverses] == [1] * len(inverses)
+    # ||M^{-1}|| is read as 1/sigma_min(M) from build's SVD: no inverse is normed.
+    assert [times_normed(a) for a in inverses] == [0] * len(inverses)
     assert [times_normed(a) for a in gammas] == [1] * len(gammas)
 
 
 def test_memoized_inverse_norm_still_raises_singular_under_a_tighter_tol():
     mult = _multiplier("8x17")
     norm = _inverse_norm(mult, Tol())
-    assert norm == op_norm(invert(mult))
+    assert norm == 1.0 / mult.inv_diag.sigma_min
     residual = mult._inverse[1]
     assert residual > 0.0
     tight = Tol(rel_eq=residual / 2.0)
