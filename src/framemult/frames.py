@@ -14,23 +14,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDual, NotAFrame, NotHermitian, NumericalOverflow
+from .errors import DimensionMismatch, InvalidDual, NotAFrame, NumericalOverflow
 from .linalg import (
-    _NOT_HERMITIAN,
     _OVERFLOW,
     DEFAULT_TOL,
     Tol,
     _adjoint,
-    _herm_extremes,
     _invertible,
     _norm_bounds,
     _op_norms,
     _rel_gap,
     _solve,
+    _sym_extremes,
     _unbounded,
     _unless_cleared,
     as_matrix,
-    herm_eig_extremes,
     op_norm,
     pinv,
     sv_extremes,
@@ -152,8 +150,10 @@ _GRAM_OVERFLOW = "frame operator T T* of finite entries overflows"
 def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
     """Validating constructor: rejects sequences that do not span C^d.
 
-    The rank test is spectral: lambda_min(S) must exceed inv_cond times
-    lambda_max(S). A frame operator that overflows is a NumericalOverflow.
+    S = T T* is Hermitian by construction; its bounds are the extremes of
+    (S + S*)/2, with no Hermitian test (see linalg). Three checks, in order:
+    a non-finite S and non-finite extremes are a NumericalOverflow, and the
+    rank test lambda_min(S) <= inv_cond * lambda_max(S) is a NotAFrame.
     """
     return _new_frame(_freeze(as_matrix(columns)), tol)
 
@@ -166,12 +166,11 @@ def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
     if n < d:
         raise NotAFrame(f"{n} vectors cannot span a {d}-dimensional space")
     s = synth @ synth.conj().T
-    try:
-        lo, hi = herm_eig_extremes(s, tol)
-    except ValueError:  # synth is finite, so a non-finite entry of S is an overflow
-        if np.isfinite(s).all():
-            raise
-        raise NumericalOverflow(_GRAM_OVERFLOW) from None
+    if not np.isfinite(s).all():  # synth is finite, so a non-finite entry of S is an overflow
+        raise NumericalOverflow(_GRAM_OVERFLOW)
+    lo, hi = map(float, _sym_extremes(s))
+    if _unbounded(lo, hi):
+        raise NumericalOverflow(_OVERFLOW)
     if _rank_deficient(lo, hi, tol):
         raise _rank_error(lo, hi)
     return Frame(dim=d, count=n, synth=synth, cached_S=_read_only(s), bounds=(lo, hi))
@@ -254,10 +253,10 @@ def _family_stack(f: Frame, w: np.ndarray, tol: Tol) -> tuple[np.ndarray, ...]:
 
     Row 0 is S^{-1}T, row k is S^{-1}T + w[k - 1](I - U S^{-1}T). Rows 1..K are
     checked in one stacked pass, in the order canonical_dual checks its one
-    dual: T_dual U finite, the duality check, then new_frame's overflow,
-    Hermitian, bounded extremes and rank tests on each frame operator
-    T_dual T_dual*. Also returns the read-only (K, d, d) stack of those frame
-    operators and their extremal eigenvalues.
+    dual: T_dual U finite, the duality check, then new_frame's three checks
+    (finite, bounded extremes, rank) on each frame operator T_dual T_dual*.
+    Also returns the read-only (K, d, d) stack of those frame operators and
+    their extremal eigenvalues.
     """
     stack = np.empty((len(w) + 1, f.dim, f.count), dtype=np.complex128)
     stack[0] = f._canonical_synth
@@ -267,13 +266,12 @@ def _family_stack(f: Frame, w: np.ndarray, tol: Tol) -> tuple[np.ndarray, ...]:
     not_dual = _not_dual(recon, tol)
     del recon  # freed before the frame operators are formed
     gram_ok, gram = _finite_or_zero(synth @ _adjoint(synth))
-    skew, lo, hi = _herm_extremes(gram, tol)
+    lo, hi = _sym_extremes(gram)
     _raise_first(
         [
             (~recon_ok, lambda k: ValueError(_NOT_FINITE)),
             (not_dual, lambda k: InvalidDual(_NOT_DUAL)),
             (~gram_ok, lambda k: NumericalOverflow(_GRAM_OVERFLOW)),
-            (skew, lambda k: NotHermitian(_NOT_HERMITIAN)),
             (_unbounded(lo, hi), lambda k: NumericalOverflow(_OVERFLOW)),
             (_rank_deficient(lo, hi, tol), lambda k: _rank_error(lo[k], hi[k])),
         ]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import GenerationFailed, NotAFrame
 from .frames import Frame, new_frame
-from .linalg import DEFAULT_TOL, Tol
+from .linalg import DEFAULT_TOL, Tol, _is_integer
 from .symbols import Symbol, new_symbol
 
 __all__ = [
@@ -27,7 +27,10 @@ DEFAULT_CONDITION_CAP = 100.0
 
 
 def _check_size(d: int, n: int | None = None) -> None:
-    """The size rule of every generator: d >= 1, and n >= d where a count n is given."""
+    """The size rule of every generator: integer sizes, d >= 1, and n >= d where a count n is given."""
+    for name, size in (("dimension", d), ("count", n)):
+        if size is not None and not _is_integer(size):
+            raise ValueError(f"{name} must be an integer, got {size!r}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d!r}")
     if n is not None and n < d:
@@ -48,7 +51,8 @@ def harmonic_tight(d: int, n: int) -> Frame:
     _check_size(d, n)
     k = np.arange(d)[:, np.newaxis]
     j = np.arange(n)[np.newaxis, :]
-    return new_frame(np.exp(2j * np.pi * k * j / n) / np.sqrt(d))
+    # float(d): np.sqrt of an int8 or int16 d would round to float16 or float32.
+    return new_frame(np.exp(2j * np.pi * k * j / n) / np.sqrt(float(d)))
 
 
 def finite_gabor(d: int, a: int, b: int) -> Frame:
@@ -60,10 +64,9 @@ def finite_gabor(d: int, a: int, b: int) -> Frame:
     ((d/a)(d/b) < d) fail frame validation.
     """
     _check_size(d)
-    if a < 1 or d % a != 0:
-        raise ValueError(f"a = {a!r} must be a positive divisor of d = {d}")
-    if b < 1 or d % b != 0:
-        raise ValueError(f"b = {b!r} must be a positive divisor of d = {d}")
+    for name, step in (("a", a), ("b", b)):
+        if not _is_integer(step) or step < 1 or d % step != 0:
+            raise ValueError(f"{name} = {step!r} must be a positive divisor of d = {d}")
     t = np.arange(d)
     window = np.exp(-np.pi * (t - d / 2.0) ** 2 / d)
     window = window / np.linalg.norm(window)
@@ -114,10 +117,10 @@ def riesz_basis(d: int, rng_seed, tol: Tol = DEFAULT_TOL) -> Frame:
 
 def random_symbol(n: int, lo: float, hi: float, rng_seed) -> Symbol:
     """Semi-normalized symbol with moduli uniform in [lo, hi] and uniform phases."""
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"need 0 < lo <= hi, got lo={lo!r}, hi={hi!r}")
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n!r}")
+    if not 0.0 < lo <= hi < np.inf:  # NaN too
+        raise ValueError(f"need 0 < lo <= hi < inf, got lo={lo!r}, hi={hi!r}")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"length must be a positive integer, got {n!r}")
     rng = np.random.default_rng(rng_seed)
     moduli = rng.uniform(lo, hi, size=n)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)

@@ -19,7 +19,6 @@ stack of their own (seed, trial, 5) family.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -37,7 +36,7 @@ from .frames import (
     canonical_dual,
     equivalence_map,
 )
-from .linalg import DEFAULT_TOL, Tol, _adjoint, _op_norms, _rel_gap, op_norm
+from .linalg import DEFAULT_TOL, Tol, _adjoint, _is_integer, _op_norms, _rel_gap, op_norm
 from .multiplier import Multiplier, _inverse_formula_left, adjoint, invert
 from .symbols import reciprocal
 
@@ -109,7 +108,7 @@ def sample_duals(
     Without rng the W matrices come from a fresh seed-2026 stream. count must
     be a non-negative integer (numpy integers too, bool not).
     """
-    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 0:
+    if not _is_integer(count) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
     canonical = canonical_dual(f, tol)
     if rng is None:

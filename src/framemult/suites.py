@@ -29,7 +29,6 @@ key tuple from one table per run, and equal booleans rows are one object.
 
 from __future__ import annotations
 
-import numbers
 import time
 from collections import Counter
 from collections.abc import Mapping
@@ -50,7 +49,7 @@ from .generators import (
     random_symbol,
     riesz_basis,
 )
-from .linalg import DEFAULT_TOL, Tol, _near_boundary, _rel_gap, op_norm
+from .linalg import DEFAULT_TOL, Tol, _is_integer, _near_boundary, _rel_gap, op_norm
 from .multiplier import Multiplier, _inverse_norm, build, thm1_report
 from .perturbation import (
     _companion_per2,
@@ -199,10 +198,6 @@ class SuiteReport:
                 "wall_time_s": self.wall_time_s,
             },
         }
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -1,9 +1,10 @@
 """Arguments out of range raise a ValueError that names the argument.
 
-Sizes go through the generators' one size rule before any draw, a
-perturbation size must be finite and positive, a tolerance must be a real
-number inside (0, 1), a matrix function that reads extremes refuses an
-empty matrix, and a dual sample size is a non-negative integer.
+Sizes go through the generators' one size rule before any draw (integers,
+numpy's too, but not bools), a perturbation size must be finite and
+positive, a tolerance must be a real number inside (0, 1), a matrix function
+that reads extremes refuses an empty matrix, and a dual sample size is a
+non-negative integer.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from framemult import (
     perturb_symbol,
     random_frame,
     random_frame_perturbation,
+    random_symbol,
     riesz_basis,
     sample_duals,
 )
@@ -31,6 +33,17 @@ SIZE_CASES = {
     "onb(0)": (lambda: onb(0), "dimension must be positive, got 0"),
     "harmonic_tight(5, 3)": (lambda: harmonic_tight(5, 3), "need at least d = 5 vectors, got 3"),
     "finite_gabor(0, 1, 1)": (lambda: finite_gabor(0, 1, 1), "dimension must be positive, got 0"),
+    # Sizes that are not integers, or are bools.
+    "onb(2.5)": (lambda: onb(2.5), "dimension must be an integer, got 2.5"),
+    "onb(True)": (lambda: onb(True), "dimension must be an integer, got True"),
+    "random_frame(2.0, 5, 0)": (lambda: random_frame(2.0, 5, 0), "dimension must be an integer, got 2.0"),
+    "riesz_basis(2.0, 0)": (lambda: riesz_basis(2.0, 0), "dimension must be an integer, got 2.0"),
+    "finite_gabor(3, 1.5, 1)": (lambda: finite_gabor(3, 1.5, 1), "a = 1.5 must be a positive divisor of d = 3"),
+    "random_symbol(3, 0.5, inf, 0)": (
+        lambda: random_symbol(3, 0.5, float("inf"), 0),
+        "need 0 < lo <= hi < inf, got lo=0.5, hi=inf",
+    ),
+    "harmonic_tight(2, 5.0)": (lambda: harmonic_tight(2, 5.0), "count must be an integer, got 5.0"),
 }
 
 
@@ -41,6 +54,14 @@ def test_generators_share_one_size_rule(case):
         call()
     assert str(info.value) == message
     assert type(info.value) is ValueError  # not GenerationFailed after a run of draws
+
+
+def test_generators_take_numpy_integer_sizes():
+    assert onb(np.int64(3)).synth.tobytes() == onb(3).synth.tobytes()
+    assert harmonic_tight(np.int32(2), np.int64(5)).synth.tobytes() == harmonic_tight(2, 5).synth.tobytes()
+    assert harmonic_tight(np.int8(20), np.int16(100)).synth.tobytes() == harmonic_tight(20, 100).synth.tobytes()
+    assert finite_gabor(4, np.int64(2), np.int8(1)).synth.tobytes() == finite_gabor(4, 2, 1).synth.tobytes()
+    assert random_symbol(np.int64(3), 0.5, 2.0, 0).values.tobytes() == random_symbol(3, 0.5, 2.0, 0).values.tobytes()
 
 
 def test_a_nan_condition_cap_is_refused_before_any_draw():

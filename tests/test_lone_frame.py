@@ -3,8 +3,9 @@
 herm_eig_extremes, new_frame and canonical_dual check one matrix or dual;
 _herm_extremes and _dual_family check stacks. Both give the same bits and
 the same verdicts, including for matrices whose symmetrization (H + H*)/2
-overflows. _herm_extremes decides a lone matrix in Python scalars and a
-stack in arrays; both paths give the same (skew, lambda_min, lambda_max).
+overflows. _herm_extremes decides a lone matrix and a stack by one array
+rule, returning Python scalars for the one and arrays for the other; both
+give the same (skew, lambda_min, lambda_max).
 """
 
 import math
