@@ -5,6 +5,10 @@ class FrameMultError(Exception):
     """Base class for every package-specific error."""
 
 
+class InvalidArgument(FrameMultError, ValueError):
+    """An argument is out of range or malformed; a ValueError too, for callers that catch one."""
+
+
 class DimensionMismatch(FrameMultError):
     """Operand shapes are incompatible."""
 

@@ -14,12 +14,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDual, NotAFrame, NumericalOverflow
+from .errors import DimensionMismatch, InvalidArgument, InvalidDual, NotAFrame, NumericalOverflow
 from .linalg import (
+    _NOT_FINITE,
     _OVERFLOW,
     DEFAULT_TOL,
     Tol,
     _adjoint,
+    _as_2d,
     _invertible,
     _norm_bounds,
     _op_norms,
@@ -145,17 +147,28 @@ def _rank_error(lo: float, hi: float) -> NotAFrame:
 
 
 _GRAM_OVERFLOW = "frame operator T T* of finite entries overflows"
+_GRAM_SAFE = np.finfo(np.float64).max / 4  # keeps S + S* finite, with room for rounding
 
 
 def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
     """Validating constructor: rejects sequences that do not span C^d.
 
     S = T T* is Hermitian by construction; its bounds are the extremes of
-    (S + S*)/2, with no Hermitian test (see linalg). Three checks, in order:
-    a non-finite S and non-finite extremes are a NumericalOverflow, and the
-    rank test lambda_min(S) <= inv_cond * lambda_max(S) is a NotAFrame.
+    (S + S*)/2, with no Hermitian test (see linalg). Non-finite entries are
+    an InvalidArgument; then a non-finite S and non-finite extremes are a
+    NumericalOverflow, and the rank test lambda_min(S) <= inv_cond *
+    lambda_max(S) is a NotAFrame. Neither overflow leaks a numpy warning.
     """
-    return _new_frame(_freeze(as_matrix(columns)), tol)
+    synth = _read_only(_as_2d(columns, copy=True))
+    # ||T||_F^2 = trace(S) bounds every entry of S and every eigenvalue: below
+    # _GRAM_SAFE nothing in _new_frame overflows. It is inf or NaN when an entry
+    # of T is, or when it overflows itself.
+    if np.vdot(synth, synth).real <= _GRAM_SAFE:
+        return _new_frame(synth, tol)
+    if not np.isfinite(synth).all():
+        raise InvalidArgument(_NOT_FINITE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _new_frame(synth, tol)
 
 
 def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
@@ -198,7 +211,6 @@ def frame_bounds(f: Frame) -> tuple[float, float]:
 
 
 _NOT_DUAL = "reconstruction T_dual U_parent deviates from the identity"
-_NOT_FINITE = "matrix entries must be finite"
 
 
 def _not_dual(recon: np.ndarray, tol: Tol) -> np.ndarray:
@@ -269,7 +281,7 @@ def _family_stack(f: Frame, w: np.ndarray, tol: Tol) -> tuple[np.ndarray, ...]:
     lo, hi = _sym_extremes(gram)
     _raise_first(
         [
-            (~recon_ok, lambda k: ValueError(_NOT_FINITE)),
+            (~recon_ok, lambda k: InvalidArgument(_NOT_FINITE)),
             (not_dual, lambda k: InvalidDual(_NOT_DUAL)),
             (~gram_ok, lambda k: NumericalOverflow(_GRAM_OVERFLOW)),
             (_unbounded(lo, hi), lambda k: NumericalOverflow(_OVERFLOW)),
@@ -311,7 +323,7 @@ def canonical_dual(f: Frame, tol: Tol = DEFAULT_TOL) -> DualFrame:
     """
     frame = f._canonical_duals.get(tol)
     if frame is None:
-        # as_matrix raises the ValueError of a non-finite T_dual U before the duality check.
+        # as_matrix raises the InvalidArgument of a non-finite T_dual U before the duality check.
         if _not_dual(as_matrix(f._canonical_synth @ f.analysis_op), tol):
             raise InvalidDual(_NOT_DUAL)
         frame = f._canonical_duals[tol] = _new_frame(f._canonical_synth, tol)
@@ -359,7 +371,7 @@ def _scaled(f: Frame, m: Symbol, tol: Tol) -> Frame:
     scaled = f.synth * m.values[np.newaxis, :]
     try:
         return new_frame(scaled, tol)
-    except ValueError:  # f and m are finite, so a non-finite m_n phi_n is an overflow
+    except InvalidArgument:  # f and m are finite, so a non-finite m_n phi_n is an overflow
         if np.isfinite(scaled).all():
             raise
         raise NumericalOverflow("weighted vectors m_n phi_n of finite entries overflow") from None

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GenerationFailed, NotAFrame
+from .errors import GenerationFailed, InvalidArgument, NotAFrame
 from .frames import Frame, new_frame
 from .linalg import DEFAULT_TOL, Tol, _is_integer
 from .symbols import Symbol, new_symbol
@@ -30,11 +30,11 @@ def _check_size(d: int, n: int | None = None) -> None:
     """The size rule of every generator: integer sizes, d >= 1, and n >= d where a count n is given."""
     for name, size in (("dimension", d), ("count", n)):
         if size is not None and not _is_integer(size):
-            raise ValueError(f"{name} must be an integer, got {size!r}")
+            raise InvalidArgument(f"{name} must be an integer, got {size!r}")
     if d < 1:
-        raise ValueError(f"dimension must be positive, got {d!r}")
+        raise InvalidArgument(f"dimension must be positive, got {d!r}")
     if n is not None and n < d:
-        raise ValueError(f"need at least d = {d} vectors, got {n}")
+        raise InvalidArgument(f"need at least d = {d} vectors, got {n}")
 
 
 def onb(d: int) -> Frame:
@@ -66,7 +66,7 @@ def finite_gabor(d: int, a: int, b: int) -> Frame:
     _check_size(d)
     for name, step in (("a", a), ("b", b)):
         if not _is_integer(step) or step < 1 or d % step != 0:
-            raise ValueError(f"{name} = {step!r} must be a positive divisor of d = {d}")
+            raise InvalidArgument(f"{name} = {step!r} must be a positive divisor of d = {d}")
     t = np.arange(d)
     window = np.exp(-np.pi * (t - d / 2.0) ** 2 / d)
     window = window / np.linalg.norm(window)
@@ -93,7 +93,7 @@ def random_frame(
     """
     _check_size(d, n)
     if not condition_cap >= 1.0:  # NaN too
-        raise ValueError(f"condition_cap must be at least 1, got {condition_cap!r}")
+        raise InvalidArgument(f"condition_cap must be at least 1, got {condition_cap!r}")
     rng = np.random.default_rng(rng_seed)
     for _ in range(MAX_RETRIES):
         raw = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
@@ -118,9 +118,9 @@ def riesz_basis(d: int, rng_seed, tol: Tol = DEFAULT_TOL) -> Frame:
 def random_symbol(n: int, lo: float, hi: float, rng_seed) -> Symbol:
     """Semi-normalized symbol with moduli uniform in [lo, hi] and uniform phases."""
     if not 0.0 < lo <= hi < np.inf:  # NaN too
-        raise ValueError(f"need 0 < lo <= hi < inf, got lo={lo!r}, hi={hi!r}")
+        raise InvalidArgument(f"need 0 < lo <= hi < inf, got lo={lo!r}, hi={hi!r}")
     if not _is_integer(n) or n < 1:
-        raise ValueError(f"length must be a positive integer, got {n!r}")
+        raise InvalidArgument(f"length must be a positive integer, got {n!r}")
     rng = np.random.default_rng(rng_seed)
     moduli = rng.uniform(lo, hi, size=n)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)

@@ -21,16 +21,17 @@ A frame operator S = T T* is Hermitian by construction, so frames take their
 bounds from _sym_extremes, the extremes of (S + S*)/2, untested: on S the
 Hermitian test checks rounding only (||S - S*||/||S|| <= 3.4e-16 over 3,500
 generated frames) and rejects valid frames at rel_eq 1e-17. herm_eig_extremes,
-whose input comes from outside, keeps the test.
+whose input comes from outside, keeps the test and decides it by the exact
+rule alone, one matrix at a time.
 
-Check-only spectral-norm comparisons (is H Hermitian, is T_dual U = I) are
-decided bound first, SVD second. The bound ||A|| <= sqrt(mn) max|a_ij|
-clears a matrix when it falls within half the tolerance the check allows;
-only the matrices it cannot clear are SVD'd and judged by the exact rule.
-The factor-2 margin dwarfs the roundoff in either side, so every matrix gets
-the verdict the SVD-only rule gives. The bound is a largest entry, not a sum
-of squares, so it cannot underflow to zero at tiny scales and clear a matrix
-the exact rule rejects.
+The duality check (is T_dual U = I, on a stack of duals) is decided bound
+first, SVD second. The bound ||A|| <= sqrt(mn) max|a_ij| clears a matrix when
+it falls within half the tolerance the check allows; only the matrices it
+cannot clear are SVD'd and judged by the exact rule. The factor-2 margin
+dwarfs the roundoff in either side, so every matrix gets the verdict the
+SVD-only rule gives. The bound is a largest entry, not a sum of squares, so
+it cannot underflow to zero at tiny scales and clear a matrix the exact rule
+rejects.
 
 Every equality is judged by one rule, the quotient _rel_gap(gap, *norms) =
 gap / max(1, *norms): X equals Y when _rel_gap(||X - Y||, ||X||, ||Y||) <= rel_eq.
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import NotHermitian, NumericalOverflow, Singular
+from .errors import InvalidArgument, NotHermitian, NumericalOverflow, Singular
 
 __all__ = [
     "Tol",
@@ -79,7 +80,7 @@ class Tol:
         for name in ("rel_eq", "inv_cond", "pinv_cutoff"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+                raise InvalidArgument(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
 DEFAULT_TOL = Tol()
@@ -87,6 +88,7 @@ BOUNDARY_FACTOR = 11.0  # the indeterminate band is (rel_eq, BOUNDARY_FACTOR * r
 
 _NOT_HERMITIAN = "matrix deviates from its adjoint beyond tolerance"
 _OVERFLOW = "extremal eigenvalues of (H + H*)/2 overflow"
+_NOT_FINITE = "matrix entries must be finite"
 
 
 def _is_integer(value) -> bool:
@@ -113,13 +115,19 @@ _inv = _lapack(_umath_linalg.inv, "D->D", "Singular matrix")
 _solve = _lapack(_umath_linalg.solve, "DD->D", "Singular matrix")  # (..., m, k) right-hand sides
 
 
+def _as_2d(a, copy: bool | None = None) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, a fresh one when copy is True; entries unchecked."""
+    mat = np.array(a, dtype=np.complex128, copy=copy)
+    if mat.ndim != 2:
+        raise InvalidArgument(f"expected a 2-D array, got ndim={mat.ndim}")
+    return mat
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array; reject non-finite entries."""
-    mat = np.asarray(a, dtype=np.complex128)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={mat.ndim}")
+    mat = _as_2d(a)
     if not np.isfinite(mat).all():
-        raise ValueError("matrix entries must be finite")
+        raise InvalidArgument(_NOT_FINITE)
     return mat
 
 
@@ -127,7 +135,7 @@ def _nonempty(a) -> np.ndarray:
     """as_matrix for a function that needs at least one entry."""
     mat = as_matrix(a)
     if mat.size == 0:
-        raise ValueError(f"expected a non-empty matrix, got shape {mat.shape[0]}x{mat.shape[1]}")
+        raise InvalidArgument(f"expected a non-empty matrix, got shape {mat.shape[0]}x{mat.shape[1]}")
     return mat
 
 
@@ -192,36 +200,6 @@ def _sym_extremes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _eig_extremes((stack + np.conjugate(stack.swapaxes(-1, -2), order="C")) / 2.0)
 
 
-def _herm_extremes(stack: np.ndarray, tol: Tol) -> tuple:
-    """(not Hermitian, lambda_min, lambda_max) for each matrix of a finite (..., d, d) stack.
-
-    A matrix is not Hermitian when ||H - H*|| > rel_eq * ||H||; the extremes
-    are those of (H + H*)/2. Since ||H|| >= ||(H + H*)/2|| = max(|lambda_min|,
-    |lambda_max|), a matrix whose bound on ||H - H*|| is at most half of
-    rel_eq times that is Hermitian without an SVD.
-
-    An entry of H - H* that overflows exceeds the largest double, while
-    ||H|| <= d max|h_ij| stays below d times it, so the rule rejects the
-    matrix whenever d * rel_eq < 1; it is flagged without an SVD. The
-    extremes can still overflow, or turn NaN where (H + H*)/2 does (see _unbounded).
-
-    A lone d x d matrix gets a bool and two floats; a stack gets arrays.
-    """
-    lo, hi = _sym_extremes(stack)
-    diff = stack - _adjoint(stack)
-    peak = np.abs(diff).max(axis=(-2, -1))
-    overflow = np.isinf(peak)  # an entry of H - H* overflows
-    # stack.shape[-1] * peak is _norm_bounds(diff) for a square stack; NaN extremes never clear.
-    cleared = stack.shape[-1] * peak <= 0.5 * tol.rel_eq * np.maximum(np.abs(lo), np.abs(hi))
-    skew = _unless_cleared(
-        cleared | overflow,
-        lambda sel: _op_norms(diff[sel]) > tol.rel_eq * _op_norms(stack[sel]),
-    ) | overflow
-    if stack.ndim == 2:
-        return bool(skew), float(lo), float(hi)
-    return skew, lo, hi
-
-
 def _unbounded(lo, hi):
     """Mask of the extremes of (H + H*)/2 that are not finite: with H finite, they overflowed or turned NaN."""
     return ~(np.isfinite(lo) & np.isfinite(hi))
@@ -231,15 +209,17 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
     """Extremal eigenvalues (smallest, largest) of a Hermitian matrix.
 
     The input is symmetrized as (H + H*)/2 before solving, absorbing roundoff
-    from products like T T*. Inputs farther than rel_eq * ||H|| from Hermitian
-    are rejected with NotHermitian; finite inputs whose extremes overflow are
-    rejected with NumericalOverflow.
+    from products like T T*. Inputs with ||H - H*|| > rel_eq * ||H||, or with
+    an entry of H - H* that overflows, are rejected with NotHermitian; finite
+    inputs whose extremes overflow are rejected with NumericalOverflow.
     """
     mat = _nonempty(h)
     if mat.shape[0] != mat.shape[1]:
         raise NotHermitian(f"matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
-    skew, lo, hi = _herm_extremes(mat, tol)
-    if skew:
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = mat - _adjoint(mat)
+        lo, hi = map(float, _sym_extremes(mat))
+    if not np.isfinite(skew).all() or _op_norms(skew) > tol.rel_eq * _op_norms(mat):
         raise NotHermitian(_NOT_HERMITIAN)
     if _unbounded(lo, hi):
         raise NumericalOverflow(_OVERFLOW)
@@ -266,7 +246,7 @@ def inv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """Matrix inverse, guarded by the singularity proxy (see _invertible)."""
     mat = as_matrix(a)
     if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"cannot invert a {mat.shape[0]}x{mat.shape[1]} matrix")
+        raise InvalidArgument(f"cannot invert a {mat.shape[0]}x{mat.shape[1]} matrix")
     sigma_min, sigma_max = sv_extremes(mat)
     if not _invertible(sigma_min, sigma_max, tol):
         raise Singular(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolated
+from .errors import HypothesisViolated, InvalidArgument
 from .frames import Frame, _check_shapes, _read_only, _scaled, new_frame
 from .linalg import DEFAULT_TOL, Tol, _op_norms, as_matrix, op_norm
 from .multiplier import Multiplier
@@ -67,7 +67,7 @@ def random_frame_perturbation(
     once mu reaches sqrt(A_F)).
     """
     if not 0.0 < mu < np.inf:
-        raise ValueError(f"mu must be positive and finite, got {mu!r}")
+        raise InvalidArgument(f"mu must be positive and finite, got {mu!r}")
     return _perturbed(f, mu, _noise(rng_seed, f.dim, f.count), tol)
 
 

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidDual
+from .errors import InvalidArgument, InvalidDual
 from .frames import (
     DualFrame,
     Frame,
@@ -109,7 +109,7 @@ def sample_duals(
     be a non-negative integer (numpy integers too, bool not).
     """
     if not _is_integer(count) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+        raise InvalidArgument(f"count must be a non-negative integer, got {count!r}")
     canonical = canonical_dual(f, tol)
     if rng is None:
         rng = np.random.default_rng(_DUAL_SAMPLE_SEED)

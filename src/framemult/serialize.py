@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import IoError, ParseError
+from .errors import InvalidArgument, IoError, ParseError
 from .frames import Frame, new_frame
 from .linalg import DEFAULT_TOL, Tol
 
@@ -171,11 +171,11 @@ def _write_csv(report: "SuiteReport", handle) -> None:
 
 
 def _check_types(name: str, wanted: str, admits, types) -> None:
-    """Raise ValueError naming the first of types that admits rejects."""
+    """Raise InvalidArgument naming the first of types that admits rejects."""
     for cls in types:
         if not admits(cls):
             got = f"{cls.__module__}.{cls.__qualname__}"
-            raise ValueError(f"every {name} must be {wanted}, got {got}")
+            raise InvalidArgument(f"every {name} must be {wanted}, got {got}")
 
 
 def _check_residuals(report: "SuiteReport") -> None:
@@ -209,7 +209,7 @@ def _check_json_fields(report: "SuiteReport") -> None:
 def _report_writer(report: "SuiteReport", fmt: str):
     """The writer of fmt, after every check that can reject the report."""
     if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown report format {fmt!r}")
+        raise InvalidArgument(f"unknown report format {fmt!r}")
     _check_residuals(report)
     if fmt == "json":
         _check_json_fields(report)
@@ -217,7 +217,7 @@ def _report_writer(report: "SuiteReport", fmt: str):
     for record in report.records:
         for key in record.residuals:
             if key not in RESIDUAL_COLUMNS:
-                raise ValueError(f"residual field {key!r} missing from CSV_COLUMNS")
+                raise InvalidArgument(f"residual field {key!r} missing from CSV_COLUMNS")
     return _write_csv
 
 

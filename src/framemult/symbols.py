@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroEntry
+from .errors import InvalidArgument, ZeroEntry
 
 __all__ = [
     "Symbol",
@@ -52,11 +52,11 @@ def new_symbol(values) -> Symbol:
     """Build a Symbol from any 1-D complex sequence."""
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1:
-        raise ValueError(f"symbol must be 1-D, got ndim={arr.ndim}")
+        raise InvalidArgument(f"symbol must be 1-D, got ndim={arr.ndim}")
     if arr.shape[0] == 0:
-        raise ValueError("symbol must have at least one entry")
+        raise InvalidArgument("symbol must have at least one entry")
     if not np.isfinite(arr).all():
-        raise ValueError("symbol entries must be finite")
+        raise InvalidArgument("symbol entries must be finite")
     arr = arr.copy()
     arr.setflags(write=False)
     moduli = np.abs(arr)
@@ -99,7 +99,7 @@ def perturb_symbol(m: Symbol, eps: float, rng_seed) -> Symbol:
     forced to stay semi-normalized; callers inspect classify().
     """
     if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+        raise InvalidArgument(f"eps must be positive and finite, got {eps!r}")
     rng = np.random.default_rng(rng_seed)
     n = m.count
     radii = np.sqrt(rng.uniform(0.0, 1.0, size=n))

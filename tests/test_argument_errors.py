@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from framemult import (
+    InvalidArgument,
     Tol,
     finite_gabor,
     harmonic_tight,
@@ -53,7 +54,7 @@ def test_generators_share_one_size_rule(case):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
-    assert type(info.value) is ValueError  # not GenerationFailed after a run of draws
+    assert type(info.value) is InvalidArgument  # not GenerationFailed after a run of draws
 
 
 def test_generators_take_numpy_integer_sizes():

@@ -1,8 +1,9 @@
-"""Bound-first Hermitian and duality checks, and the per-frame canonical-dual memo.
+"""The Hermitian check, the bound-first duality check, and the per-frame canonical-dual memo.
 
-The checks clear a matrix by ||A|| <= sqrt(mn) max|a_ij| before any SVD;
-these tests hold their masks to the SVD-only rules at scales from 1e-150 to
-1e150, with deviations far from and within a factor 4 of each threshold.
+The duality check clears a matrix by ||A|| <= sqrt(mn) max|a_ij| before any
+SVD. These tests hold both checks to the SVD-only rules at scales from
+1e-150 to 1e150, with deviations far from and within a factor 4 of each
+threshold.
 """
 
 import gc
@@ -23,9 +24,8 @@ from framemult import (
     new_frame,
     random_frame,
 )
-from framemult import frames, linalg
+from framemult import frames
 from framemult.frames import _not_dual
-from framemult.linalg import _herm_extremes
 
 SCALES = st.floats(-150.0, 150.0).map(lambda e: 10.0**e)
 # A deviation as a multiple of the threshold: near it, or far below or above it.
@@ -85,11 +85,13 @@ def _herm_stack(seed, d, deviations, scale, tol):
 )
 def test_herm_extremes_matches_svd_rule(seed, d, deviations, scale, tol):
     stack = _herm_stack(seed, d, deviations, scale, tol)
-    skew, lo, hi = _herm_extremes(stack, tol)
-    assert np.array_equal(skew, _svd_skew(stack, tol))
     eigenvalues = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2.0)
-    assert np.array_equal(lo, eigenvalues[:, 0])
-    assert np.array_equal(hi, eigenvalues[:, -1])
+    for mat, skew, spectrum in zip(stack, _svd_skew(stack, tol), eigenvalues):
+        if skew:
+            with pytest.raises(NotHermitian):
+                herm_eig_extremes(mat, tol)
+        else:
+            assert herm_eig_extremes(mat, tol) == (spectrum[0], spectrum[-1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -119,12 +121,7 @@ def test_only_uncleared_matrices_are_svd(monkeypatch):
         shapes.append(stack.shape)
         return _norms(stack)
 
-    monkeypatch.setattr(linalg, "_op_norms", counting)
     monkeypatch.setattr(frames, "_op_norms", counting)
-    herm = _herm_stack(7, 4, [(r, False) for r in (0.0, 1e-4, 2.0, 1e-3)], 1.0, DEFAULT_TOL)
-    assert list(_herm_extremes(herm, DEFAULT_TOL)[0]) == [False, False, True, False]
-    assert shapes == [(1, 4, 4), (1, 4, 4)]
-    shapes.clear()
     recon = np.stack([np.eye(3), np.eye(3) + 1e-12, 2.0 * np.eye(3)])
     assert list(_not_dual(recon, DEFAULT_TOL)) == [False, False, True]
     assert shapes == [(1, 3, 3), (1, 3, 3)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from framemult import (
+    InvalidArgument,
     InvalidDual,
     NotAFrame,
     Singular,
@@ -148,7 +149,7 @@ def test_stacked_path_raises_the_loop_error_first(order):
     expected = {
         "rank": NotAFrame,
         "duality": InvalidDual,
-        "overflow": ValueError,
+        "overflow": InvalidArgument,
         "gram_overflow": InvalidDual,
     }[first_bad]
     with np.errstate(over="ignore", invalid="ignore"):

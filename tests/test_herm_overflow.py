@@ -15,7 +15,6 @@ from framemult import (
     random_dual,
 )
 from framemult.frames import _dual_family
-from framemult.linalg import _herm_extremes
 
 
 @pytest.mark.parametrize(
@@ -44,12 +43,10 @@ def test_overflowing_skew_part_is_not_hermitian(h):
     ],
 )
 def test_hermitian_matrix_with_overflowing_extremes_is_rejected(h):
+    # NumericalOverflow comes only after the Hermitian check has passed.
     with np.errstate(over="ignore", invalid="ignore"):
-        skew, lo, hi = _herm_extremes(np.array(h, dtype=np.complex128), Tol())
-        assert not skew
-        assert not (np.isfinite(lo) and np.isfinite(hi))
         with pytest.raises(NumericalOverflow):
-            herm_eig_extremes(np.array(h))
+            herm_eig_extremes(np.array(h, dtype=np.complex128), Tol())
 
 
 def test_overflowing_stack_entries_are_flagged_matrix_by_matrix():
@@ -62,8 +59,10 @@ def test_overflowing_stack_entries_are_flagged_matrix_by_matrix():
         dtype=np.complex128,
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        skew, lo, hi = _herm_extremes(stack, Tol())
-    assert list(skew) == [False, True, True]
+        assert herm_eig_extremes(stack[0], Tol()) == tuple(np.linalg.eigvalsh(stack[0])[[0, -1]])
+        for mat in stack[1:]:
+            with pytest.raises(NotHermitian):
+                herm_eig_extremes(mat, Tol())
 
 
 def test_frame_bounds_are_never_nan():

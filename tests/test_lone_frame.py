@@ -1,14 +1,13 @@
-"""A lone matrix or frame against a stack of one.
+"""A lone matrix or frame against a stack of one, and the one Hermitian rule.
 
-herm_eig_extremes, new_frame and canonical_dual check one matrix or dual;
-_herm_extremes and _dual_family check stacks. Both give the same bits and
-the same verdicts, including for matrices whose symmetrization (H + H*)/2
-overflows. _herm_extremes decides a lone matrix and a stack by one array
-rule, returning Python scalars for the one and arrays for the other; both
-give the same (skew, lambda_min, lambda_max).
+new_frame and canonical_dual check one frame or dual; _dual_family checks
+stacks. Both give the same bits and the same verdicts, including for
+matrices whose symmetrization (H + H*)/2 overflows. herm_eig_extremes
+decides its one matrix by the SVD-only rule that a stack of one got:
+NotHermitian when H - H* has a non-finite entry or ||H - H*|| > rel_eq
+||H||, NumericalOverflow when an extreme of (H + H*)/2 is not finite, else
+the extremes with the bits eigvalsh gives.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -27,8 +26,6 @@ from framemult import (
     random_dual,
 )
 from framemult.frames import _dual_family
-from framemult import linalg
-from framemult.linalg import _herm_extremes
 from framemult.suites import DEFAULT_DIMS, GENERATOR_NAMES, _make_frame
 
 # Scales from 1e-150 to 1e150, and near the top of the double range, where
@@ -46,12 +43,36 @@ def _norm(a):
     return np.linalg.svd(a, compute_uv=False)[0]
 
 
-def _unbounded(lo, hi):
-    return ~(np.isfinite(lo) & np.isfinite(hi))
-
-
 def _bits(*values):
     return np.array(values, dtype=np.float64).tobytes()
+
+
+def _reference(mat, tol):
+    """The SVD-only rule on one matrix: NotHermitian, NumericalOverflow or (lambda_min, lambda_max)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = mat - mat.conj().T
+        sym = (mat + mat.conj().T) / 2.0
+    if not np.isfinite(skew).all() or _norm(skew) > tol.rel_eq * _norm(mat):
+        return NotHermitian
+    if not np.isfinite(sym).all():
+        return NumericalOverflow
+    eigenvalues = np.linalg.eigvalsh(sym)
+    if not np.isfinite(eigenvalues).all():
+        return NumericalOverflow
+    return eigenvalues[0], eigenvalues[-1]
+
+
+def _lone(mat, tol):
+    """herm_eig_extremes of mat, checked against _reference; the error class or the two floats."""
+    want = _reference(mat, tol)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            herm_eig_extremes(mat, tol)
+        return want
+    got = herm_eig_extremes(mat, tol)
+    assert all(type(x) is float for x in got)
+    assert _bits(*got) == _bits(*want)
+    return got
 
 
 @pytest.mark.parametrize("generator", GENERATOR_NAMES)
@@ -88,19 +109,8 @@ def test_lone_matrix_matches_a_stack_of_one(seed, d, rank, ratio, scale, tol):
         e = 0.0 * e
     with np.errstate(over="ignore", invalid="ignore"):
         mat = scale * (h + e)
-        if not np.isfinite(mat).all():
-            return
-        skew, lo, hi = _herm_extremes(mat[np.newaxis], tol)
-        if skew[0]:
-            with pytest.raises(NotHermitian):
-                herm_eig_extremes(mat, tol)
-        elif _unbounded(lo, hi)[0]:
-            with pytest.raises(NumericalOverflow):
-                herm_eig_extremes(mat, tol)
-        else:
-            got = herm_eig_extremes(mat, tol)
-            assert all(type(x) is float for x in got)
-            assert _bits(*got) == _bits(lo[0], hi[0])
+    if np.isfinite(mat).all():
+        _lone(mat, tol)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -121,14 +131,9 @@ def test_overflowing_symmetrization_is_unbounded_matrix_by_matrix():
     skewed = np.diag([1e308, 1e308, 1.0]).astype(np.complex128)
     skewed[0, 1], skewed[1, 0] = 1e308, -1e308
     stack = np.stack([finite, 1.44e308 * np.eye(3), skewed, finite])
-    with np.errstate(over="ignore", invalid="ignore"):
-        skew, lo, hi = _herm_extremes(stack, DEFAULT_TOL)
-    alone_skew, alone_lo, alone_hi = _herm_extremes(finite[np.newaxis], DEFAULT_TOL)
-    assert list(skew) == [False, False, True, False]
-    assert list(_unbounded(lo, hi)) == [False, True, True, False]
-    assert not alone_skew[0]
-    for k in (0, 3):
-        assert _bits(lo[k], hi[k]) == _bits(alone_lo[0], alone_hi[0])
+    verdicts = [_lone(mat, DEFAULT_TOL) for mat in stack]
+    assert verdicts[1:3] == [NumericalOverflow, NotHermitian]
+    assert _bits(*verdicts[0]) == _bits(*verdicts[3])
 
 
 def test_dual_family_with_an_overflowing_gram_raises_its_typed_error():
@@ -160,17 +165,6 @@ def test_canonical_dual_keeps_the_parents_cached_synth_and_new_frame_copies():
     assert g.synth.tobytes() == f.synth.tobytes()
 
 
-def _lone_and_stacked(mat, tol):
-    """_herm_extremes of mat alone and of the stack holding only mat, checked equal; the lone triple."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        lone = _herm_extremes(mat, tol)
-        skew, lo, hi = _herm_extremes(mat[np.newaxis], tol)
-    assert type(lone[0]) is bool and type(lone[1]) is float and type(lone[2]) is float
-    assert lone[0] == bool(skew[0])
-    assert _bits(*lone[1:]) == _bits(lo[0], hi[0])
-    return lone
-
-
 def _near_the_clear_bound(seed, d, factor, tol):
     """H + t E: H Hermitian, E skew, t such that d max|(H + tE) - (H + tE)*| is factor
     times rel_eq max|lambda(H)|; the bound rule clears up to factor 1/2."""
@@ -192,22 +186,7 @@ def test_lone_rule_matches_the_stack_rule(seed, d, factor, scale, tol):
     with np.errstate(over="ignore", invalid="ignore"):
         mat = scale * _near_the_clear_bound(seed, d, factor, tol)
     if np.isfinite(mat).all():
-        _lone_and_stacked(mat, tol)
-
-
-@pytest.mark.parametrize("factor, svd_calls", [(0.49, 0), (0.51, 2)])
-def test_lone_matrix_runs_the_exact_rule_only_when_the_bound_fails(monkeypatch, factor, svd_calls):
-    shapes = []
-    op_norms = linalg._op_norms
-
-    def counting(stack):
-        shapes.append(stack.shape)
-        return op_norms(stack)
-
-    monkeypatch.setattr(linalg, "_op_norms", counting)
-    mat = _near_the_clear_bound(5, 4, factor, DEFAULT_TOL)
-    assert _lone_and_stacked(mat, DEFAULT_TOL)[0] is False
-    assert shapes == [(4, 4)] * svd_calls + [(1, 4, 4)] * svd_calls
+        _lone(mat, tol)
 
 
 @pytest.mark.parametrize(
@@ -221,6 +200,6 @@ def test_lone_matrix_runs_the_exact_rule_only_when_the_bound_fails(monkeypatch, 
     ],
 )
 def test_lone_rule_matches_the_stack_rule_on_overflow(h, skew, finite):
-    got_skew, lo, hi = _lone_and_stacked(np.array(h, dtype=np.complex128), DEFAULT_TOL)
-    assert got_skew is skew
-    assert (math.isfinite(lo) and math.isfinite(hi)) is finite
+    verdict = _lone(np.array(h, dtype=np.complex128), DEFAULT_TOL)
+    assert (verdict is NotHermitian) is skew
+    assert (verdict is NumericalOverflow) is (not skew and not finite)
