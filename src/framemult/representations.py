@@ -183,7 +183,7 @@ def _decompose(
         np.add(formula, correction(op), out=gap)  # the correction is freed here
         np.subtract(minv, gap, out=gap)
     residuals = _op_norms(gaps)
-    return [tuple(enumerate(row)) for row in residuals.tolist()]
+    return [tuple([*enumerate(row)]) for row in residuals.tolist()]  # exact size, see suites._row
 
 
 def _decomposition_residuals(

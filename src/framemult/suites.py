@@ -227,7 +227,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigInvalid(f"unknown format {cfg.format!r}; choose json or csv")
     if not isinstance(cfg.tol, Tol):
         raise ConfigInvalid(f"tol must be a Tol instance, got {type(cfg.tol).__name__}")
-    dims = tuple((int(d), int(n)) for d, n in cfg.dims)
+    dims = tuple([(int(d), int(n)) for d, n in cfg.dims])  # exact size, see _row
     return replace(cfg, trials=int(cfg.trials), seed=int(cfg.seed), dims=dims)
 
 
@@ -577,7 +577,9 @@ def _row(rows: dict, fields: dict, whole: bool) -> _Row:
     values = tuple(fields.values())
     if not whole:
         return _Row(keys, values)
-    key = (keys, values, tuple(map(type, values)))
+    # A list, not map(): tuple() of an iterator with no length hint over-allocates and
+    # shrinks, moving a block between CPython's per-size tuple free lists every trial.
+    key = (keys, values, tuple([type(v) for v in values]))
     if key not in rows:
         rows[key] = _Row(keys, values)
     return rows[key]

@@ -5,13 +5,15 @@ row of the run with those keys, and the values as the suite body gave them.
 Equal booleans rows are one object within a run. Reports render the bytes
 of the same records built with dicts. A residual that is not a real number
 is rejected before either writer opens the file. symbols.conj carries the
-moduli over, and each companion checks its shapes once.
+moduli over, and each companion checks its shapes once. What a repeated run
+leaves behind does not grow with the number of trials.
 """
 
 import gc
 import tracemalloc
 from dataclasses import fields, replace
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +174,32 @@ def test_retained_bytes_per_record_stay_below_400():
         tracemalloc.stop()
     per_record = retained / len(report.records)
     assert per_record < 400, f"{per_record:.0f} B per record"
+
+
+def _blocks_left_by_a_repeated_run(trials: int) -> int:
+    """Package-allocated blocks still held after a second identical run, its report dropped."""
+    cfg = ExperimentConfig(suite="all", trials=trials)
+    gc.collect()  # a full collection also empties CPython's free lists
+    run_suite(cfg)
+    gc.disable()  # no collection may empty them again mid-run
+    tracemalloc.start()
+    try:
+        run_suite(cfg)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    package = tracemalloc.Filter(True, str(Path(suites.__file__).parent / "*"))
+    return sum(s.count for s in snapshot.filter_traces([package]).statistics("filename"))
+
+
+def test_blocks_left_behind_do_not_grow_with_the_trial_count():
+    # tuple() of an iterator with no length hint over-allocates and shrinks, so
+    # each trial moved a block into another size's tuple free list: memory use
+    # drifted with the trials run since the last full collection (174 blocks
+    # at 10 trials, 565 at 80; now about 100 at both).
+    grown = _blocks_left_by_a_repeated_run(80) - _blocks_left_by_a_repeated_run(20)
+    assert grown < 30, f"{grown} more blocks left behind at 80 trials than at 20"
 
 
 # ------------------------------------------------------- one residual rule
