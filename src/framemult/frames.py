@@ -4,7 +4,8 @@ A frame is stored through its synthesis matrix T (d x N, column n is the
 vector phi_n). The inner product is linear in the first argument, so the
 analysis operator is the conjugate transpose: (U f)_n = <f, phi_n>. The frame
 operator S = T T* is cached together with its extremal eigenvalues, the
-optimal frame bounds.
+optimal frame bounds. S, the duals and the weighted frames that this module
+derives from finite entries follow linalg's overflow rule.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .linalg import (
     _invertible,
     _norm_bounds,
     _op_norms,
+    _quiet,
     _rel_gap,
     _solve,
     _sym_extremes,
@@ -32,7 +34,6 @@ from .linalg import (
     _unless_cleared,
     as_matrix,
     op_norm,
-    pinv,
     sv_extremes,
 )
 from .symbols import Symbol
@@ -147,30 +148,23 @@ def _rank_error(lo: float, hi: float) -> NotAFrame:
 
 
 _GRAM_OVERFLOW = "frame operator T T* of finite entries overflows"
-_GRAM_SAFE = np.finfo(np.float64).max / 4  # keeps S + S* finite, with room for rounding
 
 
 def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
     """Validating constructor: rejects sequences that do not span C^d.
 
-    S = T T* is Hermitian by construction; its bounds are the extremes of
-    (S + S*)/2, with no Hermitian test (see linalg). Non-finite entries are
-    an InvalidArgument; then a non-finite S and non-finite extremes are a
-    NumericalOverflow, and the rank test lambda_min(S) <= inv_cond *
-    lambda_max(S) is a NotAFrame. Neither overflow leaks a numpy warning.
+    S = T T* is Hermitian by construction; its bounds are the extremes of (S + S*)/2,
+    with no Hermitian test (see linalg). Non-finite entries are an InvalidArgument;
+    then a non-finite S and non-finite extremes are a NumericalOverflow, and the rank
+    test lambda_min(S) <= inv_cond * lambda_max(S) is a NotAFrame.
     """
     synth = _read_only(_as_2d(columns, copy=True))
-    # ||T||_F^2 = trace(S) bounds every entry of S and every eigenvalue: below
-    # _GRAM_SAFE nothing in _new_frame overflows. It is inf or NaN when an entry
-    # of T is, or when it overflows itself.
-    if np.vdot(synth, synth).real <= _GRAM_SAFE:
-        return _new_frame(synth, tol)
     if not np.isfinite(synth).all():
         raise InvalidArgument(_NOT_FINITE)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _new_frame(synth, tol)
+    return _new_frame(synth, tol)
 
 
+@_quiet
 def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
     """new_frame for a finite, read-only complex128 synth that the frame keeps without a copy."""
     d, n = synth.shape
@@ -260,6 +254,7 @@ def _raise_first(failures) -> None:
         raise failures[int(np.argmax(bad[:, k]))][1](k)
 
 
+@_quiet
 def _family_stack(f: Frame, w: np.ndarray, tol: Tol) -> tuple[np.ndarray, ...]:
     """The read-only (K+1, d, N) synthesis stack of f's duals for a (K, d, N) stack of W_k.
 
@@ -315,6 +310,7 @@ def _dual_family(f: Frame, w: np.ndarray, tol: Tol) -> list[DualFrame]:
     ]
 
 
+@_quiet
 def canonical_dual(f: Frame, tol: Tol = DEFAULT_TOL) -> DualFrame:
     """The dual with columns S^{-1} phi_n; its frame operator is S^{-1}.
 
@@ -358,33 +354,30 @@ def is_riesz_basis(f: Frame) -> bool:
 def scale_by_symbol(f: Frame, m: Symbol, tol: Tol = DEFAULT_TOL) -> Frame:
     """The weighted sequence (m_n phi_n)_n, so T_{mF} = T_F diag(m).
 
-    Raises NotAFrame when the weights destroy the spanning property, which can
-    happen only if m has zero entries, and NumericalOverflow when a weighted
-    vector or the frame operator overflows.
+    Raises NotAFrame when the weights destroy the spanning property (only if m has
+    a zero entry), and NumericalOverflow when a weighted vector or S overflows.
     """
     _check_shapes((f,), (m,))
     return _scaled(f, m, tol)
 
 
+@_quiet
 def _scaled(f: Frame, m: Symbol, tol: Tol) -> Frame:
     """scale_by_symbol for a caller that has already checked the shapes."""
     scaled = f.synth * m.values[np.newaxis, :]
-    try:
-        return new_frame(scaled, tol)
-    except InvalidArgument:  # f and m are finite, so a non-finite m_n phi_n is an overflow
-        if np.isfinite(scaled).all():
-            raise
-        raise NumericalOverflow("weighted vectors m_n phi_n of finite entries overflow") from None
+    if not np.isfinite(scaled).all():  # f and m are finite, so a non-finite m_n phi_n is an overflow
+        raise NumericalOverflow("weighted vectors m_n phi_n of finite entries overflow")
+    return _new_frame(_read_only(scaled), tol)
 
 
 def equivalence_map(f: Frame, g: Frame, tol: Tol = DEFAULT_TOL) -> np.ndarray | None:
     """Invertible V with V phi_n = g_n for all n, or None if no such V exists.
 
-    The candidate is V0 = T_G pinv(T_F); it is accepted iff it maps column to
-    column under the rule, with ||T_G|| = sqrt(B_G), and is invertible per inv_cond.
+    The candidate is V0 = T_G pinv(T_F) = T_G (S_F^{-1}T_F)*; it is accepted iff it maps
+    column to column under the rule, with ||T_G|| = sqrt(B_G), and is invertible per inv_cond.
     """
     _check_shapes((f, g))
-    v0 = g.synth @ pinv(f.synth, tol)
+    v0 = g.synth @ f._canonical_synth.conj().T
     residual = _rel_gap(op_norm(v0 @ f.synth - g.synth), np.sqrt(g.bounds[1]))
     if residual > tol.rel_eq or not _invertible(*sv_extremes(v0), tol):
         return None

@@ -17,6 +17,10 @@ The private stack helpers take a (K, m, n) stack of matrices and run one
 batched LAPACK call where a loop would make K; each matrix gets the bits it
 gets alone.
 
+One overflow rule: a matrix derived from finite inputs is formed under
+_quiet (numpy's overflow and invalid warnings off) and judged by the typed
+check that follows, so an overflow is a NumericalOverflow with no warning.
+
 A frame operator S = T T* is Hermitian by construction, so frames take their
 bounds from _sym_extremes, the extremes of (S + S*)/2, untested: on S the
 Hermitian test checks rounding only (||S - S*||/||S|| <= 3.4e-16 over 3,500
@@ -86,6 +90,7 @@ class Tol:
 DEFAULT_TOL = Tol()
 BOUNDARY_FACTOR = 11.0  # the indeterminate band is (rel_eq, BOUNDARY_FACTOR * rel_eq]
 
+_quiet = np.errstate(over="ignore", invalid="ignore")  # the overflow rule, as a decorator
 _NOT_HERMITIAN = "matrix deviates from its adjoint beyond tolerance"
 _OVERFLOW = "extremal eigenvalues of (H + H*)/2 overflow"
 _NOT_FINITE = "matrix entries must be finite"

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalOverflow, Singular
 from .frames import Frame, _check_shapes, _read_only, canonical_dual, new_frame
 from .linalg import BOUNDARY_FACTOR  # noqa: F401 - the band's factor stays importable from here
-from .linalg import DEFAULT_TOL, Tol, _inv, _invertible, _near_boundary, _rel_gap, _svd_values, op_norm
+from .linalg import DEFAULT_TOL, Tol, _inv, _invertible, _near_boundary, _quiet, _rel_gap, _svd_values, op_norm
 from .symbols import Symbol, conj, reciprocal
 
 __all__ = [
@@ -121,11 +121,12 @@ class Thm1Report:
         return (self.cond_i, self.cond_ii, self.cond_iii, self.cond_iv)
 
 
+@_quiet
 def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multiplier:
     """Realize T_Phi diag(m) U_Psi as a d x d matrix with invertibility diagnostics.
 
     A matrix, or its largest singular value, that overflows although m, Phi and
-    Psi are finite is a NumericalOverflow.
+    Psi are finite is a NumericalOverflow (linalg's overflow rule).
     """
     _check_shapes((phi, psi), (m,))
     matrix = (phi.synth * m.values[np.newaxis, :]) @ psi.analysis_op

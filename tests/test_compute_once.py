@@ -261,13 +261,12 @@ def test_thm1_report_is_unchanged(name):
 
 
 def test_overflowing_frame_operator_is_a_numerical_overflow():
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalOverflow):
-            new_frame(1e200 * np.eye(2))
-        # The same Gram overflow in the stacked dual kernel.
-        f = new_frame(1e-153 * harmonic_tight(2, 4).synth)
-        p0 = np.eye(f.count)[:, 0] - f.analysis_op @ np.linalg.solve(f.cached_S, f.synth[:, 0])
-        with pytest.raises(NumericalOverflow):
-            random_dual(f, 1e155 * np.outer(np.eye(f.dim)[0], p0.conj()), Tol(inv_cond=0.5))
+    with pytest.raises(NumericalOverflow):
+        new_frame(1e200 * np.eye(2))
+    # The same Gram overflow in the stacked dual kernel.
+    f = new_frame(1e-153 * harmonic_tight(2, 4).synth)
+    p0 = np.eye(f.count)[:, 0] - f.analysis_op @ np.linalg.solve(f.cached_S, f.synth[:, 0])
+    with pytest.raises(NumericalOverflow):
+        random_dual(f, 1e155 * np.outer(np.eye(f.dim)[0], p0.conj()), Tol(inv_cond=0.5))
     with pytest.raises(ValueError, match="must be finite"):
         new_frame([[np.inf, 0.0], [0.0, 1.0]])

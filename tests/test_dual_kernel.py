@@ -154,8 +154,8 @@ def test_stacked_path_raises_the_loop_error_first(order):
     }[first_bad]
     with np.errstate(over="ignore", invalid="ignore"):
         assert _reference_error(f, ws, tol) is expected
-        with pytest.raises(expected):
-            _dual_family(f, ws, tol)
+    with pytest.raises(expected):
+        _dual_family(f, ws, tol)
 
 
 def test_memoized_invert_still_judges_each_tol():

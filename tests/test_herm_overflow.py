@@ -29,9 +29,8 @@ from framemult.frames import _dual_family
     ],
 )
 def test_overflowing_skew_part_is_not_hermitian(h):
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NotHermitian):
-            herm_eig_extremes(np.array(h))
+    with pytest.raises(NotHermitian):
+        herm_eig_extremes(np.array(h))
 
 
 @pytest.mark.parametrize(
@@ -44,9 +43,8 @@ def test_overflowing_skew_part_is_not_hermitian(h):
 )
 def test_hermitian_matrix_with_overflowing_extremes_is_rejected(h):
     # NumericalOverflow comes only after the Hermitian check has passed.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalOverflow):
-            herm_eig_extremes(np.array(h, dtype=np.complex128), Tol())
+    with pytest.raises(NumericalOverflow):
+        herm_eig_extremes(np.array(h, dtype=np.complex128), Tol())
 
 
 def test_overflowing_stack_entries_are_flagged_matrix_by_matrix():
@@ -58,22 +56,20 @@ def test_overflowing_stack_entries_are_flagged_matrix_by_matrix():
         ],
         dtype=np.complex128,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert herm_eig_extremes(stack[0], Tol()) == tuple(np.linalg.eigvalsh(stack[0])[[0, -1]])
-        for mat in stack[1:]:
-            with pytest.raises(NotHermitian):
-                herm_eig_extremes(mat, Tol())
+    assert herm_eig_extremes(stack[0], Tol()) == tuple(np.linalg.eigvalsh(stack[0])[[0, -1]])
+    for mat in stack[1:]:
+        with pytest.raises(NotHermitian):
+            herm_eig_extremes(mat, Tol())
 
 
 def test_frame_bounds_are_never_nan():
     # S = 1.44e308 I is finite, but (S + S*)/2 overflows on the way.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalOverflow):
-            new_frame(1.2e154 * np.eye(2))
-        # S^{-1} of a tiny frame is the canonical dual's frame operator.
-        tiny = new_frame(8.2e-155 * np.eye(2))
-        with pytest.raises(NumericalOverflow):
-            canonical_dual(tiny)
+    with pytest.raises(NumericalOverflow):
+        new_frame(1.2e154 * np.eye(2))
+    # S^{-1} of a tiny frame is the canonical dual's frame operator.
+    tiny = new_frame(8.2e-155 * np.eye(2))
+    with pytest.raises(NumericalOverflow):
+        canonical_dual(tiny)
 
 
 def _tiny_tight_frame():
@@ -92,15 +88,14 @@ def test_dual_kinds_fail_as_labelled():
     f = _tiny_tight_frame()
     tol = Tol(inv_cond=0.5)
     kernel_proj = np.eye(f.count) - f.analysis_op @ np.linalg.solve(f.cached_S, f.synth)
-    with np.errstate(over="ignore", invalid="ignore"):
-        random_dual(f, _w_for(f, "ok"), tol)
-        with pytest.raises(NotAFrame):
-            random_dual(f, _w_for(f, "rank"), tol)
-        # A finite dual whose frame operator is finite but overflows when symmetrized.
-        synth = np.linalg.solve(f.cached_S, f.synth) + _w_for(f, "unbounded") @ kernel_proj
-        assert np.isfinite(synth @ synth.conj().T).all()
-        with pytest.raises(NumericalOverflow):
-            new_frame(synth, tol)
+    random_dual(f, _w_for(f, "ok"), tol)
+    with pytest.raises(NotAFrame):
+        random_dual(f, _w_for(f, "rank"), tol)
+    # A finite dual whose frame operator is finite but overflows when symmetrized.
+    synth = np.linalg.solve(f.cached_S, f.synth) + _w_for(f, "unbounded") @ kernel_proj
+    assert np.isfinite(synth @ synth.conj().T).all()
+    with pytest.raises(NumericalOverflow):
+        new_frame(synth, tol)
 
 
 @pytest.mark.parametrize(
@@ -118,9 +113,8 @@ def test_stacked_path_raises_the_loop_error_first(order):
     ws = np.array([_w_for(f, kind) for kind in order])
     first_bad = next(kind for kind in order if kind != "ok")
     expected = {"rank": NotAFrame, "unbounded": NumericalOverflow}[first_bad]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(expected):
-            for w in ws:  # dual by dual
-                random_dual(f, w, tol)
-        with pytest.raises(expected):
-            _dual_family(f, ws, tol)
+    with pytest.raises(expected):
+        for w in ws:  # dual by dual
+            random_dual(f, w, tol)
+    with pytest.raises(expected):
+        _dual_family(f, ws, tol)

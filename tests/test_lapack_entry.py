@@ -99,8 +99,8 @@ def test_eig_extremes_turns_the_non_converged_matrix_nan():
     with np.errstate(over="ignore", invalid="ignore"):
         big = 1.44e308 * np.eye(3, dtype=np.complex128)
         sym = np.stack([np.eye(3, dtype=np.complex128), (big + big) / 2.0])
-        lo, hi = _eig_extremes(sym)
-        lone_lo, lone_hi = _eig_extremes(sym[1])
+    lo, hi = _eig_extremes(sym)
+    lone_lo, lone_hi = _eig_extremes(sym[1])
     assert lo[0] == hi[0] == 1.0
     assert np.isnan([lo[1], hi[1], lone_lo, lone_hi]).all()
 

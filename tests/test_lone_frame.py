@@ -116,11 +116,10 @@ def test_lone_matrix_matches_a_stack_of_one(seed, d, rank, ratio, scale, tol):
 @pytest.mark.parametrize("d", range(2, 9))
 def test_frame_operator_overflowing_when_symmetrized_is_numerical_overflow(d):
     # S = 1.44e308 I is finite; S + S* is not, and eigvalsh does not converge on it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalOverflow):
-            new_frame(1.2e154 * np.eye(d))
-        with pytest.raises(NumericalOverflow):
-            herm_eig_extremes(1.44e308 * np.eye(d))
+    with pytest.raises(NumericalOverflow):
+        new_frame(1.2e154 * np.eye(d))
+    with pytest.raises(NumericalOverflow):
+        herm_eig_extremes(1.44e308 * np.eye(d))
 
 
 def test_overflowing_symmetrization_is_unbounded_matrix_by_matrix():
@@ -145,12 +144,11 @@ def test_dual_family_with_an_overflowing_gram_raises_its_typed_error():
     scale = np.sqrt(1.3e308) / np.sqrt(kernel_proj[0, 0].real)
     w = scale * kernel_proj[:3, :]
     zero = np.zeros_like(w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _dual_family(f, zero[np.newaxis], DEFAULT_TOL)
-        with pytest.raises(NumericalOverflow):
-            random_dual(f, w)
-        with pytest.raises(NumericalOverflow):
-            _dual_family(f, np.stack([zero, w, zero]), DEFAULT_TOL)
+    _dual_family(f, zero[np.newaxis], DEFAULT_TOL)
+    with pytest.raises(NumericalOverflow):
+        random_dual(f, w)
+    with pytest.raises(NumericalOverflow):
+        _dual_family(f, np.stack([zero, w, zero]), DEFAULT_TOL)
 
 
 def test_canonical_dual_keeps_the_parents_cached_synth_and_new_frame_copies():

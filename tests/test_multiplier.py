@@ -100,8 +100,8 @@ class TestBuild:
         m = new_symbol(np.full(7, 1e308))
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite((f.synth * m.values) @ f.analysis_op).all()
-            with pytest.raises(NumericalOverflow, match="overflows"):
-                build(m, f, f)
+        with pytest.raises(NumericalOverflow, match="overflows"):
+            build(m, f, f)
 
     @pytest.mark.parametrize(
         "fn",

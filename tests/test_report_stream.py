@@ -110,8 +110,8 @@ def test_overflowing_weighted_vector_is_a_numerical_overflow():
     m = new_symbol(np.full(7, 1e308))
     with np.errstate(over="ignore"):
         assert not np.isfinite(f.synth * m.values).all()
-        with pytest.raises(NumericalOverflow):
-            scale_by_symbol(f, m)
+    with pytest.raises(NumericalOverflow):
+        scale_by_symbol(f, m)
 
 
 def test_overflowing_largest_singular_value_is_a_numerical_overflow():

@@ -57,9 +57,8 @@ def _overflow_calls():
 @pytest.mark.parametrize("name", ["per1", "per1dual", "per2", "per3"])
 def test_overflowing_scaled_frame_operator_is_a_numerical_overflow(name):
     call = _overflow_calls()[name]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalOverflow):
-            call()
+    with pytest.raises(NumericalOverflow):
+        call()
 
 
 # ------------------------------------------------------------ shapes

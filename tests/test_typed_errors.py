@@ -2,8 +2,9 @@
 
 A malformed argument is an InvalidArgument, which is a FrameMultError and a
 ValueError both, so callers that catch either keep working. A finite input
-whose frame operator or Hermitian extremes overflow is a NumericalOverflow
-(or a NotHermitian when H - H* overflows) and leaks no RuntimeWarning.
+whose frame operator, Hermitian extremes, dual, weighted frame or multiplier
+matrix overflows is a NumericalOverflow (or a NotHermitian when H - H*
+overflows) and leaks no RuntimeWarning.
 """
 
 import ast
@@ -22,9 +23,15 @@ from framemult import (
     NotHermitian,
     NumericalOverflow,
     Tol,
+    build,
+    canonical_dual,
     herm_eig_extremes,
     new_frame,
+    new_symbol,
     onb,
+    random_dual,
+    random_frame,
+    scale_by_symbol,
 )
 from tests.test_herm_overflow import _tiny_tight_frame, _w_for
 
@@ -114,3 +121,24 @@ def test_herm_eig_extremes_overflow_is_typed_without_warnings(h, expected):
 )
 def test_new_frame_overflow_is_typed_without_warnings(columns, tol):
     _raises_without_warnings(NumericalOverflow, new_frame, columns(), tol)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # S = 6.7e-309 I is subnormal; the canonical dual's S^{-1} overflows when symmetrized.
+        pytest.param(lambda: canonical_dual(new_frame(8.2e-155 * np.eye(2))), id="canonical_dual"),
+        pytest.param(
+            lambda: random_dual(new_frame(8.2e-155 * np.eye(2)), np.zeros((2, 2))), id="random_dual"
+        ),
+        pytest.param(
+            lambda: scale_by_symbol(new_frame(1e150 * np.eye(2)), new_symbol([1e200, 1.0])),
+            id="scale_by_symbol",
+        ),
+        pytest.param(
+            lambda: build(new_symbol(np.full(7, 1e308)), *[random_frame(3, 7, (37, 0))] * 2), id="build"
+        ),
+    ],
+)
+def test_derived_overflow_is_typed_without_warnings(call):
+    _raises_without_warnings(NumericalOverflow, call)
