@@ -4,8 +4,9 @@ A frame is stored through its synthesis matrix T (d x N, column n is the
 vector phi_n). The inner product is linear in the first argument, so the
 analysis operator is the conjugate transpose: (U f)_n = <f, phi_n>. The frame
 operator S = T T* is cached together with its extremal eigenvalues, the
-optimal frame bounds. S, the duals and the weighted frames that this module
-derives from finite entries follow linalg's overflow rule.
+optimal frame bounds. new_frame takes outside input (non-finite entries are
+an InvalidArgument); a frame derived from finite inputs under linalg's
+overflow rule takes _new_frame, which judges overflow by the spectrum of S.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tol,
     _adjoint,
-    _as_2d,
+    _finite_or_zero,
     _invertible,
     _norm_bounds,
     _op_norms,
@@ -147,40 +148,32 @@ def _rank_error(lo: float, hi: float) -> NotAFrame:
     return NotAFrame(f"rank-deficient sequence: lambda_min(S)={lo:.3e} vs lambda_max(S)={hi:.3e}")
 
 
-_GRAM_OVERFLOW = "frame operator T T* of finite entries overflows"
-
-
 def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
     """Validating constructor: rejects sequences that do not span C^d.
 
     S = T T* is Hermitian by construction; its bounds are the extremes of (S + S*)/2,
     with no Hermitian test (see linalg). Non-finite entries are an InvalidArgument;
-    then a non-finite S and non-finite extremes are a NumericalOverflow, and the rank
-    test lambda_min(S) <= inv_cond * lambda_max(S) is a NotAFrame.
+    then non-finite extremes are a NumericalOverflow, and the rank test
+    lambda_min(S) <= inv_cond * lambda_max(S) is a NotAFrame.
     """
-    synth = _read_only(_as_2d(columns, copy=True))
-    if not np.isfinite(synth).all():
-        raise InvalidArgument(_NOT_FINITE)
-    return _new_frame(synth, tol)
+    return _new_frame(as_matrix(columns).copy(order="K"), tol)
 
 
 @_quiet
 def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
-    """new_frame for a finite, read-only complex128 synth that the frame keeps without a copy."""
+    """new_frame for a synth formed from finite inputs, kept without a copy; an overflow gives NaN extremes."""
     d, n = synth.shape
     if d < 1 or n < 1:
         raise NotAFrame(f"empty synthesis matrix of shape {d}x{n}")
     if n < d:
         raise NotAFrame(f"{n} vectors cannot span a {d}-dimensional space")
     s = synth @ synth.conj().T
-    if not np.isfinite(s).all():  # synth is finite, so a non-finite entry of S is an overflow
-        raise NumericalOverflow(_GRAM_OVERFLOW)
     lo, hi = map(float, _sym_extremes(s))
     if _unbounded(lo, hi):
         raise NumericalOverflow(_OVERFLOW)
     if _rank_deficient(lo, hi, tol):
         raise _rank_error(lo, hi)
-    return Frame(dim=d, count=n, synth=synth, cached_S=_read_only(s), bounds=(lo, hi))
+    return Frame(dim=d, count=n, synth=_read_only(synth), cached_S=_read_only(s), bounds=(lo, hi))
 
 
 def analysis(f: Frame, vec) -> np.ndarray:
@@ -232,14 +225,6 @@ def _check_duality(dual_synth: np.ndarray, parent: Frame, tol: Tol) -> None:
         raise InvalidDual(_NOT_DUAL)
 
 
-def _finite_or_zero(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mask of the all-finite matrices in a (K, m, n) stack, the stack with the others zeroed)."""
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    if finite.all():
-        return finite, stack
-    return finite, np.where(finite[:, np.newaxis, np.newaxis], stack, 0.0)
-
-
 def _raise_first(failures) -> None:
     """Raise the error a dual-by-dual loop would raise first.
 
@@ -260,8 +245,8 @@ def _family_stack(f: Frame, w: np.ndarray, tol: Tol) -> tuple[np.ndarray, ...]:
 
     Row 0 is S^{-1}T, row k is S^{-1}T + w[k - 1](I - U S^{-1}T). Rows 1..K are
     checked in one stacked pass, in the order canonical_dual checks its one
-    dual: T_dual U finite, the duality check, then new_frame's three checks
-    (finite, bounded extremes, rank) on each frame operator T_dual T_dual*.
+    dual: T_dual U finite, the duality check, then _new_frame's two checks
+    (bounded extremes, rank) on each frame operator T_dual T_dual*.
     Also returns the read-only (K, d, d) stack of those frame operators and
     their extremal eigenvalues.
     """
@@ -272,13 +257,12 @@ def _family_stack(f: Frame, w: np.ndarray, tol: Tol) -> tuple[np.ndarray, ...]:
     recon_ok, recon = _finite_or_zero(synth @ f.analysis_op)
     not_dual = _not_dual(recon, tol)
     del recon  # freed before the frame operators are formed
-    gram_ok, gram = _finite_or_zero(synth @ _adjoint(synth))
+    gram = synth @ _adjoint(synth)
     lo, hi = _sym_extremes(gram)
     _raise_first(
         [
             (~recon_ok, lambda k: InvalidArgument(_NOT_FINITE)),
             (not_dual, lambda k: InvalidDual(_NOT_DUAL)),
-            (~gram_ok, lambda k: NumericalOverflow(_GRAM_OVERFLOW)),
             (_unbounded(lo, hi), lambda k: NumericalOverflow(_OVERFLOW)),
             (_rank_deficient(lo, hi, tol), lambda k: _rank_error(lo[k], hi[k])),
         ]
@@ -355,7 +339,8 @@ def scale_by_symbol(f: Frame, m: Symbol, tol: Tol = DEFAULT_TOL) -> Frame:
     """The weighted sequence (m_n phi_n)_n, so T_{mF} = T_F diag(m).
 
     Raises NotAFrame when the weights destroy the spanning property (only if m has
-    a zero entry), and NumericalOverflow when a weighted vector or S overflows.
+    a zero entry), and NumericalOverflow when a weighted vector or S overflows,
+    which the weighted frame's spectrum shows as NaN extremes.
     """
     _check_shapes((f,), (m,))
     return _scaled(f, m, tol)
@@ -364,10 +349,13 @@ def scale_by_symbol(f: Frame, m: Symbol, tol: Tol = DEFAULT_TOL) -> Frame:
 @_quiet
 def _scaled(f: Frame, m: Symbol, tol: Tol) -> Frame:
     """scale_by_symbol for a caller that has already checked the shapes."""
-    scaled = f.synth * m.values[np.newaxis, :]
-    if not np.isfinite(scaled).all():  # f and m are finite, so a non-finite m_n phi_n is an overflow
-        raise NumericalOverflow("weighted vectors m_n phi_n of finite entries overflow")
-    return _new_frame(_read_only(scaled), tol)
+    return _new_frame(f.synth * m.values[np.newaxis, :], tol)
+
+
+@_quiet
+def _weighted_image(a: np.ndarray, f: Frame, m: Symbol, tol: Tol) -> Frame:
+    """The frame (A m_n phi_n)_n for a d x d matrix A, formed under linalg's overflow rule."""
+    return _new_frame(a @ (f.synth * m.values[np.newaxis, :]), tol)
 
 
 def equivalence_map(f: Frame, g: Frame, tol: Tol = DEFAULT_TOL) -> np.ndarray | None:

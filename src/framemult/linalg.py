@@ -20,6 +20,8 @@ gets alone.
 One overflow rule: a matrix derived from finite inputs is formed under
 _quiet (numpy's overflow and invalid warnings off) and judged by the typed
 check that follows, so an overflow is a NumericalOverflow with no warning.
+A Hermitian matrix that is not finite has NaN extremes (_eig_extremes), so
+a spectrum is its own overflow check: NaN extremes are _unbounded.
 
 A frame operator S = T T* is Hermitian by construction, so frames take their
 bounds from _sym_extremes, the extremes of (S + S*)/2, untested: on S the
@@ -120,17 +122,11 @@ _inv = _lapack(_umath_linalg.inv, "D->D", "Singular matrix")
 _solve = _lapack(_umath_linalg.solve, "DD->D", "Singular matrix")  # (..., m, k) right-hand sides
 
 
-def _as_2d(a, copy: bool | None = None) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, a fresh one when copy is True; entries unchecked."""
-    mat = np.array(a, dtype=np.complex128, copy=copy)
-    if mat.ndim != 2:
-        raise InvalidArgument(f"expected a 2-D array, got ndim={mat.ndim}")
-    return mat
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array; reject non-finite entries."""
-    mat = _as_2d(a)
+    mat = np.asarray(a, dtype=np.complex128)
+    if mat.ndim != 2:
+        raise InvalidArgument(f"expected a 2-D array, got ndim={mat.ndim}")
     if not np.isfinite(mat).all():
         raise InvalidArgument(_NOT_FINITE)
     return mat
@@ -186,30 +182,37 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
+def _finite_or_zero(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of the all-finite matrices in a (..., m, n) stack, the stack with the others zeroed)."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if finite.all():
+        return finite, stack
+    return finite, np.where(finite[..., np.newaxis, np.newaxis], stack, 0.0)
+
+
 def _eig_extremes(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_min, lambda_max) per matrix of a Hermitian (..., d, d) stack; NaN for a non-finite one."""
-    try:
+    if np.isfinite(sym).all():
         eigenvalues = _eigvalsh(sym)
-    except LinAlgError:  # eigvalsh may not converge on a non-finite matrix
-        finite = np.isfinite(sym).all(axis=(-2, -1))
-        if finite.all():
-            raise
-        eigenvalues = _eigvalsh(np.where(finite[..., np.newaxis, np.newaxis], sym, 0.0))
+    else:  # eigvalsh may fail, or give finite values, on a non-finite matrix
+        finite, zeroed = _finite_or_zero(sym)
+        eigenvalues = _eigvalsh(zeroed)
         eigenvalues[~finite] = np.nan
     return eigenvalues[..., 0], eigenvalues[..., -1]
 
 
 def _sym_extremes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_min, lambda_max) of (H + H*)/2 per matrix of a finite (..., d, d) stack; NaN where that overflows."""
+    """(lambda_min, lambda_max) of (H + H*)/2 per matrix of a (..., d, d) stack; NaN where that is not finite."""
     # H* in C order, like H: the sum runs faster on like layouts.
     return _eig_extremes((stack + np.conjugate(stack.swapaxes(-1, -2), order="C")) / 2.0)
 
 
 def _unbounded(lo, hi):
-    """Mask of the extremes of (H + H*)/2 that are not finite: with H finite, they overflowed or turned NaN."""
+    """Mask of the extremes of (H + H*)/2 that are not finite: with H derived from finite inputs, an overflow."""
     return ~(np.isfinite(lo) & np.isfinite(hi))
 
 
+@_quiet
 def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
     """Extremal eigenvalues (smallest, largest) of a Hermitian matrix.
 
@@ -221,9 +224,8 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
     mat = _nonempty(h)
     if mat.shape[0] != mat.shape[1]:
         raise NotHermitian(f"matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
-    with np.errstate(over="ignore", invalid="ignore"):
-        skew = mat - _adjoint(mat)
-        lo, hi = map(float, _sym_extremes(mat))
+    skew = mat - _adjoint(mat)
+    lo, hi = map(float, _sym_extremes(mat))
     if not np.isfinite(skew).all() or _op_norms(skew) > tol.rel_eq * _op_norms(mat):
         raise NotHermitian(_NOT_HERMITIAN)
     if _unbounded(lo, hi):

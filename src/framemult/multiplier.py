@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalOverflow, Singular
-from .frames import Frame, _check_shapes, _read_only, canonical_dual, new_frame
+from .frames import Frame, _check_shapes, _read_only, _weighted_image, canonical_dual
 from .linalg import BOUNDARY_FACTOR  # noqa: F401 - the band's factor stays importable from here
 from .linalg import DEFAULT_TOL, Tol, _inv, _invertible, _near_boundary, _quiet, _rel_gap, _svd_values, op_norm
 from .symbols import Symbol, conj, reciprocal
@@ -193,7 +193,7 @@ def canonical_inverse_candidate(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> np.
 
 def _dagger(mult: Multiplier, tol: Tol) -> Frame:
     """The frame (M^{-1}(m_n phi_n))_n, a dual of the right frame: the duality product is M^{-1}M."""
-    return new_frame(invert(mult, tol) @ (mult.left.synth * mult.symbol.values[np.newaxis, :]), tol)
+    return _weighted_image(invert(mult, tol), mult.left, mult.symbol, tol)
 
 
 def dagger_frames(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> tuple[Frame, Frame]:

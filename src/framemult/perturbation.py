@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated, InvalidArgument
-from .frames import Frame, _check_shapes, _read_only, _scaled, new_frame
-from .linalg import DEFAULT_TOL, Tol, _op_norms, as_matrix, op_norm
+from .frames import Frame, _check_shapes, _new_frame, _read_only, _scaled
+from .linalg import DEFAULT_TOL, Tol, _op_norms, _quiet, as_matrix, op_norm
 from .multiplier import Multiplier
 from .symbols import Symbol, conj
 
@@ -83,12 +83,14 @@ def _noise(rng_seed, d: int, n: int) -> tuple[np.ndarray, float]:
     return _read_only(noise), norm
 
 
+@_quiet
 def _perturbed(f: Frame, mu: float, noise: tuple[np.ndarray, float], tol: Tol) -> Frame:
     """The frame T_F + 0.9 mu noise / ||noise|| for noise = _noise(seed, d, N) and mu > 0."""
     direction, norm = noise
-    return new_frame(f.synth + direction * (0.9 * mu / norm), tol)
+    return _new_frame(f.synth + direction * (0.9 * mu / norm), tol)
 
 
+@_quiet
 def _restore(psi: Frame, old: Frame, new: Frame, tol: Tol) -> tuple[Frame, float]:
     """The companion of psi for the scaled frames old -> new, and its deviation ||T_Psi' - T_Psi||.
 
@@ -96,7 +98,7 @@ def _restore(psi: Frame, old: Frame, new: Frame, tol: Tol) -> tuple[Frame, float
     """
     sol = new._canonical_synth
     mix = old.analysis_op @ sol + np.eye(psi.count) - new.analysis_op @ sol
-    psi_prime = new_frame(psi.synth @ mix, tol)
+    psi_prime = _new_frame(psi.synth @ mix, tol)
     return psi_prime, op_norm(psi_prime.synth - psi.synth)
 
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigInvalid, FrameMultError
-from .frames import Frame, _family_stack, _read_only, canonical_dual, new_frame
+from .frames import Frame, _family_stack, _read_only, _weighted_image, canonical_dual
 from .generators import (
     finite_gabor,
     harmonic_tight,
@@ -489,7 +489,7 @@ def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Me
     if positive:
         m = _semi_symbol(cfg, trial, phi.count)
         v = riesz_basis(d, (cfg.seed, trial, 6), tol=tol)
-        psi = new_frame(v.synth @ (phi.synth * m.values[np.newaxis, :]), tol)
+        psi = _weighted_image(v.synth, phi, m, tol)
         mult = build(m, phi, psi, tol)
     else:
         psi_key = _frame_key("random", d, phi.count, (cfg.seed, trial, 1), tol)

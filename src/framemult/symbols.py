@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, ZeroEntry
+from .errors import InvalidArgument, NumericalOverflow, ZeroEntry
+from .linalg import _quiet
 
 __all__ = [
     "Symbol",
@@ -68,11 +69,15 @@ def classify(m: Symbol) -> tuple[bool, float, float]:
     return m.semi_normalized, m.inf_mod, m.sup_mod
 
 
+@_quiet
 def reciprocal(m: Symbol) -> Symbol:
-    """Entrywise 1/m_n; refuses symbols with a zero entry."""
+    """Entrywise 1/m_n; refuses symbols with a zero entry, and is a NumericalOverflow where 1/m_n overflows."""
     if m.inf_mod == 0.0:
         raise ZeroEntry("cannot take the reciprocal of a symbol with a zero entry")
-    return new_symbol(1.0 / m.values)
+    values = 1.0 / m.values
+    if not np.isfinite(np.abs(values)).all():  # an entry, or only its modulus, overflowed
+        raise NumericalOverflow("reciprocal of a finite symbol overflows")
+    return new_symbol(values)
 
 
 def conj(m: Symbol) -> Symbol:

@@ -94,8 +94,8 @@ def test_non_finite_inputs_raise_numpys_error(bad):
 
 
 def test_eig_extremes_turns_the_non_converged_matrix_nan():
-    # (S + S*)/2 of S = 1.44e308 I is infinite on its diagonal: eigvalsh raises and
-    # _eig_extremes catches it, giving that matrix NaN extremes and the others their own.
+    # (S + S*)/2 of S = 1.44e308 I is infinite on its diagonal, where eigvalsh raises:
+    # _eig_extremes gives that matrix NaN extremes and the others their own.
     with np.errstate(over="ignore", invalid="ignore"):
         big = 1.44e308 * np.eye(3, dtype=np.complex128)
         sym = np.stack([np.eye(3, dtype=np.complex128), (big + big) / 2.0])

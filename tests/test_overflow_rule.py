@@ -1,29 +1,39 @@
 """One overflow rule for every matrix the package derives, checked on hostile scales.
 
-Frames, duals, weighted frames and multiplier matrices are formed from finite
-inputs under a quiet numpy error state and judged by the typed check that
-follows. So at any scale 2^k, from subnormal frame operators to overflowing
-products, and for inputs with NaN or inf entries, each of new_frame,
-canonical_dual, random_dual, sample_duals, scale_by_symbol and build returns
-or raises a FrameMultError, and no numpy warning escapes.
+Frames, duals, weighted frames, induced frames, perturbed frames, reciprocal
+symbols and multiplier matrices are formed from finite inputs under a quiet
+numpy error state and judged by the typed check that follows; a derived frame
+is judged by its spectrum, whose extremes are NaN when it is not finite. So at
+any scale 2^k, from subnormal frame operators to overflowing products, and for
+inputs with NaN or inf entries, each of new_frame, canonical_dual, random_dual,
+sample_duals, scale_by_symbol, build, dagger_frames, random_frame_perturbation
+and reciprocal returns or raises a FrameMultError, and no numpy warning escapes.
 """
 
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framemult import (
     FrameMultError,
+    NumericalOverflow,
     build,
     canonical_dual,
+    dagger_frames,
+    harmonic_tight,
     new_frame,
     new_symbol,
     random_dual,
+    random_frame_perturbation,
+    reciprocal,
     sample_duals,
     scale_by_symbol,
+    thm1_report,
 )
+from framemult.linalg import _eig_extremes
 
 # Powers of two that put S = T T* below the smallest normal double and the
 # products above the largest one; the ends turn every entry into 0 or inf.
@@ -78,6 +88,8 @@ def test_every_derived_matrix_overflows_as_a_typed_error(
     other = _scaled_draw(rng, (d, n), k_psi, None)
     weights = _scaled_draw(rng, (n,), k_symbol, poison_symbol)
     w = _scaled_draw(rng, (d, n), k_w, None)
+    with np.errstate(over="ignore"):  # the test's own scaling; an infinite mu is an InvalidArgument
+        mu = float(np.ldexp(1.0, k_w))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         phi, psi = _typed(lambda: new_frame(columns)), _typed(lambda: new_frame(other))
@@ -86,7 +98,52 @@ def test_every_derived_matrix_overflows_as_a_typed_error(
             _typed(lambda: canonical_dual(phi))
             _typed(lambda: random_dual(phi, w))
             _typed(lambda: sample_duals(phi, 3, np.random.default_rng(seed)))
+            _typed(lambda: random_frame_perturbation(phi, mu, seed))
+        if m is not None:
+            _typed(lambda: reciprocal(m))
         if phi is not None and m is not None:
             _typed(lambda: scale_by_symbol(phi, m))
         if phi is not None and psi is not None and m is not None:
-            _typed(lambda: build(m, phi, psi))
+            mult = _typed(lambda: build(m, phi, psi))
+            if mult is not None:
+                _typed(lambda: dagger_frames(mult))
+
+
+def _overflows_quietly(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow):
+            call()
+
+
+@pytest.mark.parametrize("induced", [dagger_frames, thm1_report])
+def test_induced_frame_that_overflows_is_a_numerical_overflow(induced):
+    # Every input is finite, and so is M; conj(m_n) psi_n = 2^1117 h_n, the
+    # weighted vectors of the second induced frame, is not.
+    h = harmonic_tight(2, 4).synth
+    phi, psi = new_frame(2.0**-497 * h), new_frame(2.0**109 * h)
+    mult = build(new_symbol(np.full(4, 2.0**1008)), phi, psi)
+    _overflows_quietly(lambda: induced(mult))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [2.0**-1052, 1.0],
+        # 1/m_0 = 1.5e308 - 1.5e308i is finite, its modulus is not.
+        [complex(1.0 / 1.5e308 / 2.0, 1.0 / 1.5e308 / 2.0), 1.0],
+    ],
+)
+def test_reciprocal_that_overflows_is_a_numerical_overflow(weights):
+    _overflows_quietly(lambda: reciprocal(new_symbol(weights)))
+
+
+@pytest.mark.parametrize("mat", [[[np.nan, 1.0], [1.0, 2.0]], [[np.nan, 0.0], [0.0, 5e305]]])
+def test_non_finite_matrix_has_nan_extremes_alone_and_in_a_stack(mat):
+    # eigvalsh converges on both and gives finite values, which are not the extremes.
+    mat = np.array(mat, dtype=np.complex128)
+    finite = np.diag([1.0, 4.0]).astype(np.complex128)
+    lone = _eig_extremes(mat)
+    lo, hi = _eig_extremes(np.stack([finite, mat, finite]))
+    assert np.isnan([*lone, lo[1], hi[1]]).all()
+    assert lo[[0, 2]].tolist() == [1.0, 1.0] and hi[[0, 2]].tolist() == [4.0, 4.0]
