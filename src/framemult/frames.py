@@ -16,14 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, InvalidDual, NotAFrame, NumericalOverflow
+from .errors import DimensionMismatch, InvalidDual, NotAFrame, NumericalOverflow
 from .linalg import (
-    _NOT_FINITE,
     _OVERFLOW,
     DEFAULT_TOL,
     Tol,
     _adjoint,
-    _finite_or_zero,
     _invertible,
     _norm_bounds,
     _op_norms,
@@ -32,7 +30,6 @@ from .linalg import (
     _solve,
     _sym_extremes,
     _unbounded,
-    _unless_cleared,
     as_matrix,
     op_norm,
     sv_extremes,
@@ -144,10 +141,6 @@ def _rank_deficient(lo, hi, tol: Tol):
     return (hi <= 0.0) | (lo <= tol.inv_cond * hi)
 
 
-def _rank_error(lo: float, hi: float) -> NotAFrame:
-    return NotAFrame(f"rank-deficient sequence: lambda_min(S)={lo:.3e} vs lambda_max(S)={hi:.3e}")
-
-
 def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
     """Validating constructor: rejects sequences that do not span C^d.
 
@@ -172,7 +165,7 @@ def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
     if _unbounded(lo, hi):
         raise NumericalOverflow(_OVERFLOW)
     if _rank_deficient(lo, hi, tol):
-        raise _rank_error(lo, hi)
+        raise NotAFrame(f"rank-deficient sequence: lambda_min(S)={lo:.3e} vs lambda_max(S)={hi:.3e}")
     return Frame(dim=d, count=n, synth=_read_only(synth), cached_S=_read_only(s), bounds=(lo, hi))
 
 
@@ -203,16 +196,15 @@ _NOT_DUAL = "reconstruction T_dual U_parent deviates from the identity"
 def _not_dual(recon: np.ndarray, tol: Tol) -> np.ndarray:
     """Mask of the reconstructions T_dual U_parent in a finite (..., d, d) stack that miss I.
 
-    The duality check is ||T_dual U - I|| <= rel_eq * max(1, ||T_dual U||);
-    a reconstruction whose bound on ||T_dual U - I|| is at most rel_eq / 2
-    passes it without an SVD.
+    The duality check is ||T_dual U - I|| <= rel_eq * max(1, ||T_dual U||).
+    When every bound on ||T_dual U - I|| is at most rel_eq / 2, the stack
+    passes without an SVD; otherwise the whole stack is judged by the check.
     """
     deviation = recon - np.eye(recon.shape[-1])
-    return _unless_cleared(
-        _norm_bounds(deviation) <= 0.5 * tol.rel_eq,
-        lambda sel: _op_norms(deviation[sel])
-        > tol.rel_eq * np.maximum(1.0, _op_norms(recon[sel])),
-    )
+    # A numpy bool scalar's .all() retains a few KiB of cached objects; a 0-d array's does not.
+    if np.asarray(_norm_bounds(deviation) <= 0.5 * tol.rel_eq).all():
+        return np.zeros(recon.shape[:-2], dtype=bool)
+    return _op_norms(deviation) > tol.rel_eq * np.maximum(1.0, _op_norms(recon))
 
 
 def _check_duality(dual_synth: np.ndarray, parent: Frame, tol: Tol) -> None:
@@ -225,48 +217,42 @@ def _check_duality(dual_synth: np.ndarray, parent: Frame, tol: Tol) -> None:
         raise InvalidDual(_NOT_DUAL)
 
 
-def _raise_first(failures) -> None:
-    """Raise the error a dual-by-dual loop would raise first.
+@_quiet
+def _lone_dual(f: Frame, synth: np.ndarray, tol: Tol) -> Frame:
+    """The frame of a d x N synthesis matrix formed as a dual of f, validated as one.
 
-    failures lists (mask over the K duals, error factory taking the dual
-    index) in the order one dual's checks run: the first dual that fails any
-    check decides, and within it the first check it fails.
+    The one definition of a valid dual and of its error: T_dual U finite (else
+    as_matrix's InvalidArgument), the duality check (else InvalidDual), then
+    _new_frame's overflow and rank checks on T_dual T_dual*.
     """
-    bad = np.array([mask for mask, _ in failures])
-    failing = bad.any(axis=0)
-    if failing.any():
-        k = int(np.argmax(failing))
-        raise failures[int(np.argmax(bad[:, k]))][1](k)
+    if _not_dual(as_matrix(synth @ f.analysis_op), tol):
+        raise InvalidDual(_NOT_DUAL)
+    return _new_frame(synth, tol)
 
 
 @_quiet
 def _family_stack(f: Frame, w: np.ndarray, tol: Tol) -> tuple[np.ndarray, ...]:
     """The read-only (K+1, d, N) synthesis stack of f's duals for a (K, d, N) stack of W_k.
 
-    Row 0 is S^{-1}T, row k is S^{-1}T + w[k - 1](I - U S^{-1}T). Rows 1..K are
-    checked in one stacked pass, in the order canonical_dual checks its one
-    dual: T_dual U finite, the duality check, then _new_frame's two checks
-    (bounded extremes, rank) on each frame operator T_dual T_dual*.
-    Also returns the read-only (K, d, d) stack of those frame operators and
-    their extremal eigenvalues.
+    Row 0 is S^{-1}T, row k is S^{-1}T + w[k - 1](I - U S^{-1}T). One stacked
+    pass of _lone_dual's checks filters rows 1..K; when any row fails it, the
+    rows are replayed in order through _lone_dual, so the first failing row
+    raises the error a dual-by-dual loop would raise.
+    Also returns the read-only (K, d, d) stack of the frame operators
+    T_dual T_dual* and their extremal eigenvalues.
     """
     stack = np.empty((len(w) + 1, f.dim, f.count), dtype=np.complex128)
     stack[0] = f._canonical_synth
     synth = np.matmul(w, f._kernel_proj, out=stack[1:])
     synth += f._canonical_synth
-    recon_ok, recon = _finite_or_zero(synth @ f.analysis_op)
-    not_dual = _not_dual(recon, tol)
+    recon = synth @ f.analysis_op
+    failing = not np.isfinite(recon).all() or _not_dual(recon, tol).any()
     del recon  # freed before the frame operators are formed
     gram = synth @ _adjoint(synth)
     lo, hi = _sym_extremes(gram)
-    _raise_first(
-        [
-            (~recon_ok, lambda k: InvalidArgument(_NOT_FINITE)),
-            (not_dual, lambda k: InvalidDual(_NOT_DUAL)),
-            (_unbounded(lo, hi), lambda k: NumericalOverflow(_OVERFLOW)),
-            (_rank_deficient(lo, hi, tol), lambda k: _rank_error(lo[k], hi[k])),
-        ]
-    )
+    if failing or (_unbounded(lo, hi) | _rank_deficient(lo, hi, tol)).any():
+        for row in synth:
+            _lone_dual(f, row, tol)
     return _read_only(stack), _read_only(gram), lo, hi
 
 
@@ -294,19 +280,15 @@ def _dual_family(f: Frame, w: np.ndarray, tol: Tol) -> list[DualFrame]:
     ]
 
 
-@_quiet
 def canonical_dual(f: Frame, tol: Tol = DEFAULT_TOL) -> DualFrame:
     """The dual with columns S^{-1} phi_n; its frame operator is S^{-1}.
 
-    It is a function of f and tol alone, so it is validated once per Tol and
-    then served from f's memo in a fresh DualFrame.
+    It is a function of f and tol alone, so it is validated once per Tol by
+    _lone_dual and then served from f's memo in a fresh DualFrame.
     """
     frame = f._canonical_duals.get(tol)
     if frame is None:
-        # as_matrix raises the InvalidArgument of a non-finite T_dual U before the duality check.
-        if _not_dual(as_matrix(f._canonical_synth @ f.analysis_op), tol):
-            raise InvalidDual(_NOT_DUAL)
-        frame = f._canonical_duals[tol] = _new_frame(f._canonical_synth, tol)
+        frame = f._canonical_duals[tol] = _lone_dual(f, f._canonical_synth, tol)
     return DualFrame(frame=frame, parent=f, w=None)
 
 

@@ -7,11 +7,12 @@ the cost is call overhead around tiny LAPACK calls, not flops.
 Each LAPACK routine the package calls has one private entry: _svd_values
 (values only), _eigvalsh, _inv and _solve. An entry calls numpy's gufunc in
 numpy.linalg._umath_linalg with the complex signature under np.linalg's error
-state and raises its LinAlgError and message, without np.linalg's per-call
-wrapper, which costs more than the routine here. It takes complex128 only (a
-real operand would run the complex routine) and gives np.linalg's bits. As
-_umath_linalg is private to numpy, the numpy==2.4.6 pin in CI guards it, and
-pyproject.toml requires numpy 2 (1.x has no values-only svd gufunc).
+state, built once per entry and applied as a decorator, and raises its
+LinAlgError and message, without np.linalg's per-call wrapper, which costs
+more than the routine here. It takes complex128 only (a real operand would
+run the complex routine) and gives np.linalg's bits. As _umath_linalg is
+private to numpy, the numpy==2.4.6 pin in CI guards it, and pyproject.toml
+requires numpy 2 (1.x has no values-only svd gufunc).
 
 The private stack helpers take a (K, m, n) stack of matrices and run one
 batched LAPACK call where a loop would make K; each matrix gets the bits it
@@ -32,8 +33,9 @@ rule alone, one matrix at a time.
 
 The duality check (is T_dual U = I, on a stack of duals) is decided bound
 first, SVD second. The bound ||A|| <= sqrt(mn) max|a_ij| clears a matrix when
-it falls within half the tolerance the check allows; only the matrices it
-cannot clear are SVD'd and judged by the exact rule. The factor-2 margin
+it falls within half the tolerance the check allows; a stack the bound clears
+whole runs no SVD, and any other stack is judged whole by the exact rule. A
+matrix the bound clears passes the exact rule too, as the factor-2 margin
 dwarfs the roundoff in either side, so every matrix gets the verdict the
 SVD-only rule gives. The bound is a largest entry, not a sum of squares, so
 it cannot underflow to zero at tiny scales and clear a matrix the exact rule
@@ -109,9 +111,9 @@ def _lapack(gufunc, signature: str, message: str):
     def failed(err, flag):
         raise LinAlgError(message)
 
+    @np.errstate(call=failed, invalid="call", over="ignore", divide="ignore", under="ignore")
     def entry(*operands: np.ndarray) -> np.ndarray:
-        with np.errstate(call=failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-            return gufunc(*operands, signature=signature, casting="no")
+        return gufunc(*operands, signature=signature, casting="no")
 
     return entry
 
@@ -159,35 +161,9 @@ def _norm_bounds(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(m * n) * np.abs(stack).max(axis=(-2, -1))
 
 
-def _unless_cleared(cleared: np.ndarray, exact) -> np.ndarray:
-    """False where a bound cleared the matrix; elsewhere the mask exact(index) gives.
-
-    exact takes an index into the stack's leading axes and decides only the
-    matrices it selects, so the SVDs run on the uncleared matrices alone.
-    """
-    # A numpy bool scalar's .all() retains a few KiB of cached objects; a 0-d array's does not.
-    cleared = np.asarray(cleared)
-    if cleared.all():
-        return np.zeros_like(cleared)
-    if not cleared.any():
-        return exact(...)
-    mask = np.zeros_like(cleared)
-    rest = ~cleared
-    mask[rest] = exact(rest)
-    return mask
-
-
 def _adjoint(stack: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a (..., m, n) stack."""
     return stack.conj().swapaxes(-1, -2)
-
-
-def _finite_or_zero(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mask of the all-finite matrices in a (..., m, n) stack, the stack with the others zeroed)."""
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    if finite.all():
-        return finite, stack
-    return finite, np.where(finite[..., np.newaxis, np.newaxis], stack, 0.0)
 
 
 def _eig_extremes(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,8 +171,8 @@ def _eig_extremes(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.isfinite(sym).all():
         eigenvalues = _eigvalsh(sym)
     else:  # eigvalsh may fail, or give finite values, on a non-finite matrix
-        finite, zeroed = _finite_or_zero(sym)
-        eigenvalues = _eigvalsh(zeroed)
+        finite = np.isfinite(sym).all(axis=(-2, -1))
+        eigenvalues = _eigvalsh(np.where(finite[..., np.newaxis, np.newaxis], sym, 0.0))
         eigenvalues[~finite] = np.nan
     return eigenvalues[..., 0], eigenvalues[..., -1]
 

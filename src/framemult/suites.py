@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigInvalid, FrameMultError
-from .frames import Frame, _family_stack, _read_only, _weighted_image, canonical_dual
+from .frames import Frame, _family_stack, _weighted_image, canonical_dual
 from .generators import (
     finite_gabor,
     harmonic_tight,
@@ -49,7 +49,7 @@ from .generators import (
     random_symbol,
     riesz_basis,
 )
-from .linalg import DEFAULT_TOL, Tol, _is_integer, _near_boundary, _rel_gap, op_norm
+from .linalg import DEFAULT_TOL, Tol, _is_integer, _near_boundary, _rel_gap
 from .multiplier import Multiplier, _inverse_norm, build, thm1_report
 from .perturbation import (
     _companion_per2,
@@ -445,9 +445,7 @@ def _trial_per3(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
 
 
 def _probe_direction(shape: tuple[int, int], rng_seed) -> np.ndarray:
-    rng = np.random.default_rng(rng_seed)
-    direction = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return _read_only(direction / op_norm(direction))
+    return _unit_w(np.random.default_rng(rng_seed), 1, *shape)[0]
 
 
 def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:

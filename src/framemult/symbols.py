@@ -56,11 +56,11 @@ def new_symbol(values) -> Symbol:
         raise InvalidArgument(f"symbol must be 1-D, got ndim={arr.ndim}")
     if arr.shape[0] == 0:
         raise InvalidArgument("symbol must have at least one entry")
-    if not np.isfinite(arr).all():
-        raise InvalidArgument("symbol entries must be finite")
+    moduli = np.abs(arr)  # not finite where an entry, or only its modulus, is not
+    if not np.isfinite(moduli).all():
+        raise InvalidArgument("symbol entries and their moduli must be finite")
     arr = arr.copy()
     arr.setflags(write=False)
-    moduli = np.abs(arr)
     return Symbol(values=arr, inf_mod=float(moduli.min()), sup_mod=float(moduli.max()))
 
 
@@ -69,15 +69,19 @@ def classify(m: Symbol) -> tuple[bool, float, float]:
     return m.semi_normalized, m.inf_mod, m.sup_mod
 
 
+def _derived(values: np.ndarray, what: str) -> Symbol:
+    """new_symbol for entries formed under _quiet from a valid symbol: a non-finite one is an overflow."""
+    if not np.isfinite(np.abs(values)).all():  # an entry, or only its modulus, overflowed
+        raise NumericalOverflow(f"{what} of a finite symbol overflows")
+    return new_symbol(values)
+
+
 @_quiet
 def reciprocal(m: Symbol) -> Symbol:
     """Entrywise 1/m_n; refuses symbols with a zero entry, and is a NumericalOverflow where 1/m_n overflows."""
     if m.inf_mod == 0.0:
         raise ZeroEntry("cannot take the reciprocal of a symbol with a zero entry")
-    values = 1.0 / m.values
-    if not np.isfinite(np.abs(values)).all():  # an entry, or only its modulus, overflowed
-        raise NumericalOverflow("reciprocal of a finite symbol overflows")
-    return new_symbol(values)
+    return _derived(1.0 / m.values, "reciprocal")
 
 
 def conj(m: Symbol) -> Symbol:
@@ -95,13 +99,15 @@ def modulus(m: Symbol) -> Symbol:
     return new_symbol(np.abs(m.values).astype(np.complex128))
 
 
+@_quiet
 def perturb_symbol(m: Symbol, eps: float, rng_seed) -> Symbol:
     """Random additive perturbation m' = m + e with 0.5*eps <= sup|e_n| <= eps.
 
     Entries of e are drawn uniformly from the complex unit disc, then the
     whole perturbation is rescaled so its sup-norm lands at a uniform draw
     from [0.5*eps, eps]. Deterministic for a fixed seed. The result is not
-    forced to stay semi-normalized; callers inspect classify().
+    forced to stay semi-normalized; callers inspect classify(). It is a
+    NumericalOverflow where m + e, or its modulus, overflows.
     """
     if not 0.0 < eps < np.inf:
         raise InvalidArgument(f"eps must be positive and finite, got {eps!r}")
@@ -115,4 +121,4 @@ def perturb_symbol(m: Symbol, eps: float, rng_seed) -> Symbol:
         noise = np.ones(n, dtype=np.complex128)
         peak = 1.0
     target = rng.uniform(0.5 * eps, eps)
-    return new_symbol(m.values + noise * (target / peak))
+    return _derived(m.values + noise * (target / peak), "perturbation")

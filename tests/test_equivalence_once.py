@@ -154,7 +154,7 @@ def test_combined_run_takes_each_norm_once_and_samples_no_seed_2026_family(monke
         normed.append(a)
         return real_op_norm(a)
 
-    for module in (multiplier, representations, suites):
+    for module in (multiplier, representations):  # suites calls no op_norm of its own
         monkeypatch.setattr(module, "op_norm", counting_op_norm)
     built = []
     real_build = suites.build

@@ -1,15 +1,29 @@
 """A trial's dual family as one read-only synthesis stack: the bits of the DualFrame path, less memory."""
 
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from framemult import ExperimentConfig, canonical_dual, gamma_of, run_suite, sample_duals, theta_of
+from framemult import (
+    ExperimentConfig,
+    FrameMultError,
+    InvalidArgument,
+    InvalidDual,
+    NotAFrame,
+    NumericalOverflow,
+    canonical_dual,
+    gamma_of,
+    new_frame,
+    run_suite,
+    sample_duals,
+    theta_of,
+)
 from framemult import suites
-from framemult.frames import _dual_family
-from framemult.linalg import DEFAULT_TOL
+from framemult.frames import _dual_family, _family_stack, _lone_dual
+from framemult.linalg import DEFAULT_TOL, _op_norms
 from framemult.representations import (
     DUAL_SAMPLE_COUNT,
     _decompose,
@@ -122,3 +136,52 @@ def test_a_family_memo_entry_retains_its_synthesis_stack_only():
     assert entry.shape == (DUAL_SAMPLE_COUNT + 1, f.dim, f.count)
     # The K frame operators alone would add 20,480 B.
     assert retained <= stack + 1024, f"retained {retained} B"
+
+
+def _unit_row(rng, d, n):
+    a = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+    return a / _op_norms(a)
+
+
+def _rank_one_in_kernel(rng, f, size):
+    """size * x y* with y a unit vector in ker(T): the dual's frame operator gains size^2 x x*."""
+    y = f._kernel_proj @ (rng.standard_normal(f.count) + 1j * rng.standard_normal(f.count))
+    x = rng.standard_normal(f.dim) + 0j
+    return size * np.outer(x / np.linalg.norm(x), (y / np.linalg.norm(y)).conj())
+
+
+# W_k for each failure kind, as (the frame's scale, W_k of the frame, the class _lone_dual raises).
+# At scale 2^-500 the canonical dual is about 2^500 and S_dual about 2^1000, so
+# a W_k of size 2^515 keeps T_dual U within rounding of I and overflows S_dual.
+PLANTS = {
+    "non-finite": (1.0, lambda rng, f: np.full((f.dim, f.count), np.nan + 0j), InvalidArgument),
+    "non-dual": (1.0, lambda rng, f: 1e12 * _unit_row(rng, f.dim, f.count), InvalidDual),
+    "overflow": (2.0**-500, lambda rng, f: 2.0**515 * _unit_row(rng, f.dim, f.count), NumericalOverflow),
+    "rank-deficient": (1.0, lambda rng, f: _rank_one_in_kernel(rng, f, 1e6), NotAFrame),
+}
+
+
+def _raised(call) -> FrameMultError:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FrameMultError) as caught:
+            call()
+    return caught.value
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kind", PLANTS)
+def test_family_raises_the_lone_error_of_its_first_failing_row(kind, seed):
+    """Passing rows, the planted row, then rows of any kind: the planted row decides."""
+    rng = np.random.default_rng((seed, len(kind)))
+    d = int(rng.integers(2, 6))
+    scale, plant, error = PLANTS[kind]
+    f = new_frame(scale * (rng.standard_normal((d, d + 3)) + 1j * rng.standard_normal((d, d + 3))))
+    planted = int(rng.integers(0, 4))
+    rows = [_unit_row(rng, d, f.count) / scale for _ in range(planted)]
+    rows.append(plant(rng, f))
+    rows += [PLANTS[later][1](rng, f) for later in rng.choice(list(PLANTS), int(rng.integers(0, 3)))]
+    lone = _raised(lambda: _lone_dual(f, f._canonical_synth + rows[planted] @ f._kernel_proj, DEFAULT_TOL))
+    assert type(lone) is error
+    stacked = _raised(lambda: _family_stack(f, np.stack(rows), DEFAULT_TOL))
+    assert (type(stacked), str(stacked)) == (error, str(lone))

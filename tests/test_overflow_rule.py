@@ -1,13 +1,14 @@
 """One overflow rule for every matrix the package derives, checked on hostile scales.
 
 Frames, duals, weighted frames, induced frames, perturbed frames, reciprocal
-symbols and multiplier matrices are formed from finite inputs under a quiet
-numpy error state and judged by the typed check that follows; a derived frame
-is judged by its spectrum, whose extremes are NaN when it is not finite. So at
-any scale 2^k, from subnormal frame operators to overflowing products, and for
-inputs with NaN or inf entries, each of new_frame, canonical_dual, random_dual,
-sample_duals, scale_by_symbol, build, dagger_frames, random_frame_perturbation
-and reciprocal returns or raises a FrameMultError, and no numpy warning escapes.
+and perturbed symbols and multiplier matrices are formed from finite inputs
+under a quiet numpy error state and judged by the typed check that follows; a
+derived frame is judged by its spectrum, whose extremes are NaN when it is not
+finite. So at any scale 2^k, from subnormal frame operators to overflowing
+products, and for inputs with NaN or inf entries, each of new_frame,
+canonical_dual, random_dual, sample_duals, scale_by_symbol, build,
+dagger_frames, random_frame_perturbation and reciprocal returns or raises a
+FrameMultError, and no numpy warning escapes.
 """
 
 import warnings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from framemult import (
     FrameMultError,
+    InvalidArgument,
     NumericalOverflow,
     build,
     canonical_dual,
@@ -26,6 +28,7 @@ from framemult import (
     harmonic_tight,
     new_frame,
     new_symbol,
+    perturb_symbol,
     random_dual,
     random_frame_perturbation,
     reciprocal,
@@ -136,6 +139,18 @@ def test_induced_frame_that_overflows_is_a_numerical_overflow(induced):
 )
 def test_reciprocal_that_overflows_is_a_numerical_overflow(weights):
     _overflows_quietly(lambda: reciprocal(new_symbol(weights)))
+
+
+def test_finite_symbol_entry_whose_modulus_overflows_is_an_invalid_argument():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="moduli must be finite"):
+            new_symbol([1.5e308 - 1.5e308j])
+
+
+def test_perturbed_symbol_that_overflows_is_a_numerical_overflow():
+    # m_0 + e_0 overflows: an entry of m + e is not finite.
+    _overflows_quietly(lambda: perturb_symbol(new_symbol([1.2e308 - 1.2e308j, 1.0]), 1e308, 0))
 
 
 @pytest.mark.parametrize("mat", [[[np.nan, 1.0], [1.0, 2.0]], [[np.nan, 0.0], [0.0, 5e305]]])

@@ -21,8 +21,8 @@ import framemult
 ALLOWED = {
     # The bound-first duality check on stacks, its clear bound and its exact rule.
     ("frames", "_not_dual", "_norm_bounds(deviation) <= 0.5 * tol.rel_eq"),
-    ("frames", "_not_dual", "_op_norms(deviation[sel]) > tol.rel_eq * np.maximum(1.0, _op_norms(recon[sel]))"),
-    ("frames", "_not_dual", "np.maximum(1.0, _op_norms(recon[sel]))"),
+    ("frames", "_not_dual", "_op_norms(deviation) > tol.rel_eq * np.maximum(1.0, _op_norms(recon))"),
+    ("frames", "_not_dual", "np.maximum(1.0, _op_norms(recon))"),
     # The public scale field and the + rel_eq slack of bound_satisfied.
     ("perturbation", "_report", "dev <= coef * mu + tol.rel_eq"),
     ("perturbation", "_report", "max(1.0, norm_old, norm_new)"),
