@@ -21,6 +21,7 @@ gets alone.
 One overflow rule: a matrix derived from finite inputs is formed under
 _quiet (numpy's overflow and invalid warnings off) and judged by the typed
 check that follows, so an overflow is a NumericalOverflow with no warning.
+A product no other check reads is judged by _finite.
 A Hermitian matrix that is not finite has NaN extremes (_eig_extremes), so
 a spectrum is its own overflow check: NaN extremes are _unbounded.
 
@@ -131,6 +132,13 @@ def as_matrix(a) -> np.ndarray:
         raise InvalidArgument(f"expected a 2-D array, got ndim={mat.ndim}")
     if not np.isfinite(mat).all():
         raise InvalidArgument(_NOT_FINITE)
+    return mat
+
+
+def _finite(mat: np.ndarray, what: str) -> np.ndarray:
+    """mat, formed under _quiet from finite inputs; a NumericalOverflow unless it is finite."""
+    if not np.isfinite(mat).all():
+        raise NumericalOverflow(f"{what} of finite inputs overflows")
     return mat
 
 

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalOverflow, Singular
 from .frames import Frame, _check_shapes, _read_only, _weighted_image, canonical_dual
 from .linalg import BOUNDARY_FACTOR  # noqa: F401 - the band's factor stays importable from here
-from .linalg import DEFAULT_TOL, Tol, _inv, _invertible, _near_boundary, _quiet, _rel_gap, _svd_values, op_norm
+from .linalg import DEFAULT_TOL, Tol, _finite, _inv, _invertible, _near_boundary, _quiet, _rel_gap
+from .linalg import _svd_values, op_norm
 from .symbols import Symbol, conj, reciprocal
 
 __all__ = [
@@ -129,9 +130,7 @@ def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multipli
     Psi are finite is a NumericalOverflow (linalg's overflow rule).
     """
     _check_shapes((phi, psi), (m,))
-    matrix = (phi.synth * m.values[np.newaxis, :]) @ psi.analysis_op
-    if not np.isfinite(matrix).all():
-        raise NumericalOverflow("multiplier matrix of finite inputs overflows")
+    matrix = _finite((phi.synth * m.values[np.newaxis, :]) @ psi.analysis_op, "multiplier matrix")
     s = _svd_values(matrix)
     sigma_min, sigma_max = float(s[-1]), float(s[0])
     if not math.isfinite(sigma_max):
@@ -174,21 +173,24 @@ def _inverse_norm(mult: Multiplier, tol: Tol) -> float:
     return 1.0 / mult.inv_diag.sigma_min
 
 
+@_quiet
 def _inverse_formula_left(mult: Multiplier, tol: Tol) -> np.ndarray:
     """T_{Psi~} diag(1/m) for Psi~ the canonical dual of Psi: mult(1/m, Psi~, F) is this times U_F."""
     inv_symbol = reciprocal(mult.symbol)  # ZeroEntry when m is not semi-normalized
     psi_tilde = canonical_dual(mult.right, tol).frame
-    return psi_tilde.synth * inv_symbol.values[np.newaxis, :]
+    return _finite(psi_tilde.synth * inv_symbol.values[np.newaxis, :], "T_{Psi~} diag(1/m)")
 
 
+@_quiet
 def canonical_inverse_candidate(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """Matrix of the multiplier (1/m, canonical dual of Psi, canonical dual of Phi).
 
     This is the would-be inverse; whether it actually inverts the multiplier
-    is exactly what thm1_report decides.
+    is exactly what thm1_report decides. It is a NumericalOverflow where a
+    product of finite factors overflows (linalg's overflow rule).
     """
     left = _inverse_formula_left(mult, tol)
-    return left @ canonical_dual(mult.left, tol).frame.analysis_op
+    return _finite(left @ canonical_dual(mult.left, tol).frame.analysis_op, "canonical inverse candidate")
 
 
 def _dagger(mult: Multiplier, tol: Tol) -> Frame:
@@ -209,6 +211,7 @@ def _scalar_condition(lhs: float, rhs: float, tol: Tol) -> Condition:
     return Condition(lhs=lhs, rhs=rhs, holds=_rel_gap(abs(lhs - rhs), lhs, rhs) <= tol.rel_eq)
 
 
+@_quiet
 def _side_conditions(mult: Multiplier, dagger: Frame, tol: Tol) -> tuple[Condition, Condition]:
     """Conditions i and ii: ||S_Psi^{-1}|| = 1/lambda_min(S_Psi) against ||M^{-1} T_{|m|Phi}||^2 and B_dagger.
 
@@ -216,8 +219,9 @@ def _side_conditions(mult: Multiplier, dagger: Frame, tol: Tol) -> tuple[Conditi
     """
     inv_norm_s = 1.0 / mult.right.bounds[0]
     weighted = mult.left.synth * np.abs(mult.symbol.values)[np.newaxis, :]
+    product = _finite(invert(mult, tol) @ weighted, "M^{-1} T_{|m|Phi}")
     return (
-        _scalar_condition(inv_norm_s, op_norm(invert(mult, tol) @ weighted) ** 2, tol),
+        _scalar_condition(inv_norm_s, op_norm(product) ** 2, tol),
         _scalar_condition(inv_norm_s, dagger.bounds[1], tol),
     )
 

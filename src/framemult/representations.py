@@ -36,7 +36,7 @@ from .frames import (
     canonical_dual,
     equivalence_map,
 )
-from .linalg import DEFAULT_TOL, Tol, _adjoint, _is_integer, _op_norms, _rel_gap, op_norm
+from .linalg import DEFAULT_TOL, Tol, _adjoint, _finite, _is_integer, _op_norms, _quiet, _rel_gap, op_norm
 from .multiplier import Multiplier, _inverse_formula_left, adjoint, invert
 from .symbols import reciprocal
 
@@ -117,6 +117,7 @@ def sample_duals(
     return [canonical, *_dual_family(f, w, tol)]
 
 
+@_quiet
 def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
     """Gamma = U_Phi (M^{-1})* - diag(1/conj(m)) U_Psi S_Psi^{-1}, as N x d.
 
@@ -125,7 +126,8 @@ def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
 
     Built once per multiplier and Tol (its op is read-only) and stored only
     after invert(mult, tol) passes, so a Tol the inverse fails raises
-    Singular on every call.
+    Singular on every call. Gamma and both annihilation products are formed
+    under linalg's overflow rule: one that is not finite is a NumericalOverflow.
     """
     cached = mult._gammas.get(tol)
     if cached is not None:
@@ -135,14 +137,13 @@ def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
     m = mult.symbol.values
     inv_conj_m = np.conj(reciprocal(mult.symbol).values)  # 1/conj(m); ZeroEntry guard
     dual_analysis = psi._canonical_synth.conj().T  # U_Psi S_Psi^{-1}
-    gamma = phi.analysis_op @ minv.conj().T - inv_conj_m[:, np.newaxis] * dual_analysis
+    gamma = _finite(phi.analysis_op @ minv.conj().T - inv_conj_m[:, np.newaxis] * dual_analysis, "Gamma")
+    masked = (psi.synth * np.conj(m)[np.newaxis, :]) @ gamma
     result = RepResult(
         op=_read_only(gamma),
         kind="Gamma",
-        annihilation_residual=op_norm(psi.synth @ gamma),
-        masked_annihilation_residual=op_norm(
-            (psi.synth * np.conj(m)[np.newaxis, :]) @ gamma
-        ),
+        annihilation_residual=op_norm(_finite(psi.synth @ gamma, "T_Psi Gamma")),
+        masked_annihilation_residual=op_norm(_finite(masked, "T_Psi diag(conj m) Gamma")),
     )
     mult._gammas[tol] = result
     return result

@@ -184,8 +184,12 @@ def _check_residuals(report: "SuiteReport") -> None:
     Each distinct type is checked once: a set of types costs less than an
     isinstance per value.
     """
-    residuals = {type(v) for r in report.records for v in r.residuals.values()}
-    _check_types("residual value", "real", lambda cls: issubclass(cls, numbers.Real), residuals)
+    _check_real({type(v) for r in report.records for v in r.residuals.values()})
+
+
+def _check_real(types) -> None:
+    """Raise InvalidArgument naming the first of types that is not numbers.Real: a residual must be real."""
+    _check_types("residual value", "real", lambda cls: issubclass(cls, numbers.Real), types)
 
 
 def _check_json_fields(report: "SuiteReport") -> None:

@@ -21,15 +21,19 @@ out an argument. Records are still reported suite by suite, in the same
 order and with the same bytes as running the suites one after another.
 
 A suite body returns only what it measured (N, residuals, booleans, whether
-the claim held, whether the trial is indeterminate). _run_one builds every
-record from that, or from the error the body raised, and applies the verdict.
-It stores the residuals and booleans as read-only rows: every row takes its
-key tuple from one table per run, and equal booleans rows are one object.
+the claim held, whether the trial is indeterminate). _run_one adds that, or
+the error the body raised, to its suite's columns and applies the verdict:
+the residual values go into one float64 array, the other fields into a list
+each, every key tuple comes from one table per run, and equal booleans rows
+are one object. Records are built once, after the last trial, from the
+columns; they hold the residuals and booleans as read-only rows, each
+residual a Python float.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from collections import Counter
 from collections.abc import Mapping
 from contextvars import ContextVar
@@ -72,6 +76,7 @@ from .representations import (
     gamma_of,
     theta_of,
 )
+from .serialize import _check_real
 from .symbols import Symbol, new_symbol, perturb_symbol
 
 __all__ = [
@@ -564,14 +569,19 @@ class _Row(Mapping):
         return repr(dict(self.items()))
 
 
+def _keys(rows: dict, fields: dict) -> tuple[str, ...]:
+    """The run's copy of the key tuple of fields."""
+    keys = tuple(fields)
+    return rows.setdefault(keys, keys)
+
+
 def _row(rows: dict, fields: dict, whole: bool) -> _Row:
     """fields as a _Row over the run's copy of its key tuple; whole shares an equal row itself.
 
     Rows count as equal only when their values have the same types too, so
     True, 1 and np.bool_(True) never share a row.
     """
-    keys = tuple(fields)
-    keys = rows.setdefault(keys, keys)
+    keys = _keys(rows, fields)
     values = tuple(fields.values())
     if not whole:
         return _Row(keys, values)
@@ -583,16 +593,57 @@ def _row(rows: dict, fields: dict, whole: bool) -> _Row:
     return rows[key]
 
 
+class _Columns:
+    """One suite's trial results while its run lasts, one column per field.
+
+    Every residual value goes into one float64 array; each trial adds its N,
+    its interned residual key tuple, its interned booleans row, whether it is
+    indeterminate, its verdict and its note to a list each. So a finished
+    trial costs six list slots and 8 bytes per residual until its record is
+    built.
+    """
+
+    __slots__ = ("values", "n", "keys", "booleans", "indeterminate", "verdict", "note")
+
+    def __init__(self) -> None:
+        self.values = array("d")
+        self.n, self.keys, self.booleans = [], [], []
+        self.indeterminate, self.verdict, self.note = [], [], []
+
+    def append(self, got: _Measured, note: str, rows: dict) -> None:
+        """Add one trial; a residual that is not a real number is an InvalidArgument, as in save_report."""
+        residuals = got.residuals.values()
+        _check_real({type(v) for v in residuals})
+        self.values.extend(residuals)
+        self.n.append(got.n)
+        self.keys.append(_keys(rows, got.residuals))
+        self.booleans.append(_row(rows, got.booleans, whole=True))
+        self.indeterminate.append(got.indeterminate)
+        self.verdict.append(_verdict(got.ok, got.indeterminate))
+        self.note.append(note)
+
+    def records(self, name: str, cfg: ExperimentConfig):
+        """The suite's TrialRecords in trial order; each residual comes back as a Python float."""
+        start = 0
+        fields = zip(self.n, self.keys, self.booleans, self.indeterminate, self.verdict, self.note)
+        for trial, (n, keys, booleans, indeterminate, verdict, note) in enumerate(fields):
+            stop = start + len(keys)
+            residuals = _Row(keys, tuple(self.values[start:stop]))
+            d = cfg.dims[trial % len(cfg.dims)][0]
+            yield TrialRecord(name, trial, cfg.seed, d, n, residuals, booleans, indeterminate, verdict, note)
+            start = stop
+
+
 # Errors that fail the one trial raising them: the package's own, plus the
 # numerical ones numpy raises (LinAlgError is a ValueError).
 _TRIAL_ERRORS = (FrameMultError, ValueError, ArithmeticError)
 
 
-def _run_one(name: str, cfg: ExperimentConfig, trial: int, rows: dict) -> TrialRecord:
-    """The record of one suite on one trial: what its body measured, or the error it raised.
+def _run_one(name: str, cfg: ExperimentConfig, trial: int, rows: dict, column: _Columns) -> None:
+    """Add one suite's result on one trial to its columns: what its body measured, or the error it raised.
 
-    rows is the run's intern table: every row takes its key tuple from it, and
-    equal booleans rows are one object.
+    rows is the run's intern table: every key tuple comes from it, and equal
+    booleans rows are one object.
     """
     d, n = cfg.dims[trial % len(cfg.dims)]
     note = ""
@@ -600,30 +651,21 @@ def _run_one(name: str, cfg: ExperimentConfig, trial: int, rows: dict) -> TrialR
         got = _TRIAL_BODIES[name](cfg, trial, d, n)
     except _TRIAL_ERRORS as exc:
         got, note = _Measured(n, {}, {}, ok=False), f"{type(exc).__name__}: {exc}"
-    return TrialRecord(
-        suite=name,
-        trial=trial,
-        seed=cfg.seed,
-        d=d,
-        n=got.n,
-        residuals=_row(rows, got.residuals, whole=False),
-        booleans=_row(rows, got.booleans, whole=True),
-        indeterminate=got.indeterminate,
-        verdict=_verdict(got.ok, got.indeterminate),
-        note=note,
-    )
+    column.append(got, note, rows)
 
 
 def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     """Run the configured suite (or all of them) and aggregate the records.
 
     Trials run one at a time, each through every suite, so the suites of a
-    trial share its fixtures; the records are reported suite by suite.
+    trial share its fixtures. Each suite keeps its results in columns until
+    the last trial; then, with the memo cleared, the records are built suite
+    by suite, each suite's columns dropped once its records exist.
     """
     cfg = validate_config(cfg)
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     start = time.perf_counter()
-    by_suite: dict[str, list[TrialRecord]] = {name: [] for name in names}
+    columns = {name: _Columns() for name in names}
     rows: dict = {}
     memo: dict = {}
     token = _MEMO.set(memo)
@@ -631,11 +673,13 @@ def run_suite(cfg: ExperimentConfig) -> SuiteReport:
         for trial in range(cfg.trials):
             memo.clear()
             for name in names:
-                by_suite[name].append(_run_one(name, cfg, trial, rows))
+                _run_one(name, cfg, trial, rows, columns[name])
     finally:
         memo.clear()
         _MEMO.reset(token)
-    records = [record for name in names for record in by_suite[name]]
+    records: list[TrialRecord] = []
+    for name in names:
+        records.extend(columns.pop(name).records(name, cfg))
     wall = time.perf_counter() - start
     tally = Counter(r.verdict for r in records)
     aggregated = [float(v) for r in records for k, v in r.residuals.items() if k in _AGG_KEYS]

@@ -1,12 +1,14 @@
 """Compact trial records, one residual rule for both report formats, and leaner helpers.
 
 Records built by run_suite hold read-only rows: a key tuple shared by every
-row of the run with those keys, and the values as the suite body gave them.
-Equal booleans rows are one object within a run. Reports render the bytes
-of the same records built with dicts. A residual that is not a real number
-is rejected before either writer opens the file. symbols.conj carries the
-moduli over, and each companion checks its shapes once. What a repeated run
-leaves behind does not grow with the number of trials.
+row of the run with those keys, the residuals as Python floats and the
+booleans as the suite body gave them. Equal booleans rows are one object
+within a run. Reports render the bytes of the same records built with
+dicts. A residual that is not a real number fails the run, and is rejected
+before either writer opens the file. symbols.conj carries the moduli over,
+and each companion checks its shapes once. What a repeated run leaves
+behind does not grow with the number of trials, and a run's peak stays
+close to what its report retains.
 """
 
 import gc
@@ -21,6 +23,7 @@ import pytest
 from framemult import (
     DimensionMismatch,
     ExperimentConfig,
+    InvalidArgument,
     build,
     companion_per1,
     companion_per1_dual_side,
@@ -127,14 +130,36 @@ def test_residual_rows_share_only_their_key_tuple():
     assert a == b and a is not b and a._keys is b._keys
 
 
-def test_values_are_stored_as_the_body_gave_them(monkeypatch):
+def _run_fake_thm1(monkeypatch, residuals: dict, booleans: dict):
+    """A one-trial thm1 run whose body gives these residuals and booleans, its wall time zeroed."""
+
     def fake_thm1(cfg, trial, d, n):
-        return suites._Measured(n, {"direct": np.float32(0.25)}, {"ok": np.bool_(True)}, ok=True)
+        return suites._Measured(n, residuals, booleans, ok=True)
 
     monkeypatch.setitem(suites._TRIAL_BODIES, "thm1", fake_thm1)
-    (record,) = run_suite(ExperimentConfig(suite="thm1", trials=1)).records
-    assert type(record.residuals["direct"]) is np.float32
+    return replace(run_suite(ExperimentConfig(suite="thm1", trials=1)), wall_time_s=0.0)
+
+
+def test_values_are_stored_as_the_body_gave_them(monkeypatch):
+    # Residuals are kept in a float64 column until the last trial, so a
+    # numpy float comes back as the Python float of the same value.
+    (record,) = _run_fake_thm1(monkeypatch, {"direct": np.float32(0.25)}, {"ok": np.bool_(True)}).records
+    assert type(record.residuals["direct"]) is float and record.residuals["direct"] == 0.25
     assert type(record.booleans["ok"]) is np.bool_
+    given = _run_fake_thm1(monkeypatch, {"direct": np.float32(0.25)}, {"ok": True})
+    plain = _run_fake_thm1(monkeypatch, {"direct": float(np.float32(0.25))}, {"ok": True})
+    assert report_to_json(given) == report_to_json(plain)
+    assert report_to_csv(given) == report_to_csv(plain)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.0 + 2.0j, np.complex128(1.0 + 2.0j), "0.5", None],
+    ids=["complex", "numpy-complex", "str", "none"],
+)
+def test_a_body_giving_a_non_real_residual_fails_the_run(monkeypatch, value):
+    with pytest.raises(InvalidArgument, match="every residual value must be real"):
+        _run_fake_thm1(monkeypatch, {"direct": value}, {})
 
 
 def test_a_replaced_dict_field_is_stored_as_given_and_serializes_the_same(tmp_path):
@@ -174,6 +199,26 @@ def test_retained_bytes_per_record_stay_below_400():
         tracemalloc.stop()
     per_record = retained / len(report.records)
     assert per_record < 400, f"{per_record:.0f} B per record"
+
+
+@pytest.mark.parametrize("generator", ["random", "riesz"])
+def test_a_run_peaks_less_than_128_kib_above_what_its_report_retains(generator):
+    # The finished trials sit in per-suite columns, not records, under the
+    # last trial's working set: the peak was 280 KiB (random) and 185 KiB
+    # (riesz) above the report with records built trial by trial, about 90
+    # and 45 KiB with the columns.
+    cfg = ExperimentConfig(suite="all", trials=100, generator=generator)
+    run_suite(replace(cfg, trials=1))  # warm: imports and shape caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = run_suite(cfg)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 800
+    assert peak - retained < 128 * 1024, f"peak {(peak - retained) / 1024:.0f} KiB above the report"
 
 
 def _blocks_left_by_a_repeated_run(trials: int) -> int:

@@ -1,14 +1,16 @@
 """One overflow rule for every matrix the package derives, checked on hostile scales.
 
 Frames, duals, weighted frames, induced frames, perturbed frames, reciprocal
-and perturbed symbols and multiplier matrices are formed from finite inputs
-under a quiet numpy error state and judged by the typed check that follows; a
-derived frame is judged by its spectrum, whose extremes are NaN when it is not
-finite. So at any scale 2^k, from subnormal frame operators to overflowing
-products, and for inputs with NaN or inf entries, each of new_frame,
-canonical_dual, random_dual, sample_duals, scale_by_symbol, build,
-dagger_frames, random_frame_perturbation and reciprocal returns or raises a
-FrameMultError, and no numpy warning escapes.
+and perturbed symbols, multiplier matrices, the Gamma and Theta corrections
+and thm1's products are formed from finite inputs under a quiet numpy error
+state and judged by the typed check that follows; a derived frame is judged
+by its spectrum, whose extremes are NaN when it is not finite. So at any
+scale 2^k, from subnormal frame operators to overflowing products, and for
+inputs with NaN or inf entries, each of new_frame, canonical_dual,
+random_dual, sample_duals, scale_by_symbol, build, dagger_frames,
+random_frame_perturbation, reciprocal, gamma_of, theta_of, thm1_report and
+canonical_inverse_candidate returns or raises a FrameMultError, and no numpy
+warning escapes.
 """
 
 import warnings
@@ -24,7 +26,9 @@ from framemult import (
     NumericalOverflow,
     build,
     canonical_dual,
+    canonical_inverse_candidate,
     dagger_frames,
+    gamma_of,
     harmonic_tight,
     new_frame,
     new_symbol,
@@ -34,6 +38,7 @@ from framemult import (
     reciprocal,
     sample_duals,
     scale_by_symbol,
+    theta_of,
     thm1_report,
 )
 from framemult.linalg import _eig_extremes
@@ -109,7 +114,8 @@ def test_every_derived_matrix_overflows_as_a_typed_error(
         if phi is not None and psi is not None and m is not None:
             mult = _typed(lambda: build(m, phi, psi))
             if mult is not None:
-                _typed(lambda: dagger_frames(mult))
+                for derived in (dagger_frames, gamma_of, theta_of, thm1_report, canonical_inverse_candidate):
+                    _typed(lambda: derived(mult))
 
 
 def _overflows_quietly(call):
@@ -127,6 +133,27 @@ def test_induced_frame_that_overflows_is_a_numerical_overflow(induced):
     phi, psi = new_frame(2.0**-497 * h), new_frame(2.0**109 * h)
     mult = build(new_symbol(np.full(4, 2.0**1008)), phi, psi)
     _overflows_quietly(lambda: induced(mult))
+
+
+@pytest.mark.parametrize(
+    ("k_phi", "k_psi", "k_symbol", "derived"),
+    [
+        # Phi = 2^100 h, Psi = 2^-100 h, m = 2^-1000: build accepts M (sigma = 1.87e-301),
+        # while Gamma and T_{Psi~} diag(1/m), about 2^1100, overflow.
+        (100, -100, -1000, gamma_of),
+        (100, -100, -1000, thm1_report),
+        (100, -100, -1000, canonical_inverse_candidate),
+        # Phi = 2^-500 h, Psi = 2^50 h, m = 2^-550: Theta, the Gamma of M*, overflows.
+        (-500, 50, -550, theta_of),
+    ],
+    ids=["gamma_of", "thm1_report", "canonical_inverse_candidate", "theta_of"],
+)
+def test_correction_or_candidate_that_overflows_is_a_numerical_overflow(k_phi, k_psi, k_symbol, derived):
+    h = harmonic_tight(2, 4).synth
+    phi, psi = new_frame(2.0**k_phi * h), new_frame(2.0**k_psi * h)
+    mult = build(new_symbol(np.full(4, 2.0**k_symbol)), phi, psi)
+    assert mult.inv_diag.invertible
+    _overflows_quietly(lambda: derived(mult))
 
 
 @pytest.mark.parametrize(
