@@ -22,6 +22,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tol,
     _adjoint,
+    _complex,
     _invertible,
     _norm_bounds,
     _op_norms,
@@ -171,7 +172,7 @@ def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
 
 def analysis(f: Frame, vec) -> np.ndarray:
     """Coefficients (<x, phi_n>)_n of a vector x in C^d."""
-    x = np.asarray(vec, dtype=np.complex128).reshape(-1)
+    x = _complex(vec).reshape(-1)
     if x.shape[0] != f.dim:
         raise DimensionMismatch(f"vector has length {x.shape[0]}, frame dimension is {f.dim}")
     return f.analysis_op @ x
@@ -179,7 +180,7 @@ def analysis(f: Frame, vec) -> np.ndarray:
 
 def synthesis(f: Frame, coeffs) -> np.ndarray:
     """The vector sum over n of c_n phi_n."""
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+    c = _complex(coeffs).reshape(-1)
     if c.shape[0] != f.count:
         raise DimensionMismatch(f"coefficients have length {c.shape[0]}, frame count is {f.count}")
     return f.synth @ c

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import InvalidArgument, NotHermitian, NumericalOverflow, Singular
+from .errors import DimensionMismatch, InvalidArgument, NotHermitian, NumericalOverflow, Singular
 
 __all__ = [
     "Tol",
@@ -125,9 +125,17 @@ _inv = _lapack(_umath_linalg.inv, "D->D", "Singular matrix")
 _solve = _lapack(_umath_linalg.solve, "DD->D", "Singular matrix")  # (..., m, k) right-hand sides
 
 
+def _complex(a) -> np.ndarray:
+    """np.asarray(a, dtype=complex128); an InvalidArgument for input numpy cannot read as complex."""
+    try:
+        return np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:  # a malformed string, an object, a huge int
+        raise InvalidArgument(f"cannot read the input as complex numbers: {exc}") from None
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array; reject non-finite entries."""
-    mat = np.asarray(a, dtype=np.complex128)
+    mat = _complex(a)
     if mat.ndim != 2:
         raise InvalidArgument(f"expected a 2-D array, got ndim={mat.ndim}")
     if not np.isfinite(mat).all():
@@ -257,8 +265,10 @@ def _near_boundary(quotient: float, tol: Tol) -> bool:
 
 
 def rel_residual(x, y) -> float:
-    """The rule's quotient for operators X and Y."""
+    """The rule's quotient for operators X and Y, which must have one shape."""
     mx, my = as_matrix(x), as_matrix(y)
+    if mx.shape != my.shape:
+        raise DimensionMismatch(f"cannot compare matrices of shapes {mx.shape} and {my.shape}")
     return _rel_gap(op_norm(mx - my), op_norm(mx), op_norm(my))
 
 

@@ -5,31 +5,31 @@ values are written in Python's shortest round-tripping decimal form (at most
 17 significant digits), so save -> load reproduces every entry bit-exactly.
 
 Reports serialize either hierarchically (json) or as a flat table (csv) with
-a fixed column order shared by all suites. Each format has one writer, which
-streams into a file handle; the string renderings aim it at a StringIO. The
-JSON writer turns each record into a dict only as the encoder reaches it, so
-the report never exists as one dict tree. The CSV writer formats each row
-itself, quoting as csv.writer(lineterminator="\n") does, so no row buffer
-outlives a row. Every check that can reject a report runs before the first
-byte is written.
+a fixed column order shared by all suites: RESIDUAL_COLUMNS, each suite's
+residual keys in suite order, derived in suites from its table _SUITES. The
+record checks shared with run_suite (_check_real, _check_types) live in
+suites too, so this module imports from suites and never the other way.
+
+Each format has one writer, which streams into a file handle; the string
+renderings aim it at a StringIO. The JSON writer turns each record into a
+dict only as the encoder reaches it, so the report never exists as one dict
+tree. The CSV writer formats each row itself, quoting as
+csv.writer(lineterminator="\n") does, so no row buffer outlives a row. Every
+check that can reject a report runs before the first byte is written.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import numbers
 from itertools import islice
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidArgument, IoError, ParseError
 from .frames import Frame, new_frame
 from .linalg import DEFAULT_TOL, Tol
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .suites import SuiteReport
+from .suites import RESIDUAL_COLUMNS, SuiteReport, _check_real, _check_types
 
 __all__ = [
     "save_frame",
@@ -40,26 +40,7 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-# Flat-table column order, fixed across suites; absent fields stay empty.
-RESIDUAL_COLUMNS = [
-    "direct",
-    "cond_i",
-    "cond_ii",
-    "cond_iii",
-    "cond_iv",
-    "achieved_mu",
-    "bound_coefficient",
-    "companion_deviation",
-    "multiplier_residual",
-    "floor_ratio",
-    "op_norm",
-    "annihilation",
-    "masked_annihilation",
-    "max_decomposition",
-    "probe_breakage",
-    "gamma_norm",
-    "max_formula_residual",
-]
+# Flat-table column order, fixed across suites (see suites._SUITES); absent fields stay empty.
 CSV_COLUMNS = ["suite", "trial", "seed", "d", "N", *RESIDUAL_COLUMNS, "verdict"]
 
 
@@ -134,7 +115,7 @@ class _RecordDicts(list):
         return (record.as_dict() for record in super().__iter__())
 
 
-def _write_json(report: "SuiteReport", handle) -> None:
+def _write_json(report: SuiteReport, handle) -> None:
     """Hierarchical rendering; key order is sorted so output is reproducible.
 
     The bytes are those of json.dumps(report.as_dict(), sort_keys=True,
@@ -155,7 +136,7 @@ def _csv_text(value) -> str:
     return text
 
 
-def _write_csv(report: "SuiteReport", handle) -> None:
+def _write_csv(report: SuiteReport, handle) -> None:
     """Flat table: one row per trial in the fixed CSV_COLUMNS order.
 
     The bytes are those of csv.DictWriter(handle, CSV_COLUMNS,
@@ -170,15 +151,7 @@ def _write_csv(report: "SuiteReport", handle) -> None:
         handle.write(",".join(cells) + "\n")
 
 
-def _check_types(name: str, wanted: str, admits, types) -> None:
-    """Raise InvalidArgument naming the first of types that admits rejects."""
-    for cls in types:
-        if not admits(cls):
-            got = f"{cls.__module__}.{cls.__qualname__}"
-            raise InvalidArgument(f"every {name} must be {wanted}, got {got}")
-
-
-def _check_residuals(report: "SuiteReport") -> None:
+def _check_residuals(report: SuiteReport) -> None:
     """Reject a report holding a residual that is not numbers.Real; both formats write it as a real number.
 
     Each distinct type is checked once: a set of types costs less than an
@@ -187,12 +160,7 @@ def _check_residuals(report: "SuiteReport") -> None:
     _check_real({type(v) for r in report.records for v in r.residuals.values()})
 
 
-def _check_real(types) -> None:
-    """Raise InvalidArgument naming the first of types that is not numbers.Real: a residual must be real."""
-    _check_types("residual value", "real", lambda cls: issubclass(cls, numbers.Real), types)
-
-
-def _check_json_fields(report: "SuiteReport") -> None:
+def _check_json_fields(report: SuiteReport) -> None:
     """Reject a report whose integers, booleans or notes JSON would encode as another type.
 
     The integers are each record's trial, seed, d and N and the config's
@@ -210,7 +178,7 @@ def _check_json_fields(report: "SuiteReport") -> None:
     _check_types("note", "a str", lambda cls: issubclass(cls, str), notes)
 
 
-def _report_writer(report: "SuiteReport", fmt: str):
+def _report_writer(report: SuiteReport, fmt: str):
     """The writer of fmt, after every check that can reject the report."""
     if fmt not in ("json", "csv"):
         raise InvalidArgument(f"unknown report format {fmt!r}")
@@ -225,23 +193,23 @@ def _report_writer(report: "SuiteReport", fmt: str):
     return _write_csv
 
 
-def _render(report: "SuiteReport", fmt: str) -> str:
+def _render(report: SuiteReport, fmt: str) -> str:
     buffer = io.StringIO()
     _report_writer(report, fmt)(report, buffer)
     return buffer.getvalue()
 
 
-def report_to_json(report: "SuiteReport") -> str:
+def report_to_json(report: SuiteReport) -> str:
     """The JSON report text, as save_report writes it."""
     return _render(report, "json")
 
 
-def report_to_csv(report: "SuiteReport") -> str:
+def report_to_csv(report: SuiteReport) -> str:
     """The CSV report text, as save_report writes it."""
     return _render(report, "csv")
 
 
-def save_report(report: "SuiteReport", path, fmt: str = "json") -> None:
+def save_report(report: SuiteReport, path, fmt: str = "json") -> None:
     """Stream a suite report into path as json or csv.
 
     The report is checked before path is opened, so a rejected report leaves

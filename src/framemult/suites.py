@@ -5,6 +5,14 @@ verdict. A trial is indeterminate when a decisive residual lands within the
 near-threshold band where the equality policy cannot adjudicate; such trials
 are counted separately and never fail a run.
 
+One table, _SUITES, lists the suites in run order: each one's trial body
+and its residual keys in record order, marking those that enter
+max_residual. SUITE_NAMES, the bodies _run_one calls, max_residual's keys
+and the CSV's RESIDUAL_COLUMNS are derived from it, and each body pairs its
+values with its row's keys, so no residual key is written anywhere else.
+Records are made and checked here; serialize imports from this module, never
+the other way.
+
 Determinism: all randomness is drawn from generators seeded with
 (base_seed, trial, stream) tuples, so a fixed config reproduces every
 fixture, perturbation, sampled dual, and residual bit-for-bit.
@@ -24,14 +32,15 @@ A suite body returns only what it measured (N, residuals, booleans, whether
 the claim held, whether the trial is indeterminate). _run_one adds that, or
 the error the body raised, to its suite's columns and applies the verdict:
 the residual values go into one float64 array, the other fields into a list
-each, every key tuple comes from one table per run, and equal booleans rows
-are one object. Records are built once, after the last trial, from the
-columns; they hold the residuals and booleans as read-only rows, each
-residual a Python float.
+each, every key tuple comes from one intern table per run, and equal
+booleans rows are one object. Records are built once, after the last trial,
+from the columns; they hold the residuals and booleans as read-only rows,
+each residual a Python float.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from array import array
 from collections import Counter
@@ -43,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigInvalid, FrameMultError
+from .errors import ConfigInvalid, FrameMultError, InvalidArgument
 from .frames import Frame, _family_stack, _weighted_image, canonical_dual
 from .generators import (
     finite_gabor,
@@ -76,7 +85,6 @@ from .representations import (
     gamma_of,
     theta_of,
 )
-from .serialize import _check_real
 from .symbols import Symbol, new_symbol, perturb_symbol
 
 __all__ = [
@@ -90,16 +98,6 @@ __all__ = [
     "DEFAULT_DIMS",
 ]
 
-SUITE_NAMES = (
-    "thm1",
-    "per1",
-    "per1dual",
-    "per2",
-    "per3",
-    "gamma",
-    "theta",
-    "equivalence",
-)
 GENERATOR_NAMES = ("random", "harmonic", "gabor", "riesz", "onb")
 
 # Default grid: N > d everywhere so symbols with a zero entry can still yield
@@ -108,23 +106,6 @@ DEFAULT_DIMS = ((2, 5), (3, 7), (4, 9), (5, 11), (6, 13), (7, 15), (8, 17))
 
 SYMBOL_LO, SYMBOL_HI = 0.5, 2.0
 RESAMPLE_LIMIT = 20
-
-# Residual keys that enter the aggregate max_residual (quantities a passing
-# construction drives toward zero; diagnostics like achieved_mu stay out).
-_AGG_KEYS = frozenset(
-    {
-        "direct",
-        "cond_i",
-        "cond_ii",
-        "cond_iii",
-        "cond_iv",
-        "multiplier_residual",
-        "annihilation",
-        "masked_annihilation",
-        "max_decomposition",
-        "max_formula_residual",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -370,37 +351,38 @@ class _Measured(NamedTuple):
     indeterminate: bool = False
 
 
+def _residuals(suite: str, *values: float) -> dict[str, float]:
+    """The suite's residual dict: the keys of its _SUITES row, in order, paired with values."""
+    # A comprehension, not dict(zip()): dict() of an iterator grows its table as it goes,
+    # so a run's traced peak reads about 4 KiB higher.
+    return {key: value for key, value in zip(_SUITES[suite][1], values, strict=True)}
+
+
 def _trial_thm1(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
     m, mult = _invertible_instance(cfg, trial, *_pair_keys(cfg, trial, d, n), zero_entry=False)
     rep = thm1_report(mult, cfg.tol)
-    residuals = {
-        "direct": rep.direct_residual,
-        "cond_i": rep.cond_i.residual,
-        "cond_ii": rep.cond_ii.residual,
-        "cond_iii": rep.cond_iii.residual,
-        "cond_iv": rep.cond_iv.residual,
-    }
+    conditions = (rep.cond_i, rep.cond_ii, rep.cond_iii, rep.cond_iv)
+    residuals = _residuals("thm1", rep.direct_residual, *[c.residual for c in conditions])
+    _, i, ii, iii, iv = residuals  # each condition's boolean has the key of its residual
     booleans = {
         "direct_equal": rep.direct_equal,
-        "cond_i": rep.cond_i.holds,
-        "cond_ii": rep.cond_ii.holds,
-        "cond_iii": rep.cond_iii.holds,
-        "cond_iv": rep.cond_iv.holds,
+        i: rep.cond_i.holds,
+        ii: rep.cond_ii.holds,
+        iii: rep.cond_iii.holds,
+        iv: rep.cond_iv.holds,
         "consistent": rep.consistent,
     }
     return _Measured(mult.left.count, residuals, booleans, rep.consistent, rep.indeterminate)
 
 
-def _companion_fields(report, tol: Tol) -> tuple[dict[str, float], dict[str, bool]]:
-    """The residuals and booleans every companion trial records."""
-    residuals = {
-        "achieved_mu": report.achieved_mu,
-        "bound_coefficient": report.bound_coefficient,
-        "companion_deviation": report.companion_deviation,
-        "multiplier_residual": report.multiplier_residual,
-    }
+def _companion_fields(report, tol: Tol) -> tuple[list[float], dict[str, bool]]:
+    """The residual values and the booleans every companion trial records.
+
+    The values are the PerturbReport fields that _COMPANION names, in its order.
+    """
+    values = [getattr(report, key) for key in _COMPANION]
     invariance_ok = _rel_gap(report.multiplier_residual, report.scale) <= tol.rel_eq
-    return residuals, {"invariance_ok": invariance_ok, "bound_satisfied": report.bound_satisfied}
+    return values, {"invariance_ok": invariance_ok, "bound_satisfied": report.bound_satisfied}
 
 
 def _trial_per1_side(side: str, cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
@@ -413,8 +395,8 @@ def _trial_per1_side(side: str, cfg: ExperimentConfig, trial: int, d: int, n: in
     noise = _shared(_noise, (cfg.seed, trial, 3), moved.dim, moved.count)  # shared with per2
     moved_prime = _perturbed(moved, mu_request, noise, cfg.tol)
     _, report = companion(phi, psi, m, moved_prime, cfg.tol)
-    residuals, booleans = _companion_fields(report, cfg.tol)
-    return _Measured(phi.count, residuals, booleans, all(booleans.values()))
+    values, booleans = _companion_fields(report, cfg.tol)
+    return _Measured(phi.count, _residuals(side, *values), booleans, all(booleans.values()))
 
 
 def _trial_per2(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
@@ -424,11 +406,10 @@ def _trial_per2(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
     noise = _shared(_noise, (cfg.seed, trial, 3), phi.dim, phi.count)
     phi_prime = _perturbed(phi, mu_request, noise, cfg.tol)
     _, report, floor_ratio = _companion_per2(phi, psi, m, phi_prime, mult, cfg.tol)
-    residuals, booleans = _companion_fields(report, cfg.tol)
-    residuals["floor_ratio"] = float(floor_ratio)
+    values, booleans = _companion_fields(report, cfg.tol)
     booleans["floor_ok"] = _floor_ok(floor_ratio, cfg.tol)
     ok = booleans["invariance_ok"] and booleans["floor_ok"]
-    return _Measured(phi.count, residuals, booleans, ok)
+    return _Measured(phi.count, _residuals("per2", *values, float(floor_ratio)), booleans, ok)
 
 
 def _trial_per3(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
@@ -444,9 +425,9 @@ def _trial_per3(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
         eps = _per3_invertible_cap(phi, mult, 0.45)
     m_prime = perturb_symbol(m, eps, (cfg.seed, trial, 4))
     _, report = companion_per3(phi, psi, m, m_prime, mult, cfg.tol)
-    residuals, booleans = _companion_fields(report, cfg.tol)
+    values, booleans = _companion_fields(report, cfg.tol)
     booleans["semi_branch"] = semi_branch
-    return _Measured(phi.count, residuals, booleans, booleans["invariance_ok"])
+    return _Measured(phi.count, _residuals("per3", *values), booleans, booleans["invariance_ok"])
 
 
 def _probe_direction(shape: tuple[int, int], rng_seed) -> np.ndarray:
@@ -474,13 +455,9 @@ def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: i
         "uniqueness_ok": breakage >= 1e2 * tol.rel_eq,
     }
     ok = booleans["decomposition_ok"] and booleans["annihilation_ok"] and booleans["uniqueness_ok"]
-    residuals = {
-        "op_norm": rep._op_norm,
-        "annihilation": rep.annihilation_residual,
-        "masked_annihilation": rep.masked_annihilation_residual,
-        "max_decomposition": max_dec,
-        "probe_breakage": breakage,
-    }
+    residuals = _residuals(
+        side, rep._op_norm, rep.annihilation_residual, rep.masked_annihilation_residual, max_dec, breakage
+    )
     return _Measured(mult.left.count, residuals, booleans, ok)
 
 
@@ -512,20 +489,46 @@ def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Me
         "agree": agree,
         "expected_positive": positive,
     }
-    residuals = {"gamma_norm": gamma_norm, "max_formula_residual": max_formula}
+    residuals = _residuals("equivalence", gamma_norm, max_formula)
     return _Measured(phi.count, residuals, booleans, agree, indeterminate)
 
 
-_TRIAL_BODIES = {
-    "thm1": _trial_thm1,
-    "per1": partial(_trial_per1_side, "per1"),
-    "per1dual": partial(_trial_per1_side, "per1dual"),
-    "per2": _trial_per2,
-    "per3": _trial_per3,
-    "gamma": partial(_trial_correction, "gamma"),
-    "theta": partial(_trial_correction, "theta"),
-    "equivalence": _trial_equivalence,
+# ---------------------------------------------------------------- suite table
+
+# The suites in run order: each one's trial body and its residual keys in
+# record order, every residual key written here once. A key marked _ZERO
+# enters max_residual: a quantity a passing construction drives toward zero.
+# A _DIAG key is a diagnostic, such as achieved_mu, and stays out.
+_ZERO, _DIAG = True, False
+_COMPANION = {
+    "achieved_mu": _DIAG,
+    "bound_coefficient": _DIAG,
+    "companion_deviation": _DIAG,
+    "multiplier_residual": _ZERO,
 }
+_CORRECTION = {
+    "op_norm": _DIAG,
+    "annihilation": _ZERO,
+    "masked_annihilation": _ZERO,
+    "max_decomposition": _ZERO,
+    "probe_breakage": _DIAG,
+}
+_SUITES = {
+    "thm1": (_trial_thm1, dict.fromkeys(("direct", "cond_i", "cond_ii", "cond_iii", "cond_iv"), _ZERO)),
+    "per1": (partial(_trial_per1_side, "per1"), _COMPANION),
+    "per1dual": (partial(_trial_per1_side, "per1dual"), _COMPANION),
+    "per2": (_trial_per2, {**_COMPANION, "floor_ratio": _DIAG}),
+    "per3": (_trial_per3, _COMPANION),
+    "gamma": (partial(_trial_correction, "gamma"), _CORRECTION),
+    "theta": (partial(_trial_correction, "theta"), _CORRECTION),
+    "equivalence": (_trial_equivalence, {"gamma_norm": _DIAG, "max_formula_residual": _ZERO}),
+}
+
+SUITE_NAMES = tuple(_SUITES)
+_TRIAL_BODIES = {name: body for name, (body, _) in _SUITES.items()}
+_AGG_KEYS = frozenset(key for _, keys in _SUITES.values() for key, zero in keys.items() if zero)
+# The CSV's residual columns: every suite's keys, in order of first appearance.
+RESIDUAL_COLUMNS = list(dict.fromkeys(key for _, keys in _SUITES.values() for key in keys))
 
 
 # ------------------------------------------------------------------- records
@@ -575,22 +578,33 @@ def _keys(rows: dict, fields: dict) -> tuple[str, ...]:
     return rows.setdefault(keys, keys)
 
 
-def _row(rows: dict, fields: dict, whole: bool) -> _Row:
-    """fields as a _Row over the run's copy of its key tuple; whole shares an equal row itself.
+def _row(rows: dict, fields: dict) -> _Row:
+    """fields as a _Row from the run's intern table: equal rows are one object.
 
     Rows count as equal only when their values have the same types too, so
     True, 1 and np.bool_(True) never share a row.
     """
     keys = _keys(rows, fields)
     values = tuple(fields.values())
-    if not whole:
-        return _Row(keys, values)
     # A list, not map(): tuple() of an iterator with no length hint over-allocates and
     # shrinks, moving a block between CPython's per-size tuple free lists every trial.
     key = (keys, values, tuple([type(v) for v in values]))
     if key not in rows:
         rows[key] = _Row(keys, values)
     return rows[key]
+
+
+def _check_types(name: str, wanted: str, admits, types) -> None:
+    """Raise InvalidArgument naming the first of types that admits rejects."""
+    for cls in types:
+        if not admits(cls):
+            got = f"{cls.__module__}.{cls.__qualname__}"
+            raise InvalidArgument(f"every {name} must be {wanted}, got {got}")
+
+
+def _check_real(types) -> None:
+    """Raise InvalidArgument naming the first of types that is not numbers.Real: a residual must be real."""
+    _check_types("residual value", "real", lambda cls: issubclass(cls, numbers.Real), types)
 
 
 class _Columns:
@@ -617,7 +631,7 @@ class _Columns:
         self.values.extend(residuals)
         self.n.append(got.n)
         self.keys.append(_keys(rows, got.residuals))
-        self.booleans.append(_row(rows, got.booleans, whole=True))
+        self.booleans.append(_row(rows, got.booleans))
         self.indeterminate.append(got.indeterminate)
         self.verdict.append(_verdict(got.ok, got.indeterminate))
         self.note.append(note)

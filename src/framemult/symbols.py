@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NumericalOverflow, ZeroEntry
-from .linalg import _quiet
+from .linalg import _complex, _quiet
 
 __all__ = [
     "Symbol",
@@ -51,7 +51,7 @@ class Symbol:
 
 def new_symbol(values) -> Symbol:
     """Build a Symbol from any 1-D complex sequence."""
-    arr = np.asarray(values, dtype=np.complex128)
+    arr = _complex(values)
     if arr.ndim != 1:
         raise InvalidArgument(f"symbol must be 1-D, got ndim={arr.ndim}")
     if arr.shape[0] == 0:

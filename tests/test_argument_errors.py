@@ -4,17 +4,22 @@ Sizes go through the generators' one size rule before any draw (integers,
 numpy's too, but not bools), a perturbation size must be finite and
 positive, a tolerance must be a real number inside (0, 1), a matrix function
 that reads extremes refuses an empty matrix, and a dual sample size is a
-non-negative integer.
+non-negative integer. Input numpy cannot read as complex128 is an
+InvalidArgument, and operands of different shapes are a DimensionMismatch.
 """
 
 import numpy as np
 import pytest
 
 from framemult import (
+    DimensionMismatch,
     InvalidArgument,
     Tol,
+    analysis,
+    approx_equal,
     finite_gabor,
     harmonic_tight,
+    new_frame,
     new_symbol,
     onb,
     perturb_symbol,
@@ -23,8 +28,9 @@ from framemult import (
     random_symbol,
     riesz_basis,
     sample_duals,
+    synthesis,
 )
-from framemult.linalg import herm_eig_extremes, inv, sv_extremes
+from framemult.linalg import as_matrix, herm_eig_extremes, inv, op_norm, rel_residual, sv_extremes
 
 SIZE_CASES = {
     "random_frame(0, 7, 1)": (lambda: random_frame(0, 7, 1), "dimension must be positive, got 0"),
@@ -107,3 +113,37 @@ def test_dual_sample_size_zero_and_numpy_integers_are_valid(count):
     duals = sample_duals(f, count=count)
     assert len(duals) == 1 + count
     assert duals[0].w is None
+
+
+UNREADABLE = {
+    "malformed string": "x",
+    "object": np.array([[object()]]),
+    "int beyond float": [[10**400]],
+    "ragged": [[1.0], [1.0, 2.0]],
+}
+READERS = {
+    "as_matrix": as_matrix,
+    "op_norm": op_norm,
+    "new_frame": new_frame,
+    "new_symbol": new_symbol,
+    "analysis": lambda a: analysis(onb(1), a),
+    "synthesis": lambda a: synthesis(onb(1), a),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_input_numpy_cannot_read_as_complex_is_an_invalid_argument(reader, case):
+    with pytest.raises(InvalidArgument, match="cannot read the input as complex numbers"):
+        READERS[reader](UNREADABLE[case])
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(np.eye(2), np.ones((3, 4))), (np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((3, 2)))],
+    ids=["2x2-3x4", "2x2-3x3", "2x3-3x2"],
+)
+def test_comparing_operands_of_different_shapes_is_a_dimension_mismatch(x, y):
+    for compare in (rel_residual, approx_equal):
+        with pytest.raises(DimensionMismatch, match=r"shapes \(\d+, \d+\) and \(\d+, \d+\)"):
+            compare(x, y)

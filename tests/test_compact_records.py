@@ -116,18 +116,11 @@ def test_equal_booleans_rows_are_one_object_within_a_run_and_not_across_runs():
 
 def test_rows_differing_only_by_true_one_or_numpy_bool_stay_apart():
     table = {}
-    rows = [_row(table, {"ok": value}, whole=True) for value in (True, 1, np.bool_(True))]
+    rows = [_row(table, {"ok": value}) for value in (True, 1, np.bool_(True))]
     assert len({id(r) for r in rows}) == 3
     assert [type(r["ok"]) for r in rows] == [bool, int, np.bool_]
-    assert _row(table, {"ok": True}, whole=True) is rows[0]
+    assert _row(table, {"ok": True}) is rows[0]
     assert len({id(r._keys) for r in rows}) == 1
-
-
-def test_residual_rows_share_only_their_key_tuple():
-    table = {}
-    a = _row(table, {"direct": 0.5}, whole=False)
-    b = _row(table, {"direct": 0.5}, whole=False)
-    assert a == b and a is not b and a._keys is b._keys
 
 
 def _run_fake_thm1(monkeypatch, residuals: dict, booleans: dict):
