@@ -7,6 +7,10 @@ operator S = T T* is cached together with its extremal eigenvalues, the
 optimal frame bounds. new_frame takes outside input (non-finite entries are
 an InvalidArgument); a frame derived from finite inputs under linalg's
 overflow rule takes _new_frame, which judges overflow by the spectrum of S.
+
+Every dual, the canonical one and each member of a family alike, is built
+and validated on its own by _lone_dual, the one definition of a valid dual
+and of its error; a family is the list of its members, in order.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from .linalg import (
     _OVERFLOW,
     DEFAULT_TOL,
     Tol,
-    _adjoint,
     _complex,
+    _finite,
     _invertible,
-    _norm_bounds,
     _op_norms,
     _quiet,
     _rel_gap,
@@ -137,11 +140,6 @@ def _freeze(mat: np.ndarray) -> np.ndarray:
     return _read_only(np.array(mat, dtype=np.complex128, copy=True))
 
 
-def _rank_deficient(lo, hi, tol: Tol):
-    """The spectral rank test of new_frame, on scalars or stacks of (lambda_min, lambda_max)."""
-    return (hi <= 0.0) | (lo <= tol.inv_cond * hi)
-
-
 def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
     """Validating constructor: rejects sequences that do not span C^d.
 
@@ -165,7 +163,7 @@ def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
     lo, hi = map(float, _sym_extremes(s))
     if _unbounded(lo, hi):
         raise NumericalOverflow(_OVERFLOW)
-    if _rank_deficient(lo, hi, tol):
+    if hi <= 0.0 or lo <= tol.inv_cond * hi:
         raise NotAFrame(f"rank-deficient sequence: lambda_min(S)={lo:.3e} vs lambda_max(S)={hi:.3e}")
     return Frame(dim=d, count=n, synth=_read_only(synth), cached_S=_read_only(s), bounds=(lo, hi))
 
@@ -198,13 +196,8 @@ def _not_dual(recon: np.ndarray, tol: Tol) -> np.ndarray:
     """Mask of the reconstructions T_dual U_parent in a finite (..., d, d) stack that miss I.
 
     The duality check is ||T_dual U - I|| <= rel_eq * max(1, ||T_dual U||).
-    When every bound on ||T_dual U - I|| is at most rel_eq / 2, the stack
-    passes without an SVD; otherwise the whole stack is judged by the check.
     """
     deviation = recon - np.eye(recon.shape[-1])
-    # A numpy bool scalar's .all() retains a few KiB of cached objects; a 0-d array's does not.
-    if np.asarray(_norm_bounds(deviation) <= 0.5 * tol.rel_eq).all():
-        return np.zeros(recon.shape[:-2], dtype=bool)
     return _op_norms(deviation) > tol.rel_eq * np.maximum(1.0, _op_norms(recon))
 
 
@@ -223,61 +216,25 @@ def _lone_dual(f: Frame, synth: np.ndarray, tol: Tol) -> Frame:
     """The frame of a d x N synthesis matrix formed as a dual of f, validated as one.
 
     The one definition of a valid dual and of its error: T_dual U finite (else
-    as_matrix's InvalidArgument), the duality check (else InvalidDual), then
-    _new_frame's overflow and rank checks on T_dual T_dual*.
+    a NumericalOverflow, linalg's overflow rule), the duality check (else
+    InvalidDual), then _new_frame's overflow and rank checks on T_dual T_dual*.
     """
-    if _not_dual(as_matrix(synth @ f.analysis_op), tol):
+    if _not_dual(_finite(synth @ f.analysis_op, "T_dual U"), tol):
         raise InvalidDual(_NOT_DUAL)
     return _new_frame(synth, tol)
 
 
 @_quiet
-def _family_stack(f: Frame, w: np.ndarray, tol: Tol) -> tuple[np.ndarray, ...]:
-    """The read-only (K+1, d, N) synthesis stack of f's duals for a (K, d, N) stack of W_k.
-
-    Row 0 is S^{-1}T, row k is S^{-1}T + w[k - 1](I - U S^{-1}T). One stacked
-    pass of _lone_dual's checks filters rows 1..K; when any row fails it, the
-    rows are replayed in order through _lone_dual, so the first failing row
-    raises the error a dual-by-dual loop would raise.
-    Also returns the read-only (K, d, d) stack of the frame operators
-    T_dual T_dual* and their extremal eigenvalues.
-    """
-    stack = np.empty((len(w) + 1, f.dim, f.count), dtype=np.complex128)
-    stack[0] = f._canonical_synth
-    synth = np.matmul(w, f._kernel_proj, out=stack[1:])
-    synth += f._canonical_synth
-    recon = synth @ f.analysis_op
-    failing = not np.isfinite(recon).all() or _not_dual(recon, tol).any()
-    del recon  # freed before the frame operators are formed
-    gram = synth @ _adjoint(synth)
-    lo, hi = _sym_extremes(gram)
-    if failing or (_unbounded(lo, hi) | _rank_deficient(lo, hi, tol)).any():
-        for row in synth:
-            _lone_dual(f, row, tol)
-    return _read_only(stack), _read_only(gram), lo, hi
-
-
 def _dual_family(f: Frame, w: np.ndarray, tol: Tol) -> list[DualFrame]:
-    """The duals S^{-1}T + W_k(I - U S^{-1}T) of f for a (K, d, N) stack of W_k; see _family_stack.
+    """The duals S^{-1}T + W_k(I - U S^{-1}T) of f for a (K, d, N) stack of W_k, in order.
 
-    Each dual keeps a view of its W_k, so w must be read-only and edited by
-    no one (random_dual passes a copy), and read-only views of its rows of
-    the family's synthesis and frame-operator stacks.
+    Each is validated by _lone_dual, so the first failing W_k raises its
+    error. Each dual keeps a view of its W_k, so w must be read-only and
+    edited by no one (random_dual passes a copy).
     """
-    stack, gram, lo, hi = _family_stack(f, w, tol)
     return [
-        DualFrame(
-            frame=Frame(
-                dim=f.dim,
-                count=f.count,
-                synth=stack[k + 1],
-                cached_S=gram[k],
-                bounds=(float(lo[k]), float(hi[k])),
-            ),
-            parent=f,
-            w=w[k],
-        )
-        for k in range(len(w))
+        DualFrame(frame=_lone_dual(f, f._canonical_synth + w_k @ f._kernel_proj, tol), parent=f, w=w_k)
+        for w_k in w
     ]
 
 

@@ -30,17 +30,8 @@ bounds from _sym_extremes, the extremes of (S + S*)/2, untested: on S the
 Hermitian test checks rounding only (||S - S*||/||S|| <= 3.4e-16 over 3,500
 generated frames) and rejects valid frames at rel_eq 1e-17. herm_eig_extremes,
 whose input comes from outside, keeps the test and decides it by the exact
-rule alone, one matrix at a time.
-
-The duality check (is T_dual U = I, on a stack of duals) is decided bound
-first, SVD second. The bound ||A|| <= sqrt(mn) max|a_ij| clears a matrix when
-it falls within half the tolerance the check allows; a stack the bound clears
-whole runs no SVD, and any other stack is judged whole by the exact rule. A
-matrix the bound clears passes the exact rule too, as the factor-2 margin
-dwarfs the roundoff in either side, so every matrix gets the verdict the
-SVD-only rule gives. The bound is a largest entry, not a sum of squares, so
-it cannot underflow to zero at tiny scales and clear a matrix the exact rule
-rejects.
+rule alone, one matrix at a time. The duality check of frames judges each
+T_dual U by the exact rule too, through the SVD.
 
 Every equality is judged by one rule, the quotient _rel_gap(gap, *norms) =
 gap / max(1, *norms): X equals Y when _rel_gap(||X - Y||, ||X||, ||Y||) <= rel_eq.
@@ -169,12 +160,6 @@ def op_norm(a) -> float:
 def _op_norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norm of each matrix in a finite (..., m, n) stack, by one batched SVD."""
     return _svd_values(stack)[..., 0]
-
-
-def _norm_bounds(stack: np.ndarray) -> np.ndarray:
-    """sqrt(mn) max|a_ij| per matrix of a (..., m, n) stack: an upper bound on its spectral norm."""
-    m, n = stack.shape[-2:]
-    return np.sqrt(m * n) * np.abs(stack).max(axis=(-2, -1))
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:

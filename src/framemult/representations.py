@@ -8,20 +8,32 @@ at the price of one correction operator:
     M^{-1} = mult(1/m, Psi^d, canonical dual of Phi) + T_{Psi^d} Theta
 
 Gamma and Theta are the unique operators making these hold for every dual,
-and Theta is the Gamma of the adjoint multiplier M* = mult(conj(m), Psi, Phi).
+and Theta is the Gamma of the adjoint multiplier M* = mult(conj(m), Psi, Phi),
+so every Theta reading here is the Gamma reading of adjoint(M).
 Gamma vanishes exactly when the right frame is equivalent to the
 symbol-scaled left frame, which is also exactly when the correction-free
 formula holds for every dual; equivalence_criterion packages that three-way
-agreement on the seed-2026 sample of duals; its core _equivalence takes a
-callable that returns the family's synthesis stack, so the suites pass the
-stack of their own (seed, trial, 5) family.
+agreement.
+
+"For every dual" is decided exactly, not on a sample. Every dual of Phi has
+U_{Phi^d} = U_Phi S_Phi^{-1} + P W* for a d x N matrix W, where P is the
+projection onto ker T_Phi. For a correction C (Gamma, or 0 for the
+correction-free formula) write L = T_{Psi~} diag(1/m) + C*. The residual
+against the dual of W is then R0 - K W*, with R0 = M^{-1} - L U_Phi S_Phi^{-1}
+(the canonical dual's residual) and K = L P, and over ||W|| <= 1 its largest
+norm lies in [max(||R0||, ||K||), ||R0|| + ||K||]. _certificate gives the
+pair. The upper end is the sound reading of a claim for every dual; the
+lower end is reached by explicit duals (W = 0 and W = +-x y* with y, x from
+K's top singular pair), so it is the sound reading of a failure for some
+dual. sample_duals and verify_*_decomposition keep explicit families of duals
+for callers that want them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +49,7 @@ from .frames import (
     equivalence_map,
 )
 from .linalg import DEFAULT_TOL, Tol, _adjoint, _finite, _is_integer, _op_norms, _quiet, _rel_gap, op_norm
-from .multiplier import Multiplier, _inverse_formula_left, adjoint, invert
+from .multiplier import Multiplier, _inverse_formula_left, _inverse_norm, adjoint, invert
 from .symbols import reciprocal
 
 __all__ = [
@@ -66,7 +78,7 @@ class RepResult:
     masked_annihilation_residual inserts the symbol diagonal between the two
     (conj(m) for Gamma, m for Theta), which is the combination the inverse
     algebra actually cancels. decomposition_residuals is filled by the
-    verify_* pass, one (dual index, residual) pair per sampled dual.
+    verify_* pass, one (dual index, residual) pair per supplied dual.
     """
 
     op: np.ndarray
@@ -154,52 +166,50 @@ def theta_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
     return replace(gamma_of(adjoint(mult), tol), kind="Theta")
 
 
-def _decompose(
-    mult: Multiplier, kind: str, ops: list[np.ndarray], stack: np.ndarray, tol: Tol
-) -> list[tuple[tuple[int, float], ...]]:
-    """verify_*_decomposition's (dual index, residual) pairs for each op of the given kind.
+@_quiet
+def _certificate(mult: Multiplier, correction: np.ndarray | None, tol: Tol) -> tuple[float, float]:
+    """(||R0||, ||K||) for M^{-1} against every dual of the left frame with correction C (see above).
 
-    stack is the (K, d, N) synthesis stack of the duals, re-checked here as
-    duals of the kind's frame. The op-free term is formed once for all ops.
-    Each op's gaps minv - (formula + correction) are built in place in one
-    preallocated (len(ops), K, d, d) array, from which one stacked SVD takes
-    all residuals.
+    L = T_{Psi~} diag(1/m) + C*, R0 = M^{-1} - L (S_Phi^{-1} T_Phi)* and
+    K = L P_Phi, formed under linalg's overflow rule: an R0 or K that is not
+    finite is a NumericalOverflow. correction None is C = 0. On adjoint(M)
+    this is the Theta side, against every dual of the right frame.
     """
     minv = invert(mult, tol)
-    inv_m = reciprocal(mult.symbol).values  # ZeroEntry guard
-    gamma = kind == "Gamma"
-    tilde = canonical_dual(mult.right if gamma else mult.left, tol).frame
-    if not len(stack):
-        return [() for _ in ops]
-    _check_duality(stack, mult.left if gamma else mult.right, tol)
-    if gamma:  # mult(1/m, canonical dual of Psi, Phi^d) + op* U_{Phi^d}
-        dual_analysis = _adjoint(stack)
-        formula = (tilde.synth * inv_m[np.newaxis, :]) @ dual_analysis
-        correction = lambda op: op.conj().T @ dual_analysis
-    else:  # mult(1/m, Psi^d, canonical dual of Phi) + T_{Psi^d} op
-        formula = (stack * inv_m[np.newaxis, np.newaxis, :]) @ tilde.analysis_op
-        correction = lambda op: stack @ op
-    gaps = np.empty((len(ops), *formula.shape), dtype=np.result_type(minv, formula))
-    for gap, op in zip(gaps, ops):
-        np.add(formula, correction(op), out=gap)  # the correction is freed here
-        np.subtract(minv, gap, out=gap)
-    residuals = _op_norms(gaps)
-    return [tuple([*enumerate(row)]) for row in residuals.tolist()]  # exact size, see suites._row
+    left = _inverse_formula_left(mult, tol)
+    if correction is not None:
+        left = left + correction.conj().T
+    phi = mult.left
+    r0 = _finite(minv - left @ phi._canonical_synth.conj().T, "R0")
+    k = _finite(left @ phi._kernel_proj, "K")
+    return float(_op_norms(r0)), float(_op_norms(k))
 
 
+@_quiet
 def _decomposition_residuals(
-    mult: Multiplier, kind: str, ops: list[np.ndarray], duals: list[DualFrame], tol: Tol
-) -> list[tuple[tuple[int, float], ...]]:
-    """_decompose over the synthesis stack of the supplied duals of the kind's frame."""
-    parent = mult.left if kind == "Gamma" else mult.right
+    mult: Multiplier, op: np.ndarray, duals: list[DualFrame], tol: Tol
+) -> tuple[tuple[int, float], ...]:
+    """(dual index, ||M^{-1} - (T_{Psi~} diag(1/m) + op*) U_{Phi^d}||) per supplied dual of the left frame.
+
+    Each dual is re-checked against the left frame, and the gaps are judged
+    by linalg's overflow rule. On adjoint(M) this is the Theta form.
+    """
+    parent = mult.left
     shapes = {dual.frame.synth.shape for dual in duals}
     if shapes - {(parent.dim, parent.count)}:
         raise InvalidDual(
             f"dual shapes {sorted(shapes)} do not match parent {parent.dim}x{parent.count}"
         )
-    synths = [dual.frame.synth for dual in duals]
-    stack = np.stack(synths) if synths else np.empty((0, parent.dim, parent.count), np.complex128)
-    return _decompose(mult, kind, ops, stack, tol)
+    minv = invert(mult, tol)
+    left = _inverse_formula_left(mult, tol) + op.conj().T
+    if not duals:
+        return ()
+    stack = np.stack([dual.frame.synth for dual in duals])
+    _check_duality(stack, parent, tol)
+    gaps = left @ _adjoint(stack)
+    np.subtract(minv, gaps, out=gaps)  # each gap M^{-1} - L U_{Phi^d}, in place
+    residuals = _op_norms(_finite(gaps, "decomposition gap"))
+    return tuple([*enumerate(residuals.tolist())])  # exact size, see suites._row
 
 
 def verify_gamma_decomposition(
@@ -213,8 +223,7 @@ def verify_gamma_decomposition(
     One residual per supplied dual of the left frame; each dual is first
     re-verified against that frame.
     """
-    (residuals,) = _decomposition_residuals(mult, "Gamma", [g.op], duals, tol)
-    return replace(g, decomposition_residuals=residuals)
+    return replace(g, decomposition_residuals=_decomposition_residuals(mult, g.op, duals, tol))
 
 
 def verify_theta_decomposition(
@@ -223,32 +232,29 @@ def verify_theta_decomposition(
     duals: list[DualFrame],
     tol: Tol = DEFAULT_TOL,
 ) -> RepResult:
-    """Residuals of M^{-1} = mult(1/m, Psi^d, canonical dual of Phi) + T_{Psi^d} Theta."""
-    (residuals,) = _decomposition_residuals(mult, "Theta", [t.op], duals, tol)
-    return replace(t, decomposition_residuals=residuals)
+    """Residuals of M^{-1} = mult(1/m, Psi^d, canonical dual of Phi) + T_{Psi^d} Theta.
 
-
-def _equivalence(
-    mult: Multiplier, tol: Tol, duals: Callable[[], np.ndarray]
-) -> tuple[EquivalenceVerdict, np.ndarray]:
-    """equivalence_criterion, and each dual's formula residual, against duals of the left frame.
-
-    duals() returns their (K, d, N) synthesis stack. It is called only once
-    the inverse, the equivalence map and Gamma have passed, so their errors
-    come first.
+    One residual per supplied dual of the right frame: the Gamma form of adjoint(mult).
     """
-    minv = invert(mult, tol)
-    inv_norm = 1.0 / mult.inv_diag.sigma_min  # ||M^{-1}||
+    return replace(t, decomposition_residuals=_decomposition_residuals(adjoint(mult), t.op, duals, tol))
+
+
+def _equivalence(mult: Multiplier, tol: Tol) -> tuple[EquivalenceVerdict, float]:
+    """equivalence_criterion, and the formula's certified bound ||R0|| + ||K|| over every dual.
+
+    The inverse, the equivalence map and Gamma come first, so their errors do.
+    """
+    inv_norm = _inverse_norm(mult, tol)  # ||M^{-1}||
 
     scaled = _scaled(mult.left, mult.symbol, tol)  # build checked the shapes
     equivalent = equivalence_map(scaled, mult.right, tol) is not None
 
     gamma_zero = _rel_gap(gamma_of(mult, tol)._op_norm, inv_norm) <= tol.rel_eq
 
-    # ||M^{-1} - mult(1/m, canonical dual of Psi, Phi^d)|| per dual Phi^d
-    residuals = _op_norms(minv - _inverse_formula_left(mult, tol) @ _adjoint(duals()))
-    all_duals = not np.any(_rel_gap(residuals, inv_norm) > tol.rel_eq)
-    return EquivalenceVerdict(equivalent, gamma_zero, all_duals), residuals
+    # bounds ||M^{-1} - mult(1/m, canonical dual of Psi, Phi^d)|| over every dual Phi^d
+    formula = sum(_certificate(mult, None, tol))
+    all_duals = _rel_gap(formula, inv_norm) <= tol.rel_eq
+    return EquivalenceVerdict(equivalent, gamma_zero, all_duals), formula
 
 
 def equivalence_criterion(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> EquivalenceVerdict:
@@ -256,10 +262,9 @@ def equivalence_criterion(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Equivalen
 
     equivalent: an invertible V with V(m_n phi_n) = psi_n exists.
     gamma_zero: the Gamma correction vanishes.
-    all_duals_formula: the correction-free inverse formula holds against the
-    canonical dual and the seed-2026 sample of random duals of the left frame.
+    all_duals_formula: the correction-free inverse formula holds against every
+    dual of the left frame, judged on its certified bound ||R0|| + ||K||.
 
     Both residual verdicts are the rule of linalg with ||M^{-1}|| = 1/sigma_min(M).
     """
-    duals = lambda: np.stack([dual.frame.synth for dual in sample_duals(mult.left, tol=tol)])
-    return _equivalence(mult, tol, duals)[0]
+    return _equivalence(mult, tol)[0]

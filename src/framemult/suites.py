@@ -15,15 +15,19 @@ the other way.
 
 Determinism: all randomness is drawn from generators seeded with
 (base_seed, trial, stream) tuples, so a fixed config reproduces every
-fixture, perturbation, sampled dual, and residual bit-for-bit.
+fixture, perturbation and residual bit-for-bit.
+
+The claims quantified over every dual (the gamma and theta decompositions
+and the equivalence suite's all_duals_formula) sample no duals: each reads
+representations._certificate, whose bound ||R0|| + ||K|| holds for every
+dual, and the uniqueness probe reads max(||R0||, ||K||), which some dual
+reaches. The theta suite is the gamma suite on the adjoint multiplier.
 
 A combined run executes trial-major: for each trial, every suite in turn.
 The suites of one trial share the seeded fixtures they have in common (the
 frame pair, the semi-normalized symbol, the invertible instances, the
-(seed, trial, 5) W block, the synthesis stack of each frame's dual family,
-the (seed, trial, 3) noise and the (seed, trial, 7) probe direction), each
-built and validated once; the equivalence suite judges all_duals_formula on
-that (seed, trial, 5) family. Each run keeps these in a memo of its own.
+(seed, trial, 3) noise and the (seed, trial, 7) probe direction), each
+built and validated once. Each run keeps these in a memo of its own.
 A fixture is keyed by its own call, (make, *args), so its key cannot leave
 out an argument. Records are still reported suite by suite, in the same
 order and with the same bytes as running the suites one after another.
@@ -53,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigInvalid, FrameMultError, InvalidArgument
-from .frames import Frame, _family_stack, _weighted_image, canonical_dual
+from .frames import Frame, _weighted_image
 from .generators import (
     finite_gabor,
     harmonic_tight,
@@ -63,7 +67,7 @@ from .generators import (
     riesz_basis,
 )
 from .linalg import DEFAULT_TOL, Tol, _is_integer, _near_boundary, _rel_gap
-from .multiplier import Multiplier, _inverse_norm, build, thm1_report
+from .multiplier import Multiplier, _inverse_norm, adjoint, build, thm1_report
 from .perturbation import (
     _companion_per2,
     _floor_ok,
@@ -77,14 +81,7 @@ from .perturbation import (
     companion_per1_dual_side,
     companion_per3,
 )
-from .representations import (
-    DUAL_SAMPLE_COUNT,
-    _decompose,
-    _equivalence,
-    _unit_w,
-    gamma_of,
-    theta_of,
-)
+from .representations import _certificate, _equivalence, _unit_w, gamma_of
 from .symbols import Symbol, new_symbol, perturb_symbol
 
 __all__ = [
@@ -316,22 +313,6 @@ def _draw_invertible(
     )
 
 
-def _draw_w(seed: tuple, d: int, n: int) -> np.ndarray:
-    return _unit_w(np.random.default_rng(seed), DUAL_SAMPLE_COUNT, d, n)
-
-
-def _sample_duals(frame_key: tuple, seed: tuple, tol: Tol) -> np.ndarray:
-    """The read-only synthesis stack of sample_duals(keyed frame, rng=default_rng(seed)).
-
-    The suites pass the (seed, trial, 5) stream. Its W block depends only on the
-    stream and the shape, so both frames of a trial share it.
-    """
-    f = _frame(frame_key)
-    canonical_dual(f, tol)  # its errors come first, as in sample_duals
-    w = _shared(_draw_w, seed, f.dim, f.count)
-    return _family_stack(f, w, tol)[0]
-
-
 def _verdict(ok: bool, indeterminate: bool) -> str:
     if indeterminate:
         return "indeterminate"
@@ -435,19 +416,20 @@ def _probe_direction(shape: tuple[int, int], rng_seed) -> np.ndarray:
 
 
 def _trial_correction(side: str, cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Measured:
-    """Gamma against duals of the left frame, or Theta against duals of the right frame."""
-    phi_key, psi_key = _pair_keys(cfg, trial, d, n)
-    m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=False)
+    """Gamma against every dual of the left frame, or Theta, the Gamma of the adjoint, of the right frame.
+
+    The decomposition reads its certified bound ||R0|| + ||K||, which holds for
+    every dual; the probe's breakage reads max(||R0||, ||K||), which some dual reaches.
+    """
+    _, mult = _invertible_instance(cfg, trial, *_pair_keys(cfg, trial, d, n), zero_entry=False)
     tol = cfg.tol
-    rep_of, dual_key = (gamma_of, phi_key) if side == "gamma" else (theta_of, psi_key)
-    rep = rep_of(mult, tol)
+    on = mult if side == "gamma" else adjoint(mult)
+    rep = gamma_of(on, tol)
     direction = _shared(_probe_direction, rep.op.shape, (cfg.seed, trial, 7))
     probe = rep.op + direction * (1e3 * tol.rel_eq)
-    duals = _shared(_sample_duals, dual_key, (cfg.seed, trial, 5), tol)
-    decomposition, probed = _decompose(mult, rep.kind, [rep.op, probe], duals, tol)
+    max_dec = sum(_certificate(on, rep.op, tol))
+    breakage = max(_certificate(on, probe, tol))
     inv_norm = _inverse_norm(mult, tol)
-    max_dec = max(r for _, r in decomposition)
-    breakage = max(r for _, r in probed)
     booleans = {
         "decomposition_ok": _rel_gap(max_dec, inv_norm) <= tol.rel_eq,
         "annihilation_ok": _rel_gap(rep.annihilation_residual, inv_norm) <= tol.rel_eq,
@@ -474,11 +456,9 @@ def _trial_equivalence(cfg: ExperimentConfig, trial: int, d: int, n: int) -> _Me
     else:
         psi_key = _frame_key("random", d, phi.count, (cfg.seed, trial, 1), tol)
         m, mult = _invertible_instance(cfg, trial, phi_key, psi_key, zero_entry=False)
-    duals = partial(_shared, _sample_duals, phi_key, (cfg.seed, trial, 5), tol)
-    verdict3, formula = _equivalence(mult, tol, duals)
+    verdict3, max_formula = _equivalence(mult, tol)
     inv_norm = _inverse_norm(mult, tol)
     gamma_norm = gamma_of(mult, tol)._op_norm
-    max_formula = float(formula.max())
 
     agree = verdict3.equivalent == verdict3.gamma_zero == verdict3.all_duals_formula
     indeterminate = any(_near_boundary(_rel_gap(r, inv_norm), tol) for r in (gamma_norm, max_formula))

@@ -1,7 +1,5 @@
 """Quantities computed once and reused: each reuse gives the bits of a fresh computation."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -57,44 +55,15 @@ def _multiplier(name):
     raise AssertionError(f"no invertible multiplier on {name}")
 
 
-def _probe(op, seed):
-    rng = np.random.default_rng(seed)
-    direction = rng.standard_normal(op.shape) + 1j * rng.standard_normal(op.shape)
-    return op + direction / op_norm(direction) * 1e-5
-
-
-def _bits(residuals):
-    return [(k, np.float64(r).tobytes()) for k, r in residuals]
-
-
-# ------------------------------------------------------ one decomposition pass
-
-
-@pytest.mark.parametrize("name", sorted(FRAME_PAIRS))
-@pytest.mark.parametrize(
-    "rep_of, verify, side",
-    [
-        (gamma_of, verify_gamma_decomposition, "left"),
-        (theta_of, verify_theta_decomposition, "right"),
-    ],
-)
-def test_one_pass_over_rep_and_probe_equals_two_verify_calls(name, rep_of, verify, side):
-    mult = _multiplier(name)
-    rep = rep_of(mult)
-    duals = sample_duals(getattr(mult, side), rng=np.random.default_rng(11))
-    probe_op = _probe(rep.op, 13)
-    one_pass = _decomposition_residuals(mult, rep.kind, [rep.op, probe_op], duals, Tol())
-    two_calls = [
-        verify(mult, rep, duals).decomposition_residuals,
-        verify(mult, replace(rep, op=probe_op), duals).decomposition_residuals,
-    ]
-    assert [_bits(r) for r in one_pass] == [_bits(r) for r in two_calls]
-    assert [k for k, _ in one_pass[0]] == list(range(DUAL_SAMPLE_COUNT + 1))
+# ------------------------------------------------------ decomposition residuals
 
 
 def test_one_pass_with_no_duals_gives_empty_residuals():
     mult = _multiplier("4x9")
-    assert _decomposition_residuals(mult, "Gamma", [gamma_of(mult).op] * 2, [], Tol()) == [(), ()]
+    g = gamma_of(mult)
+    assert _decomposition_residuals(mult, g.op, [], Tol()) == ()
+    assert verify_gamma_decomposition(mult, g, []).decomposition_residuals == ()
+    assert verify_theta_decomposition(mult, theta_of(mult), []).decomposition_residuals == ()
 
 
 # ------------------------------------------------------------- Gamma memo
@@ -152,22 +121,23 @@ def test_sample_duals_without_rng_is_the_seed_2026_family(name):
     assert [d.frame.bounds for d in cached] == [d.frame.bounds for d in fresh]
 
 
-# ------------------------------------------------------ trial W block memo
+# ------------------------------------------------- trial probe direction memo
 
 
 def test_combined_run_draws_each_trial_block_once(monkeypatch):
-    real = suites._draw_w
+    """The (seed, trial, 7) probe direction is drawn once per trial; gamma and theta share it."""
+    real = suites._probe_direction
     draws, memos = [], []
 
-    def counting(seed, d, n):
+    def counting(shape, seed):
         draws.append(seed)
         memos.append(suites._MEMO.get())  # the run's memo
-        return real(seed, d, n)
+        return real(shape, seed)
 
-    monkeypatch.setattr(suites, "_draw_w", counting)
+    monkeypatch.setattr(suites, "_probe_direction", counting)
     cfg = ExperimentConfig(suite="all", dims=((2, 5), (3, 7)), trials=4, seed=4243)
     run_suite(cfg)
-    assert draws == [(4243, t, 5) for t in range(4)]
+    assert draws == [(4243, t, 7) for t in range(4)]
     assert all(memo is memos[0] for memo in memos)
     assert memos[0] == {}
 
@@ -263,7 +233,7 @@ def test_thm1_report_is_unchanged(name):
 def test_overflowing_frame_operator_is_a_numerical_overflow():
     with pytest.raises(NumericalOverflow):
         new_frame(1e200 * np.eye(2))
-    # The same Gram overflow in the stacked dual kernel.
+    # The same Gram overflow in a dual built by random_dual.
     f = new_frame(1e-153 * harmonic_tight(2, 4).synth)
     p0 = np.eye(f.count)[:, 0] - f.analysis_op @ np.linalg.solve(f.cached_S, f.synth[:, 0])
     with pytest.raises(NumericalOverflow):

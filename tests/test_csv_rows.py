@@ -191,7 +191,7 @@ def test_a_dual_family_retains_its_synth_and_gram_stacks_only():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    stacks = k * f.dim * (f.count + f.dim) * 16  # complex synth (K, d, N) and gram (K, d, d)
+    stacks = k * f.dim * (f.count + f.dim) * 16  # K complex synths (d, N) and grams (d, d)
     assert stacks == 64_000
     assert len(family) == k
     assert retained <= stacks + 16 * 1024, f"retained {retained} B"

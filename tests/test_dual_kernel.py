@@ -1,12 +1,12 @@
-"""The stacked dual-family kernel against a dual-by-dual reference."""
+"""The dual-family kernel against a step-by-step reference, dual by dual."""
 
 import numpy as np
 import pytest
 
 from framemult import (
-    InvalidArgument,
     InvalidDual,
     NotAFrame,
+    NumericalOverflow,
     Singular,
     Tol,
     canonical_dual,
@@ -49,6 +49,8 @@ def _reference_dual(f, w, tol):
     v = w @ (np.eye(f.count) - f.analysis_op @ s_inv_t)
     synth = s_inv_t + v
     recon = synth @ f.analysis_op
+    if not np.isfinite(recon).all():
+        raise NumericalOverflow("T_dual U of finite inputs overflows")
     if op_norm(recon - np.eye(f.dim)) > tol.rel_eq * max(1.0, op_norm(recon)):
         raise InvalidDual("reconstruction T_dual U_parent deviates from the identity")
     return new_frame(synth, tol), v
@@ -106,7 +108,7 @@ def _reference_error(f, ws, tol):
     try:
         for w in ws:
             _reference_dual(f, w, tol)
-    except (InvalidDual, NotAFrame, ValueError) as exc:
+    except (InvalidDual, NotAFrame, NumericalOverflow, ValueError) as exc:
         return type(exc)
     return None
 
@@ -139,7 +141,7 @@ def test_stacked_path_raises_the_loop_error_first(order):
         # a huge W leaves roundoff of order 1e-4 in T_dual U - I
         "duality": 1e12 * rng.standard_normal((3, 7)),
         # W aligned with column 0 of the kernel projection: W(I - U S^{-1}T)
-        # overflows, so the finiteness test on T_dual U comes first
+        # overflows, so the finiteness test on T_dual U comes first: an overflow
         "overflow": np.tile(1.7e308 * np.conj(p0) / np.abs(p0), (3, 1)),
         # T_dual U stays finite and fails duality; only T_dual T_dual* overflows
         "gram_overflow": 1e160 * rng.standard_normal((3, 7)),
@@ -149,7 +151,7 @@ def test_stacked_path_raises_the_loop_error_first(order):
     expected = {
         "rank": NotAFrame,
         "duality": InvalidDual,
-        "overflow": InvalidArgument,
+        "overflow": NumericalOverflow,
         "gram_overflow": InvalidDual,
     }[first_bad]
     with np.errstate(over="ignore", invalid="ignore"):

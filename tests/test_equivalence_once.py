@@ -1,4 +1,4 @@
-"""One dual family and one formula pass per equivalence trial; norms and noise drawn once."""
+"""One certificate per equivalence trial, step by step; norms and noise drawn once."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from framemult import (
     gamma_of,
     invert,
     new_frame,
-    random_dual,
+    proj_ker_synthesis,
     random_frame,
     random_frame_perturbation,
     random_symbol,
@@ -29,7 +29,6 @@ from framemult import multiplier, representations, suites
 from framemult.linalg import herm_eig_extremes, op_norm
 from framemult.multiplier import _inverse_norm
 from framemult.perturbation import _noise, _perturbed
-from framemult.representations import DUAL_SAMPLE_COUNT, _unit_w
 
 FRAME_PAIRS = {
     "4x9": lambda: (random_frame(4, 9, (409, 0)), random_frame(4, 9, (409, 1))),
@@ -59,7 +58,7 @@ def _note(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-# ------------------------------------------------------- dual-by-dual reference
+# ------------------------------------------------------- step-by-step reference
 
 
 def _reference_multiplier(seed, trial, d, n, tol):
@@ -77,27 +76,22 @@ def _reference_multiplier(seed, trial, d, n, tol):
     raise FrameMultError("no invertible multiplier")
 
 
-def _reference_duals(phi, seed, trial, tol):
-    """The trial's (seed, trial, 5) family of phi, one random_dual at a time."""
-    w = _unit_w(np.random.default_rng((seed, trial, 5)), DUAL_SAMPLE_COUNT, phi.dim, phi.count)
-    return [canonical_dual(phi, tol), *(random_dual(phi, w_k, tol) for w_k in w)]
-
-
 def _reference_trial(seed, trial, d, n, tol):
-    """(note, max formula residual) of one equivalence trial, computed step by step in order."""
+    """(note, certified formula bound) of one equivalence trial, computed step by step in order."""
     try:
         mult = _reference_multiplier(seed, trial, d, n, tol)
         minv = invert(mult, tol)
         equivalence_map(scale_by_symbol(mult.left, mult.symbol, tol), mult.right, tol)
         gamma_of(mult, tol)
-        duals = _reference_duals(mult.left, seed, trial, tol)
         left = canonical_dual(mult.right, tol).frame.synth * reciprocal(mult.symbol).values
     except FrameMultError as exc:
         return _note(exc), None
-    return "", max(op_norm(minv - left @ dual.frame.analysis_op) for dual in duals)
+    phi = mult.left
+    r0 = minv - left @ np.linalg.solve(phi.cached_S, phi.synth).conj().T
+    return "", op_norm(r0) + op_norm(left @ proj_ker_synthesis(phi))
 
 
-def test_equivalence_notes_follow_the_dual_by_dual_order():
+def test_equivalence_notes_follow_the_step_by_step_order():
     tol = Tol(rel_eq=1e-15)
     cfg = ExperimentConfig(suite="equivalence", trials=40, seed=3, tol=tol)
     records = run_suite(cfg).records
@@ -106,12 +100,12 @@ def test_equivalence_notes_follow_the_dual_by_dual_order():
     for record, (note, max_formula) in zip(records, reference):
         if not note:
             assert record.residuals["max_formula_residual"] == max_formula
-    # Trials whose inverse and whose duals both fail the Tol: the inverse decides.
+    # Trials whose inverse and whose right frame's canonical dual both fail the Tol: the inverse decides.
     both = []
     for record in records:
         mult = _reference_multiplier(3, record.trial, record.d, record.n, tol)
         try:
-            _reference_duals(mult.left, 3, record.trial, tol)
+            canonical_dual(mult.right, tol)
         except FrameMultError as exc:
             if record.note.startswith("Singular"):
                 both.append(_note(exc))
@@ -122,18 +116,23 @@ def test_equivalence_notes_follow_the_dual_by_dual_order():
 
 
 def _hand_criterion(mult, tol):
+    """The three readings from np.linalg: all_duals_formula on ||R0|| + ||K||, with S^{-1}T and P from pinv."""
     minv = invert(mult, tol)
     scale = max(1.0, op_norm(minv))
     equivalent = equivalence_map(scale_by_symbol(mult.left, mult.symbol, tol), mult.right, tol)
     gamma_zero = op_norm(gamma_of(mult, tol).op) <= tol.rel_eq * scale
     left = canonical_dual(mult.right, tol).frame.synth * reciprocal(mult.symbol).values
-    residuals = [op_norm(minv - left @ d.frame.analysis_op) for d in sample_duals(mult.left)]
-    return (equivalent is not None, gamma_zero, max(residuals) <= tol.rel_eq * scale)
+    pinv_t = np.linalg.pinv(mult.left.synth)  # U S^{-1}, so P = I - pinv(T) T
+    bound = op_norm(minv - left @ pinv_t) + op_norm(left @ (np.eye(mult.left.count) - pinv_t @ mult.left.synth))
+    # Every dual stays under the bound: the seed-2026 family too.
+    sampled = [op_norm(minv - left @ d.frame.analysis_op) for d in sample_duals(mult.left)]
+    assert max(sampled) <= bound + tol.rel_eq * scale
+    return (equivalent is not None, gamma_zero, bound <= tol.rel_eq * scale)
 
 
 @pytest.mark.parametrize("make", [_multiplier, _equivalent_multiplier])
 @pytest.mark.parametrize("name", sorted(FRAME_PAIRS))
-def test_public_criterion_uses_the_seed_2026_family(name, make):
+def test_public_criterion_decides_every_dual(name, make):
     mult = make(name)
     assert tuple(equivalence_criterion(mult)) == _hand_criterion(mult, Tol())
 
@@ -142,8 +141,9 @@ def test_public_criterion_uses_the_seed_2026_family(name, make):
 
 
 def test_combined_run_takes_each_norm_once_and_samples_no_seed_2026_family(monkeypatch):
-    # The suites draw their W blocks through their own reference to _unit_w, so
-    # any call through the module attribute is a seed-2026 draw by sample_duals.
+    # The suites draw their probe directions through their own reference to
+    # _unit_w, so any call through the module attribute is a seed-2026 draw by
+    # sample_duals, which no suite makes.
     sampled = []
     for name in ("sample_duals", "_unit_w"):
         monkeypatch.setattr(representations, name, lambda *a, _n=name, **k: sampled.append(_n))

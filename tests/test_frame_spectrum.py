@@ -1,7 +1,7 @@
 """Frames are validated by their spectrum alone.
 
-A frame operator S = T T* is Hermitian by construction, so new_frame and the
-stacked dual families take its bounds from (S + S*)/2 without a Hermitian
+A frame operator S = T T* is Hermitian by construction, so new_frame and every
+dual take its bounds from (S + S*)/2 without a Hermitian
 test, and no frame depends on rel_eq. The test stays in herm_eig_extremes,
 whose input comes from outside; the guard below keeps it there.
 """

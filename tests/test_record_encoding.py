@@ -5,7 +5,7 @@ bytes of json.dumps(report.as_dict(), sort_keys=True, indent=2) plus a
 newline. A record JSON would encode as something else is rejected before the
 file is opened. A NaN aggregated residual reaches max_residual. The
 decomposition residuals come from gaps built in place, with the bits of the
-former stacked construction.
+stacked construction M^{-1} - (T_{Psi~} diag(1/m) + op*) U_{Phi^d}.
 """
 
 import json
@@ -20,6 +20,7 @@ import pytest
 from framemult import (
     DEFAULT_TOL,
     ExperimentConfig,
+    adjoint,
     build,
     canonical_dual,
     gamma_of,
@@ -154,21 +155,14 @@ def _invertible(name):
     raise AssertionError(f"no invertible multiplier for {name}")
 
 
-def _stacked_residuals(mult, kind, ops, duals):
-    """The former construction: one stacked copy of every minv - (formula + correction)."""
-    minv = invert(mult)
-    inv_m = reciprocal(mult.symbol).values
-    gamma = kind == "Gamma"
-    tilde = canonical_dual(mult.right if gamma else mult.left).frame
+def _stacked_residuals(mult, kind, op, duals):
+    """The stacked construction, in the Gamma form of mult, or of its adjoint for Theta."""
+    on = mult if kind == "Gamma" else adjoint(mult)
+    inv_m = reciprocal(on.symbol).values
+    tilde = canonical_dual(on.right).frame
+    left = tilde.synth * inv_m[np.newaxis, :] + op.conj().T
     stack = np.stack([dual.frame.synth for dual in duals])
-    if gamma:
-        dual_analysis = _adjoint(stack)
-        formula = (tilde.synth * inv_m[np.newaxis, :]) @ dual_analysis
-        corrections = [op.conj().T @ dual_analysis for op in ops]
-    else:
-        formula = (stack * inv_m[np.newaxis, np.newaxis, :]) @ tilde.analysis_op
-        corrections = [stack @ op for op in ops]
-    return _op_norms(np.stack([minv - (formula + c) for c in corrections]))
+    return _op_norms(invert(on) - left @ _adjoint(stack))
 
 
 @pytest.mark.parametrize("name", sorted(FRAME_PAIRS))
@@ -178,9 +172,10 @@ def test_in_place_gaps_match_the_stacked_construction_bit_for_bit(name, rep_of):
     rep = rep_of(mult)
     probe = rep.op + np.full(rep.op.shape, 1e-9 + 2e-9j)
     frame = mult.left if rep.kind == "Gamma" else mult.right
+    on = mult if rep.kind == "Gamma" else adjoint(mult)
     duals = sample_duals(frame, rng=np.random.default_rng(311))
-    ops = [rep.op, probe]
-    got = _decomposition_residuals(mult, rep.kind, ops, duals, DEFAULT_TOL)
-    want = _stacked_residuals(mult, rep.kind, ops, duals)
-    assert [[i for i, _ in row] for row in got] == [list(range(len(duals)))] * len(ops)
-    assert np.array([[r for _, r in row] for row in got]).tobytes() == want.tobytes()
+    for op in (rep.op, probe):
+        got = _decomposition_residuals(on, op, duals, DEFAULT_TOL)
+        want = _stacked_residuals(mult, rep.kind, op, duals)
+        assert [i for i, _ in got] == list(range(len(duals)))
+        assert np.array([r for _, r in got]).tobytes() == want.tobytes()

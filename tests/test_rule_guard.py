@@ -19,8 +19,7 @@ import framemult
 
 # (module, function, the source of the comparison, product or read)
 ALLOWED = {
-    # The bound-first duality check on stacks, its clear bound and its exact rule.
-    ("frames", "_not_dual", "_norm_bounds(deviation) <= 0.5 * tol.rel_eq"),
+    # The duality check on stacks of T_dual U: its exact rule.
     ("frames", "_not_dual", "_op_norms(deviation) > tol.rel_eq * np.maximum(1.0, _op_norms(recon))"),
     ("frames", "_not_dual", "np.maximum(1.0, _op_norms(recon))"),
     # The public scale field and the + rel_eq slack of bound_satisfied.

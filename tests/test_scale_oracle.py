@@ -55,14 +55,14 @@ def test_verdicts_and_notes_are_invariant(monkeypatch, a, b):
     assert _changes(monkeypatch, a, b) == Counter()
 
 
-# Measured non-invariances: the rule is absolute below norm 1, the sampled
-# duals' W is drawn at unit scale, and the per2 floor and caps are
-# transcribed constants that do not scale with the frames.
+# Measured non-invariances: the rule is absolute below norm 1, and the per2
+# floor and caps are transcribed constants that do not scale with the frames.
+# At (30, 30), ||M^{-1}|| is about 2^-60, so on the odd, negative equivalence
+# trials ||Gamma|| and the formula's bound fall under rel_eq.
 EXPECTED_CHANGES = {
     (30, 30): {
-        ("gamma", "fail", "InvalidDual"): 14,
-        ("theta", "fail", "InvalidDual"): 14,
-        ("equivalence", "pass", "InvalidDual"): 14,
+        ("equivalence", "pass", "fail"): 6,
+        ("equivalence", "pass", "indeterminate"): 1,
     },
     (-30, -30): {
         ("gamma", "fail", "pass"): 14,
@@ -73,14 +73,12 @@ EXPECTED_CHANGES = {
     (-10, 0): {("per2", "pass", "HypothesisViolated"): 14},
     (30, -30): {
         ("thm1", "pass", "fail"): 14,
-        ("gamma", "fail", "InvalidDual"): 14,
-        ("equivalence", "pass", "InvalidDual"): 14,
+        ("equivalence", "pass", "fail"): 7,
     },
     (-30, 30): {
         ("thm1", "pass", "fail"): 14,
         ("per2", "pass", "HypothesisViolated"): 14,
         ("per3", "pass", "fail"): 7,
-        ("theta", "fail", "InvalidDual"): 14,
         ("equivalence", "pass", "fail"): 7,
     },
 }
