@@ -298,15 +298,19 @@ def _weighted_image(a: np.ndarray, f: Frame, m: Symbol, tol: Tol) -> Frame:
     return _new_frame(a @ (f.synth * m.values[np.newaxis, :]), tol)
 
 
+@_quiet
 def equivalence_map(f: Frame, g: Frame, tol: Tol = DEFAULT_TOL) -> np.ndarray | None:
     """Invertible V with V phi_n = g_n for all n, or None if no such V exists.
 
     The candidate is V0 = T_G pinv(T_F) = T_G (S_F^{-1}T_F)*; it is accepted iff it maps
     column to column under the rule, with ||T_G|| = sqrt(B_G), and is invertible per inv_cond.
+    V0 and its gap V0 T_F - T_G are formed under linalg's overflow rule: one
+    that is not finite is a NumericalOverflow.
     """
     _check_shapes((f, g))
-    v0 = g.synth @ f._canonical_synth.conj().T
-    residual = _rel_gap(op_norm(v0 @ f.synth - g.synth), np.sqrt(g.bounds[1]))
+    v0 = _finite(g.synth @ f._canonical_synth.conj().T, "equivalence map V0")
+    gap = _finite(v0 @ f.synth - g.synth, "V0 T_F - T_G")
+    residual = _rel_gap(op_norm(gap), np.sqrt(g.bounds[1]))
     if residual > tol.rel_eq or not _invertible(*sv_extremes(v0), tol):
         return None
     return v0

@@ -81,6 +81,11 @@ class Multiplier:
         """The Gamma RepResult built under each Tol; gamma_of fills it after invert passes."""
         return {}
 
+    @cached_property
+    def _thetas(self) -> dict:
+        """The Theta RepResult built under each Tol; theta_of fills it once Gamma of the adjoint is built."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Condition:

@@ -19,13 +19,14 @@ left-frame construction on the adjoint (frames swapped, symbol conjugated).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolated, InvalidArgument
+from .errors import HypothesisViolated, InvalidArgument, NumericalOverflow
 from .frames import Frame, _check_shapes, _new_frame, _read_only, _scaled
-from .linalg import DEFAULT_TOL, Tol, _op_norms, _quiet, as_matrix, op_norm
+from .linalg import DEFAULT_TOL, Tol, _finite, _op_norms, _quiet, op_norm
 from .multiplier import Multiplier
 from .symbols import Symbol, conj
 
@@ -102,12 +103,17 @@ def _restore(psi: Frame, old: Frame, new: Frame, tol: Tol) -> tuple[Frame, float
     return psi_prime, op_norm(psi_prime.synth - psi.synth)
 
 
+@_quiet
 def _report(
     old: np.ndarray, new: np.ndarray, psi: Frame, psi_new: Frame, mu: float, coef: float, dev: float, tol: Tol
 ) -> PerturbReport:
-    """The report of a companion whose multiplier moved T_old U_psi -> T_new U_psi_new; one stacked SVD."""
+    """The report of a companion whose multiplier moved T_old U_psi -> T_new U_psi_new; one stacked SVD.
+
+    The two multipliers and their gap are formed under linalg's overflow
+    rule: one that is not finite is a NumericalOverflow.
+    """
     m_old, m_new = old @ psi.analysis_op, new @ psi_new.analysis_op
-    stack = np.stack([as_matrix(a) for a in (m_new - m_old, m_old, m_new)])
+    stack = _finite(np.stack([m_new - m_old, m_old, m_new]), "companion multiplier")
     gap, norm_old, norm_new = _op_norms(stack).tolist()
     return PerturbReport(
         achieved_mu=mu,
@@ -141,6 +147,7 @@ def _per3_semi_cap(m: Symbol, share: float = 1.0) -> float:
     return share * m.inf_mod
 
 
+@_quiet
 def companion_per1(
     phi: Frame, psi: Frame, m: Symbol, phi_prime: Frame, tol: Tol = DEFAULT_TOL
 ) -> tuple[Frame, PerturbReport]:
@@ -171,6 +178,7 @@ def _per1(
     return psi_prime, mu, float(lam), deviation
 
 
+@_quiet
 def companion_per1_dual_side(
     phi: Frame, psi: Frame, m: Symbol, psi_prime: Frame, tol: Tol = DEFAULT_TOL
 ) -> tuple[Frame, PerturbReport]:
@@ -203,10 +211,14 @@ def companion_per2(
     return _companion_per2(phi, psi, m, phi_prime, mult, tol)[:2]
 
 
+@_quiet
 def _companion_per2(
     phi: Frame, psi: Frame, m: Symbol, phi_prime: Frame, mult: Multiplier, tol: Tol
 ) -> tuple[Frame, PerturbReport, float]:
-    """companion_per2 plus its floor ratio lambda_min(S_{mPhi}) B_phi ||M^{-1}||^2, certified >= 1."""
+    """companion_per2 plus its floor ratio lambda_min(S_{mPhi}) B_phi ||M^{-1}||^2, certified >= 1.
+
+    A B_phi ||M^{-1}||^2 outside the double range is a NumericalOverflow.
+    """
     _check_shapes((phi, psi, phi_prime), (m,))
     if not mult.inv_diag.invertible:
         raise HypothesisViolated("multiplier must be invertible")
@@ -216,7 +228,13 @@ def _companion_per2(
         raise HypothesisViolated(f"mu = {mu:.3e} reaches 1/(sqrt(B_phi)||M^-1|| sup|m|) = {cap:.3e}")
     inv_norm, b_phi = 1.0 / mult.inv_diag.sigma_min, phi.bounds[1]
     old = _scaled(phi, m, tol)
-    lo_old, floor = old.bounds[0], 1.0 / (b_phi * inv_norm**2)
+    try:
+        scale = b_phi * inv_norm**2
+    except OverflowError:  # a float's ** raises where its * gives inf
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise NumericalOverflow(f"B_phi ||M^-1||^2 = {scale:.3e} of finite inputs leaves the double range")
+    lo_old, floor = old.bounds[0], 1.0 / scale
     if lo_old < floor - tol.rel_eq:
         raise HypothesisViolated(
             f"scaled-frame lower bound {lo_old:.3e} falls below the certified floor {floor:.3e}"
@@ -234,6 +252,7 @@ def _floor_ok(floor_ratio: float, tol: Tol) -> bool:
     return floor_ratio >= 1.0 - tol.rel_eq
 
 
+@_quiet
 def companion_per3(
     phi: Frame,
     psi: Frame,

@@ -162,8 +162,16 @@ def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
 
 
 def theta_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
-    """Theta = U_Psi M^{-1} - diag(1/m) U_Phi S_Phi^{-1}, as N x d: the Gamma of adjoint(mult)."""
-    return replace(gamma_of(adjoint(mult), tol), kind="Theta")
+    """Theta = U_Psi M^{-1} - diag(1/m) U_Phi S_Phi^{-1}, as N x d: the Gamma of adjoint(mult).
+
+    Built once per multiplier and Tol, like Gamma: adjoint(mult) is a fresh
+    multiplier with an empty Gamma memo, so mult keeps the result, which
+    refers to nothing that refers back to mult.
+    """
+    cached = mult._thetas.get(tol)
+    if cached is None:
+        cached = mult._thetas[tol] = replace(gamma_of(adjoint(mult), tol), kind="Theta")
+    return cached
 
 
 @_quiet
@@ -239,10 +247,13 @@ def verify_theta_decomposition(
     return replace(t, decomposition_residuals=_decomposition_residuals(adjoint(mult), t.op, duals, tol))
 
 
+@_quiet
 def _equivalence(mult: Multiplier, tol: Tol) -> tuple[EquivalenceVerdict, float]:
     """equivalence_criterion, and the formula's certified bound ||R0|| + ||K|| over every dual.
 
     The inverse, the equivalence map and Gamma come first, so their errors do.
+    Everything is formed under linalg's overflow rule, the bound too: a bound
+    that is not finite is a NumericalOverflow.
     """
     inv_norm = _inverse_norm(mult, tol)  # ||M^{-1}||
 
@@ -252,7 +263,7 @@ def _equivalence(mult: Multiplier, tol: Tol) -> tuple[EquivalenceVerdict, float]
     gamma_zero = _rel_gap(gamma_of(mult, tol)._op_norm, inv_norm) <= tol.rel_eq
 
     # bounds ||M^{-1} - mult(1/m, canonical dual of Psi, Phi^d)|| over every dual Phi^d
-    formula = sum(_certificate(mult, None, tol))
+    formula = _finite(sum(_certificate(mult, None, tol)), "||R0|| + ||K||")
     all_duals = _rel_gap(formula, inv_norm) <= tol.rel_eq
     return EquivalenceVerdict(equivalent, gamma_zero, all_duals), formula
 

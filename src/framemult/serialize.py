@@ -11,18 +11,22 @@ record checks shared with run_suite (_check_real, _check_types) live in
 suites too, so this module imports from suites and never the other way.
 
 Each format has one writer, which streams into a file handle; the string
-renderings aim it at a StringIO. The JSON writer turns each record into a
-dict only as the encoder reaches it, so the report never exists as one dict
-tree. The CSV writer formats each row itself, quoting as
-csv.writer(lineterminator="\n") does, so no row buffer outlives a row. Every
-check that can reject a report runs before the first byte is written.
+renderings aim it at a StringIO. Both read report.records once, whether a
+run's lazily built view or a tuple, so each record is built, written and
+dropped in turn. The JSON writer formats each record itself, in the bytes
+json.dumps(sort_keys=True, indent=2) gives, into the slot json.dumps leaves
+in the header; the CSV writer formats each row itself, quoting as
+csv.writer(lineterminator="\n") does. Every check that can reject a report
+runs in one pass over its records (two if a residual is not a Python
+float), and the JSON header is encoded, before the first byte is written.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from itertools import islice
+import math
+from functools import partial
 
 import numpy as np
 
@@ -102,30 +106,71 @@ def load_frame(path, tol: Tol = DEFAULT_TOL) -> Frame:
     return new_frame(matrix, tol)
 
 
-# iterencode yields one short string per token; a report is written in joined
-# batches of this many, so peak memory is the records plus one record's dict
-# and one batch.
-_JSON_BATCH = 1024
+_QUOTE = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
 
 
-class _RecordDicts(list):
-    """The records, each turned into a dict only as the encoder iterates to it."""
+def _json_float(value) -> str:
+    """float(value) as json.dumps writes it."""
+    value = float(value)
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
 
-    def __iter__(self):
-        return (record.as_dict() for record in super().__iter__())
+
+def _json_bool(value: bool) -> str:
+    return "true" if value else "false"
 
 
-def _write_json(report: SuiteReport, handle) -> None:
+def _json_mapping(mapping, text) -> str:
+    """A record's residuals or booleans as json.dumps(sort_keys=True, indent=2) nests them in the report."""
+    if not mapping:
+        return "{}"
+    items = ",\n        ".join(f"{_QUOTE(key)}: {text(value)}" for key, value in sorted(mapping.items()))
+    return "{\n        " + items + "\n      }"
+
+
+def _json_record(record) -> str:
+    """record.as_dict() as json.dumps(sort_keys=True, indent=2) nests it in the report's records."""
+    return (
+        "    {\n"
+        f'      "N": {int.__repr__(record.n)},\n'
+        f'      "booleans": {_json_mapping(record.booleans, _json_bool)},\n'
+        f'      "d": {int.__repr__(record.d)},\n'
+        f'      "indeterminate": {_json_bool(record.indeterminate)},\n'
+        f'      "note": {_QUOTE(record.note)},\n'
+        f'      "residuals": {_json_mapping(record.residuals, _json_float)},\n'
+        f'      "seed": {int.__repr__(record.seed)},\n'
+        f'      "suite": {_QUOTE(record.suite)},\n'
+        f'      "trial": {int.__repr__(record.trial)},\n'
+        f'      "verdict": {_QUOTE(record.verdict)}\n'
+        "    }"
+    )
+
+
+def _json_frame(report: SuiteReport) -> tuple[str, str]:
+    """The JSON text around the records: json.dumps of the header with an empty records list, split at it."""
+    text = json.dumps({**report._header(), "records": []}, sort_keys=True, indent=2)
+    head, tail = text.split('"records": []')
+    return head + '"records": [', tail
+
+
+def _write_json(report: SuiteReport, frame: tuple[str, str], handle) -> None:
     """Hierarchical rendering; key order is sorted so output is reproducible.
 
     The bytes are those of json.dumps(report.as_dict(), sort_keys=True,
-    indent=2) plus a newline.
+    indent=2) plus a newline: each record is formatted into the slot that
+    frame, from _json_frame, leaves for the records.
     """
-    document = {**report._header(), "records": _RecordDicts(report.records)}
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(document)
-    while batch := "".join(islice(chunks, _JSON_BATCH)):
-        handle.write(batch)
-    handle.write("\n")
+    head, tail = frame
+    handle.write(head)
+    separator = "\n"
+    for record in report.records:
+        handle.write(separator)
+        handle.write(_json_record(record))
+        separator = ",\n"
+    handle.write(("]" if separator == "\n" else "\n  ]") + tail + "\n")
 
 
 def _csv_text(value) -> str:
@@ -140,62 +185,78 @@ def _write_csv(report: SuiteReport, handle) -> None:
     """Flat table: one row per trial in the fixed CSV_COLUMNS order.
 
     The bytes are those of csv.DictWriter(handle, CSV_COLUMNS,
-    lineterminator="\n") given each residual as format(value, ".17g").
+    lineterminator="\n") given each residual as format(float(value), ".17g"),
+    so a residual is written as the float JSON writes.
     """
     handle.write(",".join(CSV_COLUMNS) + "\n")
     for record in report.records:
         residuals = record.residuals
         cells = [_csv_text(record.suite), str(record.trial), str(record.seed), str(record.d), str(record.n)]
-        cells += [format(residuals[key], ".17g") if key in residuals else "" for key in RESIDUAL_COLUMNS]
+        cells += [format(float(residuals[key]), ".17g") if key in residuals else "" for key in RESIDUAL_COLUMNS]
         cells.append(_csv_text(record.verdict))
         handle.write(",".join(cells) + "\n")
 
 
-def _check_residuals(report: SuiteReport) -> None:
-    """Reject a report holding a residual that is not numbers.Real; both formats write it as a real number.
+def _check(report: SuiteReport, fmt: str) -> None:
+    """Every check that can reject the report in fmt, from one pass over its records.
 
-    Each distinct type is checked once: a set of types costs less than an
-    isinstance per value.
+    Both formats write each residual as float(value), so it must be a real
+    number in the double range, and the CSV has a column for each known
+    residual key. JSON would encode a value of another type as something
+    else or not at all, so it takes ints, bools and strs only: a SuiteReport
+    built by hand may hold numpy integers or booleans. Each distinct type is
+    checked once; only residuals that are not Python floats, which a run
+    never gives, take a second pass.
     """
-    _check_real({type(v) for r in report.records for v in r.residuals.values()})
-
-
-def _check_json_fields(report: SuiteReport) -> None:
-    """Reject a report whose integers, booleans or notes JSON would encode as another type.
-
-    The integers are each record's trial, seed, d and N and the config's
-    trials, seed and dims entries; a SuiteReport built by hand may hold numpy
-    integers there.
-    """
-    records, config = report.records, report.config
-    integers = {type(v) for r in records for v in (r.trial, r.seed, r.d, r.n)}
+    reals, residual_keys, boolean_keys, integers, booleans, texts = set(), set(), set(), set(), set(), set()
+    for r in report.records:
+        reals.update(map(type, r.residuals.values()))
+        residual_keys.update(r.residuals)
+        boolean_keys.update(r.booleans)
+        booleans.update(map(type, r.booleans.values()))
+        booleans.add(type(r.indeterminate))
+        integers.update((type(r.trial), type(r.seed), type(r.d), type(r.n)))
+        texts.update((type(r.suite), type(r.verdict), type(r.note)))
+    _check_real(reals)
+    if reals - {float}:  # float() of an int or a Fraction beyond the double range raises
+        for r in report.records:
+            for key, value in r.residuals.items():
+                try:
+                    float(value)
+                except OverflowError:
+                    raise InvalidArgument(f"residual {key!r} lies beyond the float range") from None
+    if fmt == "csv":
+        for key in residual_keys:
+            if key not in RESIDUAL_COLUMNS:
+                raise InvalidArgument(f"residual field {key!r} missing from CSV_COLUMNS")
+        return
+    config = report.config
     integers |= {type(config.trials), type(config.seed)}
     integers |= {type(v) for pair in config.dims for v in pair}
-    booleans = {type(v) for r in records for v in r.booleans.values()}
-    notes = {type(r.note) for r in records}
     _check_types("integer field", "an int", lambda cls: issubclass(cls, int) and cls is not bool, integers)
     _check_types("boolean value", "a bool", lambda cls: issubclass(cls, bool), booleans)
-    _check_types("note", "a str", lambda cls: issubclass(cls, str), notes)
+    _check_types("suite, verdict and note", "a str", lambda cls: issubclass(cls, str), texts)
+    keys = {type(key) for key in residual_keys | boolean_keys}
+    _check_types("residual and boolean key", "a str", lambda cls: issubclass(cls, str), keys)
 
 
 def _report_writer(report: SuiteReport, fmt: str):
-    """The writer of fmt, after every check that can reject the report."""
+    """write(handle), writing report in fmt, made after every check that can reject the report.
+
+    The JSON header is encoded here too, so an error encoding it comes before
+    the file is opened.
+    """
     if fmt not in ("json", "csv"):
         raise InvalidArgument(f"unknown report format {fmt!r}")
-    _check_residuals(report)
-    if fmt == "json":
-        _check_json_fields(report)
-        return _write_json
-    for record in report.records:
-        for key in record.residuals:
-            if key not in RESIDUAL_COLUMNS:
-                raise InvalidArgument(f"residual field {key!r} missing from CSV_COLUMNS")
-    return _write_csv
+    _check(report, fmt)
+    if fmt == "csv":
+        return partial(_write_csv, report)
+    return partial(_write_json, report, _json_frame(report))
 
 
 def _render(report: SuiteReport, fmt: str) -> str:
     buffer = io.StringIO()
-    _report_writer(report, fmt)(report, buffer)
+    _report_writer(report, fmt)(buffer)
     return buffer.getvalue()
 
 
@@ -218,6 +279,7 @@ def save_report(report: SuiteReport, path, fmt: str = "json") -> None:
     write = _report_writer(report, fmt)
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            write(report, handle)
+            handle.reconfigure(write_through=True)  # encode each write now: no list of pending strs builds up
+            write(handle)
     except OSError as exc:
         raise IoError(f"cannot write report file {path}: {exc}") from exc

@@ -37,9 +37,10 @@ the claim held, whether the trial is indeterminate). _run_one adds that, or
 the error the body raised, to its suite's columns and applies the verdict:
 the residual values go into one float64 array, the other fields into a list
 each, every key tuple comes from one intern table per run, and equal
-booleans rows are one object. Records are built once, after the last trial,
-from the columns; they hold the residuals and booleans as read-only rows,
-each residual a Python float.
+booleans rows are one object. The report keeps the columns: its tally and
+max_residual are read from them, and its records are a read-only sequence
+view (_Records) that builds each record when it is read, holding the
+residuals and booleans as read-only rows, each residual a Python float.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numbers
 import time
 from array import array
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -148,7 +149,7 @@ class TrialRecord:
 class SuiteReport:
     suite: str
     config: ExperimentConfig
-    records: tuple[TrialRecord, ...]
+    records: Sequence[TrialRecord]
     passed: int
     failed: int
     indeterminate: int
@@ -588,19 +589,19 @@ def _check_real(types) -> None:
 
 
 class _Columns:
-    """One suite's trial results while its run lasts, one column per field.
+    """One suite's trial results, one column per field, for as long as its report lives.
 
-    Every residual value goes into one float64 array; each trial adds its N,
-    its interned residual key tuple, its interned booleans row, whether it is
+    Every residual value goes into one float64 array, and the offset of each
+    trial's first value into an offset column; each trial adds its N, its
+    interned residual key tuple, its interned booleans row, whether it is
     indeterminate, its verdict and its note to a list each. So a finished
-    trial costs six list slots and 8 bytes per residual until its record is
-    built.
+    trial costs six list slots and 4 bytes, plus 8 bytes per residual.
     """
 
-    __slots__ = ("values", "n", "keys", "booleans", "indeterminate", "verdict", "note")
+    __slots__ = ("values", "start", "n", "keys", "booleans", "indeterminate", "verdict", "note")
 
     def __init__(self) -> None:
-        self.values = array("d")
+        self.values, self.start = array("d"), array("I")
         self.n, self.keys, self.booleans = [], [], []
         self.indeterminate, self.verdict, self.note = [], [], []
 
@@ -608,6 +609,7 @@ class _Columns:
         """Add one trial; a residual that is not a real number is an InvalidArgument, as in save_report."""
         residuals = got.residuals.values()
         _check_real({type(v) for v in residuals})
+        self.start.append(len(self.values))
         self.values.extend(residuals)
         self.n.append(got.n)
         self.keys.append(_keys(rows, got.residuals))
@@ -616,16 +618,52 @@ class _Columns:
         self.verdict.append(_verdict(got.ok, got.indeterminate))
         self.note.append(note)
 
-    def records(self, name: str, cfg: ExperimentConfig):
-        """The suite's TrialRecords in trial order; each residual comes back as a Python float."""
-        start = 0
-        fields = zip(self.n, self.keys, self.booleans, self.indeterminate, self.verdict, self.note)
-        for trial, (n, keys, booleans, indeterminate, verdict, note) in enumerate(fields):
-            stop = start + len(keys)
-            residuals = _Row(keys, tuple(self.values[start:stop]))
-            d = cfg.dims[trial % len(cfg.dims)][0]
-            yield TrialRecord(name, trial, cfg.seed, d, n, residuals, booleans, indeterminate, verdict, note)
-            start = stop
+    def record(self, name: str, cfg: ExperimentConfig, trial: int) -> TrialRecord:
+        """The TrialRecord of one trial, built afresh; each residual comes back as a Python float."""
+        keys, start = self.keys[trial], self.start[trial]
+        residuals = _Row(keys, tuple(self.values[start : start + len(keys)]))
+        d = cfg.dims[trial % len(cfg.dims)][0]
+        return TrialRecord(
+            name, trial, cfg.seed, d, self.n[trial], residuals, self.booleans[trial],
+            self.indeterminate[trial], self.verdict[trial], self.note[trial],
+        )
+
+
+class _Records(Sequence):
+    """A run's TrialRecords, suite by suite in run order, each built from its suite's columns when read.
+
+    A read-only sequence: len, iteration, integer indexing (negative too),
+    slices as tuples, and == against any sequence of records. Each read
+    builds a new record, equal to the one the last read gave.
+    """
+
+    __slots__ = ("_cfg", "_suites")
+
+    def __init__(self, cfg: ExperimentConfig, columns: dict[str, _Columns]) -> None:
+        self._cfg = cfg
+        self._suites = tuple(columns.items())
+
+    def __len__(self) -> int:
+        return sum(len(column.n) for _, column in self._suites)
+
+    def __iter__(self):
+        for name, column in self._suites:
+            for trial in range(len(column.n)):
+                yield column.record(name, self._cfg, trial)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple([self[i] for i in range(len(self))[index]])
+        i = range(len(self))[index]  # IndexError out of range; a negative index counts from the end
+        for name, column in self._suites:
+            if i < len(column.n):
+                return column.record(name, self._cfg, i)
+            i -= len(column.n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 # Errors that fail the one trial raising them: the package's own, plus the
@@ -652,9 +690,9 @@ def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     """Run the configured suite (or all of them) and aggregate the records.
 
     Trials run one at a time, each through every suite, so the suites of a
-    trial share its fixtures. Each suite keeps its results in columns until
-    the last trial; then, with the memo cleared, the records are built suite
-    by suite, each suite's columns dropped once its records exist.
+    trial share its fixtures. Each suite keeps its results in columns; the
+    report's records are a view over them, and its tally and max_residual
+    are read from them, so no record exists until a reader reaches it.
     """
     cfg = validate_config(cfg)
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
@@ -671,20 +709,27 @@ def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     finally:
         memo.clear()
         _MEMO.reset(token)
-    records: list[TrialRecord] = []
-    for name in names:
-        records.extend(columns.pop(name).records(name, cfg))
+    tally = Counter(verdict for column in columns.values() for verdict in column.verdict)
+    max_residual = _max_residual(columns.values())
     wall = time.perf_counter() - start
-    tally = Counter(r.verdict for r in records)
-    aggregated = [float(v) for r in records for k, v in r.residuals.items() if k in _AGG_KEYS]
-    max_residual = float(np.max(aggregated, initial=0.0))  # a NaN residual gives NaN
     return SuiteReport(
         suite=cfg.suite,
         config=cfg,
-        records=tuple(records),
+        records=_Records(cfg, columns),
         passed=tally["pass"],
         failed=tally["fail"],
         indeterminate=tally["indeterminate"],
         max_residual=max_residual,
         wall_time_s=wall,
     )
+
+
+def _max_residual(columns) -> float:
+    """The largest residual under a max_residual key, 0.0 when there is none; a NaN one gives NaN."""
+    aggregated = [
+        np.frombuffer(column.values)[
+            np.fromiter((key in _AGG_KEYS for keys in column.keys for key in keys), bool, len(column.values))
+        ]
+        for column in columns
+    ]
+    return float(np.max(np.concatenate(aggregated), initial=0.0))

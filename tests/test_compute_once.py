@@ -1,5 +1,8 @@
 """Quantities computed once and reused: each reuse gives the bits of a fresh computation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -30,7 +33,7 @@ from framemult import (
     verify_gamma_decomposition,
     verify_theta_decomposition,
 )
-from framemult import suites
+from framemult import linalg, multiplier, representations, suites
 from framemult.linalg import herm_eig_extremes, op_norm, rel_residual
 from framemult.multiplier import BOUNDARY_FACTOR
 from framemult.representations import (
@@ -93,6 +96,54 @@ def test_memoized_gamma_still_raises_singular_under_a_tighter_tol():
             gamma_of(mult, tight)
     assert tight not in mult._gammas
     assert gamma_of(mult, Tol(rel_eq=2.0 * residual)).op.tobytes() == gamma_of(mult).op.tobytes()
+
+
+# ------------------------------------------------------------- Theta memo
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_PAIRS))
+def test_memoized_theta_equals_a_fresh_build(name):
+    mult = _multiplier(name)
+    first = theta_of(mult)
+    assert theta_of(mult) is first and theta_of(mult).op is first.op
+    assert first.kind == "Theta" and not first.op.flags.writeable
+    fresh = theta_of(build(mult.symbol, mult.left, mult.right))  # a new multiplier, a new memo
+    assert fresh is not first
+    assert first.op.tobytes() == fresh.op.tobytes()
+    assert first.annihilation_residual == fresh.annihilation_residual
+    assert first.masked_annihilation_residual == fresh.masked_annihilation_residual
+
+
+def test_a_second_theta_runs_no_inverse_and_no_svd(monkeypatch):
+    mult = _multiplier("4x9")
+    first = theta_of(mult)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recomputed")
+
+    for module, name in [
+        (linalg, "_svd_values"),
+        (multiplier, "_inv"),
+        (representations, "invert"),
+        (representations, "op_norm"),
+        (representations, "adjoint"),
+        (representations, "gamma_of"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    assert theta_of(mult) is first
+
+
+def test_the_theta_memo_creates_no_reference_cycle():
+    gc.disable()
+    try:
+        mult = _multiplier("8x17")
+        theta_of(mult)
+        gamma_of(mult)
+        ref = weakref.ref(mult)
+        del mult
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------- seed-2026 block

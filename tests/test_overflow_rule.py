@@ -8,9 +8,10 @@ by its spectrum, whose extremes are NaN when it is not finite. So at any
 scale 2^k, from subnormal frame operators to overflowing products, and for
 inputs with NaN or inf entries, each of new_frame, canonical_dual,
 random_dual, sample_duals, scale_by_symbol, build, dagger_frames,
-random_frame_perturbation, reciprocal, gamma_of, theta_of, thm1_report and
-canonical_inverse_candidate returns or raises a FrameMultError, and no numpy
-warning escapes.
+random_frame_perturbation, reciprocal, gamma_of, theta_of, thm1_report,
+canonical_inverse_candidate, equivalence_map, equivalence_criterion and the
+four companions returns or raises a FrameMultError, and no numpy warning
+escapes.
 """
 
 import warnings
@@ -27,7 +28,13 @@ from framemult import (
     build,
     canonical_dual,
     canonical_inverse_candidate,
+    companion_per1,
+    companion_per1_dual_side,
+    companion_per2,
+    companion_per3,
     dagger_frames,
+    equivalence_criterion,
+    equivalence_map,
     gamma_of,
     harmonic_tight,
     new_frame,
@@ -76,6 +83,8 @@ def _typed(call):
 @settings(max_examples=300, deadline=None)
 # T_dual U of a canonical dual whose S^{-1}T is not finite: its product turns invalid.
 @example(1, 4, 0, -511, 0, 0, 0, None, None)
+# S_Phi is subnormal, so the equivalence map V0 = T_Psi (S_Phi^{-1} T_Phi)* overflows.
+@example(0, 2, 2, -520, 511, 0, 0, None, None)
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 4),
@@ -96,8 +105,9 @@ def test_every_derived_matrix_overflows_as_a_typed_error(
     other = _scaled_draw(rng, (d, n), k_psi, None)
     weights = _scaled_draw(rng, (n,), k_symbol, poison_symbol)
     w = _scaled_draw(rng, (d, n), k_w, None)
-    with np.errstate(over="ignore"):  # the test's own scaling; an infinite mu is an InvalidArgument
+    with np.errstate(over="ignore", invalid="ignore"):  # the test's own arithmetic; inf input is an InvalidArgument
         mu = float(np.ldexp(1.0, k_w))
+        moved_columns, moved_other, moved_weights = columns + w, other + w, weights + w[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         phi, psi = _typed(lambda: new_frame(columns)), _typed(lambda: new_frame(other))
@@ -111,11 +121,24 @@ def test_every_derived_matrix_overflows_as_a_typed_error(
             _typed(lambda: reciprocal(m))
         if phi is not None and m is not None:
             _typed(lambda: scale_by_symbol(phi, m))
+        if phi is not None and psi is not None:
+            _typed(lambda: equivalence_map(phi, psi))
         if phi is not None and psi is not None and m is not None:
             mult = _typed(lambda: build(m, phi, psi))
             if mult is not None:
-                for derived in (dagger_frames, gamma_of, theta_of, thm1_report, canonical_inverse_candidate):
-                    _typed(lambda: derived(mult))
+                derived = (dagger_frames, gamma_of, theta_of, thm1_report, canonical_inverse_candidate)
+                for derive in (*derived, equivalence_criterion):
+                    _typed(lambda: derive(mult))
+            phi_prime, psi_prime = _typed(lambda: new_frame(moved_columns)), _typed(lambda: new_frame(moved_other))
+            m_prime = _typed(lambda: new_symbol(moved_weights))
+            if phi_prime is not None:
+                _typed(lambda: companion_per1(phi, psi, m, phi_prime))
+                if mult is not None:
+                    _typed(lambda: companion_per2(phi, psi, m, phi_prime, mult))
+            if psi_prime is not None:
+                _typed(lambda: companion_per1_dual_side(phi, psi, m, psi_prime))
+            if m_prime is not None and mult is not None:
+                _typed(lambda: companion_per3(phi, psi, m, m_prime, mult))
 
 
 def _overflows_quietly(call):
@@ -154,6 +177,38 @@ def test_correction_or_candidate_that_overflows_is_a_numerical_overflow(k_phi, k
     mult = build(new_symbol(np.full(4, 2.0**k_symbol)), phi, psi)
     assert mult.inv_diag.invertible
     _overflows_quietly(lambda: derived(mult))
+
+
+def _harmonic(k: int):
+    return new_frame(2.0**k * harmonic_tight(2, 4).synth)
+
+
+def test_equivalence_map_that_overflows_is_a_numerical_overflow():
+    # S_Phi = 2^-1039 is subnormal, so S_Phi^{-1} T_Phi and V0 = T_Psi (S_Phi^{-1} T_Phi)* are not finite.
+    phi, psi = _harmonic(-520), _harmonic(511)
+    _overflows_quietly(lambda: equivalence_map(phi, psi))
+    mult = build(new_symbol(np.ones(4)), phi, psi)
+    assert mult.inv_diag.invertible
+    _overflows_quietly(lambda: equivalence_criterion(mult))
+
+
+def test_companion_multiplier_that_overflows_is_a_numerical_overflow():
+    # The moved right frame scales to 2^500 h, a frame; the left one to 2^1111 h, which overflows.
+    phi, psi = _harmonic(511), _harmonic(-100)
+    _overflows_quietly(lambda: companion_per1_dual_side(phi, psi, new_symbol(np.full(4, 2.0**600)), psi))
+
+
+@pytest.mark.parametrize(
+    ("k_phi", "k_psi", "k_symbol"),
+    [(-300, -300, 0), (-300, 300, 300)],
+    ids=["overflows", "underflows"],
+)
+def test_per2_floor_scale_outside_the_double_range_is_a_numerical_overflow(k_phi, k_psi, k_symbol):
+    # B_phi ||M^-1||^2 is 2^1199 or 2^-1201: the floor 1 / (B_phi ||M^-1||^2) cannot be formed.
+    phi, psi, m = _harmonic(k_phi), _harmonic(k_psi), new_symbol(np.full(4, 2.0**k_symbol))
+    mult = build(m, phi, psi)
+    assert mult.inv_diag.invertible
+    _overflows_quietly(lambda: companion_per2(phi, psi, m, phi, mult))
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,37 @@ def _right_bracket(minv, right, t):
     return _norm(minv - np.linalg.pinv(t).conj().T @ right), _norm(_kernel(t) @ right)
 
 
+def _twin_thm1(seed, trial, d, n):
+    """thm1's five residuals and six booleans.
+
+    direct is ||M^{-1} - T_{Psi~} diag(1/m) U_{Phi~}||, judged against
+    ||M^{-1}|| and the candidate's norm. Conditions i and ii compare
+    ||S_Psi^{-1}|| with ||M^{-1} T_{|m| Phi}||^2 and with the upper bound of
+    the frame (M^{-1} m_n phi_n); iii and iv are the same with (M^{-1})*,
+    Psi and Phi swapped and m conjugated.
+    """
+    t_phi, m, t_psi, matrix = _instance(seed, trial, d, n)
+    minv = np.linalg.inv(matrix)
+    inv_norm = 1.0 / np.linalg.svd(matrix, compute_uv=False)[-1]
+    candidate = (np.linalg.pinv(t_psi).conj().T / m) @ np.linalg.pinv(t_phi)
+    direct = _norm(minv - candidate)
+
+    def conditions(inverse, t_weighted, weights, t_other):
+        inv_s = 1.0 / np.linalg.eigvalsh(t_other @ t_other.conj().T)[0]
+        norm_bound = _norm(inverse @ (t_weighted * np.abs(weights))) ** 2
+        upper_bound = _norm(inverse @ (t_weighted * weights)) ** 2
+        return [_rule(abs(inv_s - rhs), inv_s, rhs) for rhs in (norm_bound, upper_bound)]
+
+    cond_i, cond_ii = conditions(minv, t_phi, m, t_psi)
+    cond_iii, cond_iv = conditions(minv.conj().T, t_psi, np.conj(m), t_phi)
+    residuals = {"direct": direct, "cond_i": cond_i, "cond_ii": cond_ii, "cond_iii": cond_iii, "cond_iv": cond_iv}
+    holds = {key: value <= REL_EQ for key, value in residuals.items()}
+    holds["direct"] = _rule(direct, inv_norm, _norm(candidate)) <= REL_EQ
+    booleans = {"direct_equal": holds.pop("direct"), **holds}
+    booleans["consistent"] = all(booleans.values()) or not any(booleans.values())
+    return residuals, booleans
+
+
 def _twin_correction(seed, trial, d, n):
     """The gamma and theta residuals and booleans that the certificate decides."""
     t_phi, m, t_psi, matrix = _instance(seed, trial, d, n)
@@ -168,7 +199,11 @@ def _program(seed):
 def test_twin_matches_the_certified_residuals(seed, trial):
     d, n = DIMS[trial % len(DIMS)]
     records = _program(seed)
-    twins = {**_twin_correction(seed, trial, d, n), "equivalence": _twin_equivalence(seed, trial, d, n)}
+    twins = {
+        "thm1": _twin_thm1(seed, trial, d, n),
+        **_twin_correction(seed, trial, d, n),
+        "equivalence": _twin_equivalence(seed, trial, d, n),
+    }
     for suite, (residuals, booleans) in twins.items():
         record = records[suite, trial]
         assert record.note == "", (suite, record.note)
