@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from collections import Counter
 
 from .errors import ConfigInvalid, FrameMultError
 from .linalg import Tol
@@ -99,14 +98,12 @@ def _parse_dims(raw: list[str] | None) -> tuple[tuple[int, int], ...]:
 
 
 def _summarize(report: SuiteReport) -> str:
-    lines = []
-    tally = Counter((r.suite, r.verdict) for r in report.records)
-    for name in sorted({suite for suite, _ in tally}, key=SUITE_NAMES.index):
-        passed, failed, indet = (tally[name, v] for v in ("pass", "fail", "indeterminate"))
-        lines.append(
-            f"suite={name} trials={passed + failed + indet} pass={passed} fail={failed} "
-            f"indeterminate={indet}"
-        )
+    """One line per suite, its verdict counts read from the run's columns, then the totals."""
+    lines = [
+        f"suite={name} trials={sum(counts.values())} pass={counts['pass']} fail={counts['fail']} "
+        f"indeterminate={counts['indeterminate']}"
+        for name, counts in report.records.tally().items()
+    ]
     lines.append(
         f"total: pass={report.passed} fail={report.failed} "
         f"indeterminate={report.indeterminate} max_residual={report.max_residual:.3e} "

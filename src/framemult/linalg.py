@@ -41,6 +41,7 @@ call either way, and _near_boundary flags it indeterminate.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -134,9 +135,12 @@ def as_matrix(a) -> np.ndarray:
     return mat
 
 
-def _finite(mat: np.ndarray, what: str) -> np.ndarray:
-    """mat, formed under _quiet from finite inputs; a NumericalOverflow unless it is finite."""
-    if not np.isfinite(mat).all():
+def _finite(mat, what: str):
+    """mat, an array or a float formed under _quiet from finite inputs; a NumericalOverflow unless it is finite."""
+    # Not np.isfinite(float).all(): a numpy scalar's .all() looks its method up
+    # by a new "all" str, which CPython's type attribute cache may keep, so the
+    # blocks a run leaves would depend on addresses rather than on its work.
+    if not (math.isfinite(mat) if isinstance(mat, float) else np.isfinite(mat).all()):
         raise NumericalOverflow(f"{what} of finite inputs overflows")
     return mat
 

@@ -34,13 +34,16 @@ order and with the same bytes as running the suites one after another.
 
 A suite body returns only what it measured (N, residuals, booleans, whether
 the claim held, whether the trial is indeterminate). _run_one adds that, or
-the error the body raised, to its suite's columns and applies the verdict:
-the residual values go into one float64 array, the other fields into a list
-each, every key tuple comes from one intern table per run, and equal
-booleans rows are one object. The report keeps the columns: its tally and
-max_residual are read from them, and its records are a read-only sequence
-view (_Records) that builds each record when it is read, holding the
-residuals and booleans as read-only rows, each residual a Python float.
+the error the body raised, to its suite's columns and applies the verdict.
+Every column is fixed-width: the residual values go into one float64 array;
+N and the (residual keys, booleans row) pair are each a one-byte index into
+entries stored once per run (_Shared), with every key tuple from one intern
+table and equal booleans rows one object; the verdict is a one-byte code,
+and indeterminate is read from it; only a trial that caught an error keeps
+a note. The report keeps the columns: its tally and max_residual are read
+from them, and its records are a read-only sequence view (_Records) that
+builds each record when it is read, holding the residuals and booleans as
+read-only rows, each residual a Python float.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from __future__ import annotations
 import numbers
 import time
 from array import array
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -588,44 +590,88 @@ def _check_real(types) -> None:
     _check_types("residual value", "real", lambda cls: issubclass(cls, numbers.Real), types)
 
 
-class _Columns:
-    """One suite's trial results, one column per field, for as long as its report lives.
+class _Shared:
+    """What a run's trials have in common, each stored once: its intern table and the entries trials point at.
 
-    Every residual value goes into one float64 array, and the offset of each
-    trial's first value into an offset column; each trial adds its N, its
-    interned residual key tuple, its interned booleans row, whether it is
-    indeterminate, its verdict and its note to a list each. So a finished
-    trial costs six list slots and 4 bytes, plus 8 bytes per residual.
+    rows is the intern table of _keys and _row. entries holds each distinct N
+    and each distinct (residual key tuple, booleans row) pair once, and a
+    trial keeps the index of its own.
     """
 
-    __slots__ = ("values", "start", "n", "keys", "booleans", "indeterminate", "verdict", "note")
+    __slots__ = ("rows", "entries", "_index")
+
+    def __init__(self) -> None:
+        self.rows: dict = {}
+        self.entries: list = []
+        self._index: dict = {}
+
+    def index(self, key, entry) -> int:
+        """The index of entry in entries, stored under key the first time key is seen."""
+        i = self._index.setdefault(key, len(self.entries))
+        if i == len(self.entries):
+            self.entries.append(entry)
+        return i
+
+
+def _append_index(column: array, i: int) -> array:
+    """column with i appended; a byte column becomes a 4-byte one when i does not fit a byte."""
+    if i > 0xFF and column.typecode == "B":
+        column = array("I", column)
+    column.append(i)
+    return column
+
+
+_VERDICTS = ("pass", "fail", "indeterminate")  # a verdict's code is its index here
+
+
+class _Columns:
+    """One suite's trial results, one fixed-width column per field, for as long as its report lives.
+
+    Every residual value goes into one float64 array, and the offset of each
+    trial's first value into a 4-byte offset column. Each trial adds one byte
+    each for its N, its (residual keys, booleans row) pair and its verdict:
+    the first two index the run's _Shared entries (four bytes each once a
+    run has more than 256 entries) and the verdict is its code in _VERDICTS,
+    from which indeterminate follows. A trial that caught an error keeps its
+    note in notes, by trial; every other note is empty. So a finished trial
+    costs 7 bytes plus 8 per residual.
+    """
+
+    __slots__ = ("values", "start", "n", "pair", "verdict", "notes")
 
     def __init__(self) -> None:
         self.values, self.start = array("d"), array("I")
-        self.n, self.keys, self.booleans = [], [], []
-        self.indeterminate, self.verdict, self.note = [], [], []
+        self.n, self.pair, self.verdict = array("B"), array("B"), array("B")
+        self.notes: dict[int, str] = {}
 
-    def append(self, got: _Measured, note: str, rows: dict) -> None:
+    def __len__(self) -> int:
+        return len(self.verdict)
+
+    def append(self, got: _Measured, note: str, shared: _Shared) -> None:
         """Add one trial; a residual that is not a real number is an InvalidArgument, as in save_report."""
         residuals = got.residuals.values()
         _check_real({type(v) for v in residuals})
+        if note:
+            self.notes[len(self)] = note
         self.start.append(len(self.values))
         self.values.extend(residuals)
-        self.n.append(got.n)
-        self.keys.append(_keys(rows, got.residuals))
-        self.booleans.append(_row(rows, got.booleans))
-        self.indeterminate.append(got.indeterminate)
-        self.verdict.append(_verdict(got.ok, got.indeterminate))
-        self.note.append(note)
+        # N as the body gave it, type and all: validate_config bounds no N, so no typecode holds every N.
+        self.n = _append_index(self.n, shared.index((got.n, type(got.n)), got.n))
+        keys, booleans = _keys(shared.rows, got.residuals), _row(shared.rows, got.booleans)
+        # A row lives as long as the run's intern table, so its id names it there.
+        self.pair = _append_index(self.pair, shared.index((keys, id(booleans)), (keys, booleans)))
+        self.verdict.append(_VERDICTS.index(_verdict(got.ok, got.indeterminate)))
 
-    def record(self, name: str, cfg: ExperimentConfig, trial: int) -> TrialRecord:
+    def record(self, name: str, cfg: ExperimentConfig, entries: list, trial: int) -> TrialRecord:
         """The TrialRecord of one trial, built afresh; each residual comes back as a Python float."""
-        keys, start = self.keys[trial], self.start[trial]
+        keys, booleans = entries[self.pair[trial]]
+        start = self.start[trial]
         residuals = _Row(keys, tuple(self.values[start : start + len(keys)]))
         d = cfg.dims[trial % len(cfg.dims)][0]
+        verdict = _VERDICTS[self.verdict[trial]]
         return TrialRecord(
-            name, trial, cfg.seed, d, self.n[trial], residuals, self.booleans[trial],
-            self.indeterminate[trial], self.verdict[trial], self.note[trial],
+            name, trial, cfg.seed, d, entries[self.n[trial]], residuals, booleans,
+            verdict == "indeterminate", verdict, self.notes.get(trial, ""),
         )
 
 
@@ -634,36 +680,45 @@ class _Records(Sequence):
 
     A read-only sequence: len, iteration, integer indexing (negative too),
     slices as tuples, and == against any sequence of records. Each read
-    builds a new record, equal to the one the last read gave.
+    builds a new record, equal to the one the last read gave. tally() counts
+    the verdicts from the columns without building a record.
     """
 
-    __slots__ = ("_cfg", "_suites")
+    __slots__ = ("_cfg", "_suites", "_entries")
 
-    def __init__(self, cfg: ExperimentConfig, columns: dict[str, _Columns]) -> None:
+    def __init__(self, cfg: ExperimentConfig, columns: dict[str, _Columns], entries: list) -> None:
         self._cfg = cfg
         self._suites = tuple(columns.items())
+        self._entries = entries
 
     def __len__(self) -> int:
-        return sum(len(column.n) for _, column in self._suites)
+        return sum(len(column) for _, column in self._suites)
 
     def __iter__(self):
         for name, column in self._suites:
-            for trial in range(len(column.n)):
-                yield column.record(name, self._cfg, trial)
+            for trial in range(len(column)):
+                yield column.record(name, self._cfg, self._entries, trial)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple([self[i] for i in range(len(self))[index]])
         i = range(len(self))[index]  # IndexError out of range; a negative index counts from the end
         for name, column in self._suites:
-            if i < len(column.n):
-                return column.record(name, self._cfg, i)
-            i -= len(column.n)
+            if i < len(column):
+                return column.record(name, self._cfg, self._entries, i)
+            i -= len(column)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def tally(self) -> dict[str, dict[str, int]]:
+        """Each suite's count of each verdict, suites in run order and verdicts in _VERDICTS order."""
+        return {
+            name: {verdict: column.verdict.count(code) for code, verdict in enumerate(_VERDICTS)}
+            for name, column in self._suites
+        }
 
 
 # Errors that fail the one trial raising them: the package's own, plus the
@@ -671,11 +726,11 @@ class _Records(Sequence):
 _TRIAL_ERRORS = (FrameMultError, ValueError, ArithmeticError)
 
 
-def _run_one(name: str, cfg: ExperimentConfig, trial: int, rows: dict, column: _Columns) -> None:
+def _run_one(name: str, cfg: ExperimentConfig, trial: int, shared: _Shared, column: _Columns) -> None:
     """Add one suite's result on one trial to its columns: what its body measured, or the error it raised.
 
-    rows is the run's intern table: every key tuple comes from it, and equal
-    booleans rows are one object.
+    shared holds what the run's trials have in common: every key tuple comes
+    from its intern table, and equal booleans rows are one object.
     """
     d, n = cfg.dims[trial % len(cfg.dims)]
     note = ""
@@ -683,7 +738,7 @@ def _run_one(name: str, cfg: ExperimentConfig, trial: int, rows: dict, column: _
         got = _TRIAL_BODIES[name](cfg, trial, d, n)
     except _TRIAL_ERRORS as exc:
         got, note = _Measured(n, {}, {}, ok=False), f"{type(exc).__name__}: {exc}"
-    column.append(got, note, rows)
+    column.append(got, note, shared)
 
 
 def run_suite(cfg: ExperimentConfig) -> SuiteReport:
@@ -698,37 +753,41 @@ def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     names = SUITE_NAMES if cfg.suite == "all" else (cfg.suite,)
     start = time.perf_counter()
     columns = {name: _Columns() for name in names}
-    rows: dict = {}
+    shared = _Shared()
     memo: dict = {}
     token = _MEMO.set(memo)
     try:
         for trial in range(cfg.trials):
             memo.clear()
             for name in names:
-                _run_one(name, cfg, trial, rows, columns[name])
+                _run_one(name, cfg, trial, shared, columns[name])
     finally:
         memo.clear()
         _MEMO.reset(token)
-    tally = Counter(verdict for column in columns.values() for verdict in column.verdict)
-    max_residual = _max_residual(columns.values())
+    records = _Records(cfg, columns, shared.entries)
+    tally = records.tally().values()
+    totals = {verdict: sum(counts[verdict] for counts in tally) for verdict in _VERDICTS}
+    max_residual = _max_residual(columns.values(), shared.entries)
     wall = time.perf_counter() - start
     return SuiteReport(
         suite=cfg.suite,
         config=cfg,
-        records=_Records(cfg, columns),
-        passed=tally["pass"],
-        failed=tally["fail"],
-        indeterminate=tally["indeterminate"],
+        records=records,
+        passed=totals["pass"],
+        failed=totals["fail"],
+        indeterminate=totals["indeterminate"],
         max_residual=max_residual,
         wall_time_s=wall,
     )
 
 
-def _max_residual(columns) -> float:
+def _max_residual(columns, entries: list) -> float:
     """The largest residual under a max_residual key, 0.0 when there is none; a NaN one gives NaN."""
     aggregated = [
         np.frombuffer(column.values)[
-            np.fromiter((key in _AGG_KEYS for keys in column.keys for key in keys), bool, len(column.values))
+            np.fromiter(
+                (key in _AGG_KEYS for i in column.pair for key in entries[i][0]), bool, len(column.values)
+            )
         ]
         for column in columns
     ]

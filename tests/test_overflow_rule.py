@@ -48,7 +48,7 @@ from framemult import (
     theta_of,
     thm1_report,
 )
-from framemult.linalg import _eig_extremes
+from framemult.linalg import _eig_extremes, _finite
 
 # Powers of two that put S = T T* below the smallest normal double and the
 # products above the largest one; the ends turn every entry into 0 or inf.
@@ -233,6 +233,14 @@ def test_finite_symbol_entry_whose_modulus_overflows_is_an_invalid_argument():
 def test_perturbed_symbol_that_overflows_is_a_numerical_overflow():
     # m_0 + e_0 overflows: an entry of m + e is not finite.
     _overflows_quietly(lambda: perturb_symbol(new_symbol([1.2e308 - 1.2e308j, 1.0]), 1e308, 0))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_float_that_is_not_finite_is_a_numerical_overflow(value):
+    # The equivalence suite's certified bound ||R0|| + ||K|| is a float.
+    with pytest.raises(NumericalOverflow, match="bound of finite inputs overflows"):
+        _finite(value, "bound")
+    assert _finite(1.7976931348623157e308, "bound") == 1.7976931348623157e308
 
 
 @pytest.mark.parametrize("mat", [[[np.nan, 1.0], [1.0, 2.0]], [[np.nan, 0.0], [0.0, 5e305]]])

@@ -24,14 +24,16 @@ from functools import cache
 import numpy as np
 import pytest
 
-from framemult import ExperimentConfig, TrialRecord, run_suite, save_report
+from framemult import ExperimentConfig, TrialRecord, run_suite, save_report, suites
+from framemult.cli import _summarize
 from framemult.serialize import report_to_csv, report_to_json
 from framemult.suites import _AGG_KEYS, GENERATOR_NAMES, SUITE_NAMES
 
 # tracemalloc peak of an in-process `--suite all --trials 100` random run at
-# seed 0, after a one-trial warm-up: 151 KiB on CPython 3.11 with numpy 2.4
-# (309 KiB with every record built after the last trial).
-RUN_PEAK_KIB = 151
+# seed 0, after a one-trial warm-up: 115 KiB on CPython 3.11 with numpy 2.4
+# (151 KiB with a list slot per field, 309 KiB with every record built after
+# the last trial).
+RUN_PEAK_KIB = 115
 
 
 @cache
@@ -237,3 +239,94 @@ def test_save_report_adds_less_than_16_kib_above_the_report(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak - retained < 16 * 1024, f"save_report peaked {(peak - retained) / 1024:.1f} KiB above the report"
+
+
+# ---------------------------------------------------- fixed-width columns
+
+
+def test_notes_sit_on_exactly_the_trials_that_caught_an_error():
+    # No suite body returns empty residuals, so a record has none exactly
+    # when its trial caught an error; riesz bases give 150 of them.
+    report = _report(0, 100, "riesz")
+    caught = {i for i, r in enumerate(report.records) if not r.residuals}
+    assert len(caught) == 150
+    assert {i for i, r in enumerate(report.records) if r.note} == caught
+    assert all(report.records[i].verdict == "fail" for i in caught)
+    assert sum(len(column.notes) for _, column in report.records._suites) == 150
+
+
+@pytest.mark.parametrize("generator", GENERATOR_NAMES)
+def test_indeterminate_is_read_from_the_verdict(generator):
+    records = _report(0, 100 if generator == "riesz" else 10, generator).records
+    assert all(r.indeterminate is (r.verdict == "indeterminate") for r in records)
+
+
+@pytest.mark.parametrize("generator, expected_n", [("gabor", lambda d, n: d * d), ("riesz", lambda d, n: d)])
+def test_n_reads_back_as_the_generator_gives_it(generator, expected_n):
+    report = _report(1608, 14, generator)
+    for record in report.records:
+        d, n = report.config.dims[record.trial % len(report.config.dims)]
+        # A caught error records the N of its dims entry.
+        assert record.n == (n if record.note else expected_n(d, n)) and type(record.n) is int
+
+
+def test_an_n_beyond_every_fixed_width_reads_back():
+    n = 10**20
+    (record,) = run_suite(ExperimentConfig(suite="per1", trials=1, dims=((2, n),))).records
+    assert record.n == n and record.verdict == "fail" and record.note
+
+
+def _fake_thm1_run(monkeypatch, make, trials: int):
+    """A thm1 run whose body gives make(trial, n) as its _Measured."""
+    monkeypatch.setitem(suites._TRIAL_BODIES, "thm1", lambda cfg, trial, d, n: make(trial, n))
+    return run_suite(ExperimentConfig(suite="thm1", trials=trials))
+
+
+def test_an_indeterminate_trial_reads_back(monkeypatch):
+    def make(trial, n):
+        return suites._Measured(n, {"direct": 0.5 * trial}, {"consistent": True}, ok=True, indeterminate=trial == 1)
+
+    report = _fake_thm1_run(monkeypatch, make, 3)
+    assert [(r.verdict, r.indeterminate) for r in report.records] == [
+        ("pass", False),
+        ("indeterminate", True),
+        ("pass", False),
+    ]
+    assert report.records[1] == TrialRecord("thm1", 1, 0, 3, 7, {"direct": 0.5}, {"consistent": True}, True, "indeterminate")
+    assert (report.passed, report.failed, report.indeterminate) == (2, 0, 1)
+    assert _summarize(report).splitlines()[0] == "suite=thm1 trials=3 pass=2 fail=0 indeterminate=1"
+
+
+def test_more_than_256_distinct_ns_and_rows_widen_their_index_columns(monkeypatch):
+    def make(trial, n):
+        return suites._Measured(trial + 1, {"direct": float(trial)}, {"k": trial}, ok=trial % 3 > 0)
+
+    report = _fake_thm1_run(monkeypatch, make, 300)
+    ((_, column),) = report.records._suites
+    assert (column.n.typecode, column.pair.typecode, column.verdict.typecode) == ("I", "I", "B")
+    for trial, record in enumerate(report.records):
+        assert (record.n, record.residuals["direct"], record.booleans["k"]) == (trial + 1, trial, trial)
+        assert record.verdict == ("pass" if trial % 3 else "fail")
+
+
+# ------------------------------------------------------------- the tally
+
+
+def _summary_from_records(report) -> list[str]:
+    """The CLI's per-suite lines, counted from the records themselves."""
+    tally = Counter((r.suite, r.verdict) for r in report.records)
+    return [
+        f"suite={name} trials={sum(tally[name, v] for v in ('pass', 'fail', 'indeterminate'))} "
+        f"pass={tally[name, 'pass']} fail={tally[name, 'fail']} indeterminate={tally[name, 'indeterminate']}"
+        for name in SUITE_NAMES
+        if any(suite == name for suite, _ in tally)
+    ]
+
+
+@pytest.mark.parametrize("suite", ["all", "per2"])
+@pytest.mark.parametrize("generator", ["random", "riesz"])
+def test_the_summary_counts_the_columns_and_builds_no_record(monkeypatch, suite, generator):
+    report = _report(0, 10, generator, suite)
+    want = _summary_from_records(report)
+    monkeypatch.setattr(suites._Columns, "record", None)  # any record built now raises TypeError
+    assert _summarize(report).splitlines()[:-1] == want
