@@ -8,9 +8,9 @@ optimal frame bounds. new_frame takes outside input (non-finite entries are
 an InvalidArgument); a frame derived from finite inputs under linalg's
 overflow rule takes _new_frame, which judges overflow by the spectrum of S.
 
-Every dual, the canonical one and each member of a family alike, is built
-and validated on its own by _lone_dual, the one definition of a valid dual
-and of its error; a family is the list of its members, in order.
+Each dual (canonical, or a member of a family, which is a list in order) is
+built and validated on its own by _lone_dual, the one definition of a valid
+dual and its error; _check_dual, its duality half, re-checks supplied duals.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
     if n < d:
         raise NotAFrame(f"{n} vectors cannot span a {d}-dimensional space")
     s = synth @ synth.conj().T
-    lo, hi = map(float, _sym_extremes(s))
+    lo, hi = _sym_extremes(s)
     if _unbounded(lo, hi):
         raise NumericalOverflow(_OVERFLOW)
     if hi <= 0.0 or lo <= tol.inv_cond * hi:
@@ -201,13 +201,13 @@ def _not_dual(recon: np.ndarray, tol: Tol) -> np.ndarray:
     return _op_norms(deviation) > tol.rel_eq * np.maximum(1.0, _op_norms(recon))
 
 
-def _check_duality(dual_synth: np.ndarray, parent: Frame, tol: Tol) -> None:
-    """Raise InvalidDual unless every synthesis matrix in a (..., d, N) stack is a dual of parent.
+def _check_dual(f: Frame, synth: np.ndarray, tol: Tol) -> None:
+    """The one duality check: raise unless a d x N synthesis matrix is a dual of f.
 
-    The inputs are validated frames, whose entries are small enough that the
-    reconstruction T_dual U_parent is finite.
+    T_dual U, formed under the caller's _quiet, must be finite (else a
+    NumericalOverflow, linalg's overflow rule) and pass _not_dual (else InvalidDual).
     """
-    if np.any(_not_dual(dual_synth @ parent.analysis_op, tol)):
+    if _not_dual(_finite(synth @ f.analysis_op, "T_dual U"), tol):
         raise InvalidDual(_NOT_DUAL)
 
 
@@ -215,12 +215,10 @@ def _check_duality(dual_synth: np.ndarray, parent: Frame, tol: Tol) -> None:
 def _lone_dual(f: Frame, synth: np.ndarray, tol: Tol) -> Frame:
     """The frame of a d x N synthesis matrix formed as a dual of f, validated as one.
 
-    The one definition of a valid dual and of its error: T_dual U finite (else
-    a NumericalOverflow, linalg's overflow rule), the duality check (else
-    InvalidDual), then _new_frame's overflow and rank checks on T_dual T_dual*.
+    The one definition of a valid dual and of its error: _check_dual, then
+    _new_frame's overflow and rank checks on T_dual T_dual*.
     """
-    if _not_dual(_finite(synth @ f.analysis_op, "T_dual U"), tol):
-        raise InvalidDual(_NOT_DUAL)
+    _check_dual(f, synth, tol)
     return _new_frame(synth, tol)
 
 

@@ -14,9 +14,9 @@ run the complex routine) and gives np.linalg's bits. As _umath_linalg is
 private to numpy, the numpy==2.4.6 pin in CI guards it, and pyproject.toml
 requires numpy 2 (1.x has no values-only svd gufunc).
 
-The private stack helpers take a (K, m, n) stack of matrices and run one
-batched LAPACK call where a loop would make K; each matrix gets the bits it
-gets alone.
+Only _op_norms takes a (..., m, n) stack, for one batched SVD where a loop
+would make K (perturbation._report and representations._unit_w); each matrix
+gets the bits it gets alone. Every other helper takes one matrix.
 
 One overflow rule: a matrix derived from finite inputs is formed under
 _quiet (numpy's overflow and invalid warnings off) and judged by the typed
@@ -166,31 +166,23 @@ def _op_norms(stack: np.ndarray) -> np.ndarray:
     return _svd_values(stack)[..., 0]
 
 
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a (..., m, n) stack."""
-    return stack.conj().swapaxes(-1, -2)
+def _eig_extremes(sym: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a Hermitian d x d matrix; NaN for a non-finite one."""
+    if not np.isfinite(sym).all():  # eigvalsh may fail, or give finite values, on such a matrix
+        return math.nan, math.nan
+    eigenvalues = _eigvalsh(sym)
+    return float(eigenvalues[0]), float(eigenvalues[-1])
 
 
-def _eig_extremes(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_min, lambda_max) per matrix of a Hermitian (..., d, d) stack; NaN for a non-finite one."""
-    if np.isfinite(sym).all():
-        eigenvalues = _eigvalsh(sym)
-    else:  # eigvalsh may fail, or give finite values, on a non-finite matrix
-        finite = np.isfinite(sym).all(axis=(-2, -1))
-        eigenvalues = _eigvalsh(np.where(finite[..., np.newaxis, np.newaxis], sym, 0.0))
-        eigenvalues[~finite] = np.nan
-    return eigenvalues[..., 0], eigenvalues[..., -1]
-
-
-def _sym_extremes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_min, lambda_max) of (H + H*)/2 per matrix of a (..., d, d) stack; NaN where that is not finite."""
+def _sym_extremes(h: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of (H + H*)/2 for a d x d matrix H; NaN when that is not finite."""
     # H* in C order, like H: the sum runs faster on like layouts.
-    return _eig_extremes((stack + np.conjugate(stack.swapaxes(-1, -2), order="C")) / 2.0)
+    return _eig_extremes((h + np.conjugate(h.T, order="C")) / 2.0)
 
 
-def _unbounded(lo, hi):
-    """Mask of the extremes of (H + H*)/2 that are not finite: with H derived from finite inputs, an overflow."""
-    return ~(np.isfinite(lo) & np.isfinite(hi))
+def _unbounded(lo: float, hi: float) -> bool:
+    """Whether the extremes of (H + H*)/2 are not finite: with H derived from finite inputs, an overflow."""
+    return not (math.isfinite(lo) and math.isfinite(hi))
 
 
 @_quiet
@@ -205,8 +197,8 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
     mat = _nonempty(h)
     if mat.shape[0] != mat.shape[1]:
         raise NotHermitian(f"matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
-    skew = mat - _adjoint(mat)
-    lo, hi = map(float, _sym_extremes(mat))
+    skew = mat - mat.conj().T
+    lo, hi = _sym_extremes(mat)
     if not np.isfinite(skew).all() or _op_norms(skew) > tol.rel_eq * _op_norms(mat):
         raise NotHermitian(_NOT_HERMITIAN)
     if _unbounded(lo, hi):

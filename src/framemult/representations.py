@@ -41,14 +41,14 @@ from .errors import InvalidArgument, InvalidDual
 from .frames import (
     DualFrame,
     Frame,
-    _check_duality,
+    _check_dual,
     _dual_family,
     _read_only,
     _scaled,
     canonical_dual,
     equivalence_map,
 )
-from .linalg import DEFAULT_TOL, Tol, _adjoint, _finite, _is_integer, _op_norms, _quiet, _rel_gap, op_norm
+from .linalg import DEFAULT_TOL, Tol, _finite, _is_integer, _op_norms, _quiet, _rel_gap, op_norm
 from .multiplier import Multiplier, _inverse_formula_left, _inverse_norm, adjoint, invert
 from .symbols import reciprocal
 
@@ -63,8 +63,8 @@ __all__ = [
     "sample_duals",
 ]
 
-# Dual-frame sampling policy for universally quantified checks: the canonical
-# dual plus this many random duals with unit-operator-norm W parameters.
+# sample_duals' default family: the canonical dual plus this many random duals
+# with unit-operator-norm W parameters (no suite samples duals; see _certificate).
 DUAL_SAMPLE_COUNT = 20
 _DUAL_SAMPLE_SEED = 2026
 
@@ -199,25 +199,20 @@ def _decomposition_residuals(
 ) -> tuple[tuple[int, float], ...]:
     """(dual index, ||M^{-1} - (T_{Psi~} diag(1/m) + op*) U_{Phi^d}||) per supplied dual of the left frame.
 
-    Each dual is re-checked against the left frame, and the gaps are judged
-    by linalg's overflow rule. On adjoint(M) this is the Theta form.
+    Every dual is re-checked against the left frame (frames._check_dual), then
+    each gap is formed on its own and judged by linalg's overflow rule. On
+    adjoint(M) this is the Theta form.
     """
     parent = mult.left
     shapes = {dual.frame.synth.shape for dual in duals}
     if shapes - {(parent.dim, parent.count)}:
-        raise InvalidDual(
-            f"dual shapes {sorted(shapes)} do not match parent {parent.dim}x{parent.count}"
-        )
+        raise InvalidDual(f"dual shapes {sorted(shapes)} do not match parent {parent.dim}x{parent.count}")
     minv = invert(mult, tol)
     left = _inverse_formula_left(mult, tol) + op.conj().T
-    if not duals:
-        return ()
-    stack = np.stack([dual.frame.synth for dual in duals])
-    _check_duality(stack, parent, tol)
-    gaps = left @ _adjoint(stack)
-    np.subtract(minv, gaps, out=gaps)  # each gap M^{-1} - L U_{Phi^d}, in place
-    residuals = _op_norms(_finite(gaps, "decomposition gap"))
-    return tuple([*enumerate(residuals.tolist())])  # exact size, see suites._row
+    for dual in duals:
+        _check_dual(parent, dual.frame.synth, tol)
+    gaps = (_finite(minv - left @ dual.frame.analysis_op, "decomposition gap") for dual in duals)
+    return tuple([(index, float(_op_norms(gap))) for index, gap in enumerate(gaps)])
 
 
 def verify_gamma_decomposition(

@@ -26,6 +26,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 from functools import partial
 
 import numpy as np
@@ -48,8 +49,15 @@ __all__ = [
 CSV_COLUMNS = ["suite", "trial", "seed", "d", "N", *RESIDUAL_COLUMNS, "verdict"]
 
 
+def _check_path(path) -> None:
+    """Raise InvalidArgument unless path is a str, bytes or os.PathLike: open() takes an int as an fd."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidArgument(f"path must be a str, bytes or os.PathLike, got {type(path).__name__}")
+
+
 def save_frame(frame: Frame, path) -> None:
     """Write a frame document: {dim, count, entries}, entries row-major [re, im]."""
+    _check_path(path)
     entries = [
         [[float(z.real), float(z.imag)] for z in row] for row in np.asarray(frame.synth)
     ]
@@ -64,6 +72,7 @@ def save_frame(frame: Frame, path) -> None:
 
 def load_frame(path, tol: Tol = DEFAULT_TOL) -> Frame:
     """Read a frame document back; malformed text raises ParseError with position."""
+    _check_path(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -276,6 +285,7 @@ def save_report(report: SuiteReport, path, fmt: str = "json") -> None:
     The report is checked before path is opened, so a rejected report leaves
     an existing file untouched.
     """
+    _check_path(path)
     write = _report_writer(report, fmt)
     try:
         with open(path, "w", encoding="utf-8") as handle:

@@ -722,8 +722,9 @@ class _Records(Sequence):
 
 
 # Errors that fail the one trial raising them: the package's own, plus the
-# numerical ones numpy raises (LinAlgError is a ValueError).
-_TRIAL_ERRORS = (FrameMultError, ValueError, ArithmeticError)
+# numerical ones numpy raises (LinAlgError is a ValueError) and a MemoryError
+# from an N too large to allocate.
+_TRIAL_ERRORS = (FrameMultError, ValueError, ArithmeticError, MemoryError)
 
 
 def _run_one(name: str, cfg: ExperimentConfig, trial: int, shared: _Shared, column: _Columns) -> None:

@@ -1,7 +1,7 @@
 """A dual family dual by dual: the explicit residuals bit for bit, bounded by the certificate, and its first error.
 
 _dual_family validates each W_k through _lone_dual in order, and
-verify_*_decomposition judge a family's residuals as one stack.
+verify_*_decomposition take a family's residuals one dual at a time.
 """
 
 import warnings
@@ -50,7 +50,7 @@ def _bits(rows) -> list:
 
 @pytest.mark.parametrize("trial", range(6))
 def test_stack_path_gives_the_dual_frame_residuals_bit_for_bit(trial):
-    """A family's stacked residuals are each dual's residual alone, and stay under the certified bound."""
+    """A family's residuals are each dual's residual alone, and stay under the certified bound."""
     cfg = ExperimentConfig(suite="all", seed=SEED)
     tol = cfg.tol
     d, n = cfg.dims[trial % len(cfg.dims)]

@@ -288,10 +288,10 @@ class TestDualityValidation:
         # hand-build a dual check failure by pairing with the wrong parent
         f = random_frame(3, 7, (149, 0))
         other = random_frame(3, 7, (149, 1))
-        from framemult.frames import _check_duality
+        from framemult.frames import _check_dual
 
         with pytest.raises(InvalidDual):
-            _check_duality(canonical_dual(f).frame.synth, other, Tol())
+            _check_dual(other, canonical_dual(f).frame.synth, Tol())
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,8 +3,8 @@
 new_frame and canonical_dual check one frame or dual; _dual_family checks
 each of a family's duals the same way. Both give the same bits and the same
 verdicts, including for matrices whose symmetrization (H + H*)/2 overflows.
-herm_eig_extremes decides its one matrix by the SVD-only rule that a stack
-of one got: NotHermitian when H - H* has a non-finite entry or ||H - H*|| >
+herm_eig_extremes decides its one matrix by the SVD-only rule:
+NotHermitian when H - H* has a non-finite entry or ||H - H*|| >
 rel_eq ||H||, NumericalOverflow when an extreme of (H + H*)/2 is not finite,
 else the extremes with the bits eigvalsh gives.
 """

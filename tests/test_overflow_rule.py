@@ -244,11 +244,8 @@ def test_a_float_that_is_not_finite_is_a_numerical_overflow(value):
 
 
 @pytest.mark.parametrize("mat", [[[np.nan, 1.0], [1.0, 2.0]], [[np.nan, 0.0], [0.0, 5e305]]])
-def test_non_finite_matrix_has_nan_extremes_alone_and_in_a_stack(mat):
+def test_non_finite_matrix_has_nan_extremes(mat):
     # eigvalsh converges on both and gives finite values, which are not the extremes.
-    mat = np.array(mat, dtype=np.complex128)
-    finite = np.diag([1.0, 4.0]).astype(np.complex128)
-    lone = _eig_extremes(mat)
-    lo, hi = _eig_extremes(np.stack([finite, mat, finite]))
-    assert np.isnan([*lone, lo[1], hi[1]]).all()
-    assert lo[[0, 2]].tolist() == [1.0, 1.0] and hi[[0, 2]].tolist() == [4.0, 4.0]
+    assert np.isnan(_eig_extremes(np.array(mat, dtype=np.complex128))).all()
+    extremes = _eig_extremes(np.diag([1.0, 4.0]).astype(np.complex128))
+    assert extremes == (1.0, 4.0) and all(type(x) is float for x in extremes)

@@ -1,11 +1,11 @@
-"""Record-at-a-time JSON reports and in-place decomposition gaps.
+"""Record-at-a-time JSON reports and decomposition gaps one dual at a time.
 
 The JSON writer encodes one record's dict at a time and still writes the
 bytes of json.dumps(report.as_dict(), sort_keys=True, indent=2) plus a
 newline. A record JSON would encode as something else is rejected before the
 file is opened. A NaN aggregated residual reaches max_residual. The
-decomposition residuals come from gaps built in place, with the bits of the
-stacked construction M^{-1} - (T_{Psi~} diag(1/m) + op*) U_{Phi^d}.
+decomposition residuals come from gaps built one dual at a time, with the
+bits of the stacked construction M^{-1} - (T_{Psi~} diag(1/m) + op*) U_{Phi^d}.
 """
 
 import json
@@ -35,7 +35,7 @@ from framemult import (
     theta_of,
 )
 from framemult import suites
-from framemult.linalg import _adjoint, _op_norms
+from framemult.linalg import _op_norms
 from framemult.representations import _decomposition_residuals
 from framemult.serialize import report_to_json
 from framemult.suites import GENERATOR_NAMES, _Measured
@@ -162,12 +162,12 @@ def _stacked_residuals(mult, kind, op, duals):
     tilde = canonical_dual(on.right).frame
     left = tilde.synth * inv_m[np.newaxis, :] + op.conj().T
     stack = np.stack([dual.frame.synth for dual in duals])
-    return _op_norms(invert(on) - left @ _adjoint(stack))
+    return _op_norms(invert(on) - left @ stack.conj().swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("name", sorted(FRAME_PAIRS))
 @pytest.mark.parametrize("rep_of", [gamma_of, theta_of], ids=["gamma", "theta"])
-def test_in_place_gaps_match_the_stacked_construction_bit_for_bit(name, rep_of):
+def test_gaps_one_dual_at_a_time_match_the_stacked_construction_bit_for_bit(name, rep_of):
     mult = _invertible(name)
     rep = rep_of(mult)
     probe = rep.op + np.full(rep.op.shape, 1e-9 + 2e-9j)

@@ -16,6 +16,9 @@ from framemult.serialize import report_to_json
         ValueError("bad value"),
         np.linalg.LinAlgError("SVD did not converge"),
         ZeroDivisionError("division by zero"),
+        # What numpy raises for an N too large to allocate; made here without allocating.
+        np._core._exceptions._ArrayMemoryError((2, 4294967296), np.dtype(np.complex128)),
+        MemoryError("out of memory"),
     ],
 )
 def test_numerical_error_fails_only_its_trial(monkeypatch, error):

@@ -1,12 +1,12 @@
-"""A textbook twin of the "for every dual" residuals, from np.linalg and the paper's formulas.
+"""A textbook twin of every suite's residuals, from np.linalg and the paper's formulas.
 
 For trials 0..19 of the default run at seeds 0 and 1608, the twin rebuilds
-each gamma, theta and equivalence instance from framemult's public
-generators and the same seeds, and recomputes every residual and boolean
-that the certificate moved: max_decomposition and probe_breakage of gamma
-and theta, max_formula_residual of equivalence, and the verdict booleans of
-all three suites. It uses only np.linalg (pinv for S^{-1}T and the kernel
-projection P, inv, svd, norm) and the paper's formulas:
+each suite's instance from framemult's public generators and the same seeds,
+and recomputes every residual and boolean of all eight suites: thm1's, the
+four companions', gamma's and theta's (the norm of the correction, its bare
+and symbol-weighted annihilation, and the two readings of the certificate)
+and equivalence's. It uses only np.linalg (pinv for S^{-1}T and the kernel
+projection P, inv, svd, eigvalsh, norm) and the paper's formulas:
 
     Gamma = U_Phi (M^{-1})* - diag(1/conj m) U_Psi S_Psi^{-1}
     Theta = U_Psi M^{-1} - diag(1/m) U_Phi S_Phi^{-1}
@@ -17,8 +17,19 @@ K = L P_Phi; its supremum over ||W|| <= 1 lies in [max(||R0||, ||K||),
 ||R0|| + ||K||]. Theta is taken in the paper's own form, against the duals
 T_{Psi^d} = pinv(T_Psi)* + W P_Psi of the right frame, not through the
 adjoint. The probe direction redoes the draw order of the suites' unit-norm
-W in numpy. An AST guard keeps the twin to framemult's public generators
-and the run it checks.
+W in numpy.
+
+A companion restores the multiplier after the left frame, the right frame or
+the symbol moves: with old and new scaled synthesis matrices T_o = T_Phi
+diag(m) and T_n, the companion of Psi is
+
+    T_Psi' = T_Psi (U_o S_n^{-1} T_n + I - U_n S_n^{-1} T_n),
+
+and a moved right frame is the same construction on the adjoint (frames
+swapped, symbol conjugated). The twin redoes the frame noise and the symbol
+perturbation in numpy, in the draw order of the suites, and takes the
+admitted sizes and coefficients from the paper's hypotheses. An AST guard
+keeps the twin to framemult's public generators and the run it checks.
 """
 
 import ast
@@ -59,12 +70,24 @@ def _invertible(t_phi, m, t_psi):
     return matrix if s[0] > 0.0 and s[-1] / s[0] >= INV_COND else None
 
 
-def _instance(seed, trial, d, n):
-    """The trial's invertible (T_Phi, m, T_Psi, M): the symbol is redrawn until M passes."""
-    t_phi = random_frame(d, n, (seed, trial, 0)).synth
-    t_psi = random_frame(d, n, (seed, trial, 1)).synth
+def _frames(seed, trial, d, n):
+    return random_frame(d, n, (seed, trial, 0)).synth, random_frame(d, n, (seed, trial, 1)).synth
+
+
+def _symbol(seed, trial, n):
+    return random_symbol(n, SYMBOL_LO, SYMBOL_HI, (seed, trial, 2)).values
+
+
+def _instance(seed, trial, d, n, zero_entry=False):
+    """The trial's invertible (T_Phi, m, T_Psi, M): the symbol is redrawn until M passes.
+
+    With zero_entry, each draw has its first entry set to zero.
+    """
+    t_phi, t_psi = _frames(seed, trial, d, n)
     for attempt in range(RESAMPLE_LIMIT):
         m = random_symbol(n, SYMBOL_LO, SYMBOL_HI, (seed, trial, 2, attempt)).values
+        if zero_entry:
+            m = np.concatenate([[0.0], m[1:]])
         matrix = _invertible(t_phi, m, t_psi)
         if matrix is not None:
             return t_phi, m, t_psi, matrix
@@ -76,6 +99,16 @@ def _probe_direction(seed, trial, shape):
     draws = np.random.default_rng((seed, trial, 7)).standard_normal((1, 2, *shape))
     w = draws[0, 0] + 1j * draws[0, 1]
     return w / _norm(w)
+
+
+def _bounds(t):
+    """The optimal frame bounds (A, B): the extreme eigenvalues of T T*."""
+    spectrum = np.linalg.eigvalsh(t @ t.conj().T)
+    return spectrum[0], spectrum[-1]
+
+
+def _sigma_min(matrix) -> float:
+    return float(np.linalg.svd(matrix, compute_uv=False)[-1])
 
 
 def _kernel(t):
@@ -123,6 +156,112 @@ def _twin_thm1(seed, trial, d, n):
     return residuals, booleans
 
 
+def _frame_noise(seed, trial, shape):
+    """The suites' unit-norm frame noise: one standard-normal draw of the real, then the imaginary, part."""
+    rng = np.random.default_rng((seed, trial, 3))
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return noise / _norm(noise)
+
+
+def _symbol_noise(m, eps, seed, trial):
+    """m + e: e uniform in the unit disc, rescaled so sup|e_n| is a uniform draw from [eps/2, eps]."""
+    rng = np.random.default_rng((seed, trial, 4))
+    radii = np.sqrt(rng.uniform(0.0, 1.0, m.size))
+    angles = rng.uniform(0.0, 2.0 * np.pi, m.size)
+    e = radii * np.exp(1j * angles)
+    return m + e * (rng.uniform(0.5 * eps, eps) / np.abs(e).max())
+
+
+def _companion(t_psi, t_old, t_new):
+    """T_Psi (U_o S_n^{-1} T_n + I - U_n S_n^{-1} T_n), with S_n^{-1} T_n = pinv(T_n)*."""
+    dual = np.linalg.pinv(t_new).conj().T
+    return t_psi @ (t_old.conj().T @ dual + np.eye(t_psi.shape[1]) - t_new.conj().T @ dual)
+
+
+def _companion_report(mu, coef, t_psi, t_companion, m_old, m_new):
+    """The residuals and booleans of a companion whose multiplier moved m_old -> m_new."""
+    deviation = _norm(t_companion - t_psi)
+    gap = _norm(m_new - m_old)
+    residuals = {
+        "achieved_mu": mu,
+        "bound_coefficient": coef,
+        "companion_deviation": deviation,
+        "multiplier_residual": gap,
+    }
+    booleans = {
+        "invariance_ok": _rule(gap, _norm(m_old), _norm(m_new)) <= REL_EQ,
+        "bound_satisfied": deviation <= coef * mu + REL_EQ,
+    }
+    return residuals, booleans
+
+
+def _twin_per1(side, seed, trial, d, n):
+    """per1 moves Phi by half of sqrt(A_Phi); per1dual moves Psi, as per1 on the adjoint.
+
+    lambda = sup|m| sqrt(B) / (inf|m| (sqrt(A) - mu)), with A of the moved
+    frame and B of the other one.
+    """
+    t_phi, t_psi = _frames(seed, trial, d, n)
+    m = _symbol(seed, trial, n)
+    moved, other, weights = (t_phi, t_psi, m) if side == "per1" else (t_psi, t_phi, np.conj(m))
+    root_a = np.sqrt(_bounds(moved)[0])
+    moved_new = moved + _frame_noise(seed, trial, (d, n)) * (0.9 * 0.5 * root_a)
+    mu = _norm(moved_new - moved)
+    companion = _companion(other, moved * weights, moved_new * weights)
+    coef = np.abs(m).max() * np.sqrt(_bounds(other)[1]) / (np.abs(m).min() * (root_a - mu))
+    # The multiplier in the paper's orientation, T_Phi diag(m) U_Psi, before and after.
+    phi_new, psi_new = (moved_new, companion) if side == "per1" else (companion, moved_new)
+    m_old, m_new = (t_phi * m) @ t_psi.conj().T, (phi_new * m) @ psi_new.conj().T
+    return _companion_report(mu, coef, other, companion, m_old, m_new)
+
+
+def _twin_per2(seed, trial, d, n):
+    """per2: a zero-entry symbol and mu inside 0.9 / (sqrt(B_Phi) ||M^{-1}|| sup|m|) and sqrt(A_Phi).
+
+    lambda = sup|m| sqrt(B_Psi) / sqrt(A_{m Phi'}); the floor ratio is
+    A_{m Phi} B_Phi ||M^{-1}||^2.
+    """
+    t_phi, m, t_psi, matrix = _instance(seed, trial, d, n, zero_entry=True)
+    inv_norm = 1.0 / _sigma_min(matrix)
+    a_phi, b_phi = _bounds(t_phi)
+    mu_request = min(0.9 / (np.sqrt(b_phi) * inv_norm * np.abs(m).max()), np.sqrt(a_phi))
+    t_new = t_phi + _frame_noise(seed, trial, (d, n)) * (0.9 * mu_request)
+    old, new = t_phi * m, t_new * m
+    companion = _companion(t_psi, old, new)
+    coef = np.abs(m).max() * np.sqrt(_bounds(t_psi)[1]) / np.sqrt(_bounds(new)[0])
+    mu = _norm(t_new - t_phi)
+    residuals, booleans = _companion_report(
+        mu, coef, t_psi, companion, old @ t_psi.conj().T, new @ companion.conj().T
+    )
+    residuals["floor_ratio"] = _bounds(old)[0] * b_phi * inv_norm**2
+    booleans["floor_ok"] = residuals["floor_ratio"] >= 1.0 - REL_EQ
+    return residuals, booleans
+
+
+def _twin_per3(seed, trial, d, n):
+    """per3 moves the symbol, with the coefficient deviation / eps for eps = sup|m - m'|.
+
+    Even trials move a semi-normalized m by up to half of inf|m|; odd trials
+    move a zero-entry m by up to 0.45 sigma_min(M) / B_Phi.
+    """
+    semi_branch = trial % 2 == 0
+    if semi_branch:
+        (t_phi, t_psi), m = _frames(seed, trial, d, n), _symbol(seed, trial, n)
+        eps_request = 0.5 * np.abs(m).min()
+    else:
+        t_phi, m, t_psi, matrix = _instance(seed, trial, d, n, zero_entry=True)
+        eps_request = 0.45 * _sigma_min(matrix) / _bounds(t_phi)[1]
+    m_new = _symbol_noise(m, eps_request, seed, trial)
+    eps = np.abs(m - m_new).max()
+    old, new = t_phi * m, t_phi * m_new
+    companion = _companion(t_psi, old, new)
+    residuals, booleans = _companion_report(
+        eps, _norm(companion - t_psi) / eps, t_psi, companion, old @ t_psi.conj().T, new @ companion.conj().T
+    )
+    booleans["semi_branch"] = semi_branch
+    return residuals, booleans
+
+
 def _twin_correction(seed, trial, d, n):
     """The gamma and theta residuals and booleans that the certificate decides."""
     t_phi, m, t_psi, matrix = _instance(seed, trial, d, n)
@@ -146,7 +285,13 @@ def _twin_correction(seed, trial, d, n):
     for side, (op, bracket, bare, masked) in sides.items():
         max_dec = sum(bracket(op))
         breakage = max(bracket(op + probe))
-        residuals = {"max_decomposition": max_dec, "probe_breakage": breakage}
+        residuals = {
+            "op_norm": _norm(op),
+            "annihilation": _norm(bare),
+            "masked_annihilation": _norm(masked),
+            "max_decomposition": max_dec,
+            "probe_breakage": breakage,
+        }
         booleans = {
             "decomposition_ok": _rule(max_dec, inv_norm) <= REL_EQ,
             "annihilation_ok": _rule(_norm(bare), inv_norm) <= REL_EQ,
@@ -185,7 +330,7 @@ def _twin_equivalence(seed, trial, d, n):
         "agree": equivalent == gamma_zero == all_duals,
         "expected_positive": positive,
     }
-    return {"max_formula_residual": formula}, booleans
+    return {"gamma_norm": _norm(gamma), "max_formula_residual": formula}, booleans
 
 
 @cache
@@ -201,12 +346,17 @@ def test_twin_matches_the_certified_residuals(seed, trial):
     records = _program(seed)
     twins = {
         "thm1": _twin_thm1(seed, trial, d, n),
+        "per1": _twin_per1("per1", seed, trial, d, n),
+        "per1dual": _twin_per1("per1dual", seed, trial, d, n),
+        "per2": _twin_per2(seed, trial, d, n),
+        "per3": _twin_per3(seed, trial, d, n),
         **_twin_correction(seed, trial, d, n),
         "equivalence": _twin_equivalence(seed, trial, d, n),
     }
     for suite, (residuals, booleans) in twins.items():
         record = records[suite, trial]
         assert record.note == "", (suite, record.note)
+        assert residuals.keys() == record.residuals.keys(), suite
         for key, value in residuals.items():
             assert _quotient(value, record.residuals[key]) <= AGREEMENT, (suite, key, value, record.residuals[key])
         assert dict(record.booleans) == booleans, suite
