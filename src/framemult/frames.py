@@ -8,9 +8,9 @@ optimal frame bounds. new_frame takes outside input (non-finite entries are
 an InvalidArgument); a frame derived from finite inputs under linalg's
 overflow rule takes _new_frame, which judges overflow by the spectrum of S.
 
-Each dual (canonical, or a member of a family, which is a list in order) is
-built and validated on its own by _lone_dual, the one definition of a valid
-dual and its error; _check_dual, its duality half, re-checks supplied duals.
+Each dual, canonical or carved out by one W, is built and validated on its
+own by _lone_dual, the one definition of a valid dual and its error;
+_check_dual, its duality half, re-checks supplied duals.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .linalg import (
     _complex,
     _finite,
     _invertible,
-    _op_norms,
     _quiet,
     _rel_gap,
     _solve,
@@ -96,9 +95,9 @@ class Frame:
 class DualFrame:
     """A dual of `parent`: synthesis T_dual = S^{-1}T_parent + W(I - U S^{-1}T_parent).
 
-    w is the read-only d x N matrix W that carved the dual out, a view into
-    its family's W block, or None for the canonical dual. The dual keeps W,
-    not the product v_part, which is formed when asked for.
+    w is the read-only d x N matrix W that carved the dual out (from
+    sample_duals, a view into its W block), or None for the canonical dual.
+    The dual keeps W, not the product v_part, which is formed when asked for.
     """
 
     frame: Frame
@@ -192,13 +191,12 @@ def frame_bounds(f: Frame) -> tuple[float, float]:
 _NOT_DUAL = "reconstruction T_dual U_parent deviates from the identity"
 
 
-def _not_dual(recon: np.ndarray, tol: Tol) -> np.ndarray:
-    """Mask of the reconstructions T_dual U_parent in a finite (..., d, d) stack that miss I.
+def _not_dual(recon: np.ndarray, tol: Tol) -> bool:
+    """Whether a finite d x d reconstruction T_dual U_parent misses I under the rule.
 
-    The duality check is ||T_dual U - I|| <= rel_eq * max(1, ||T_dual U||).
+    The duality check is _rel_gap(||T_dual U - I||, ||T_dual U||) <= rel_eq.
     """
-    deviation = recon - np.eye(recon.shape[-1])
-    return _op_norms(deviation) > tol.rel_eq * np.maximum(1.0, _op_norms(recon))
+    return _rel_gap(op_norm(recon - np.eye(recon.shape[0])), op_norm(recon)) > tol.rel_eq
 
 
 def _check_dual(f: Frame, synth: np.ndarray, tol: Tol) -> None:
@@ -223,17 +221,13 @@ def _lone_dual(f: Frame, synth: np.ndarray, tol: Tol) -> Frame:
 
 
 @_quiet
-def _dual_family(f: Frame, w: np.ndarray, tol: Tol) -> list[DualFrame]:
-    """The duals S^{-1}T + W_k(I - U S^{-1}T) of f for a (K, d, N) stack of W_k, in order.
+def _dual(f: Frame, w: np.ndarray, tol: Tol) -> DualFrame:
+    """The dual S^{-1}T + W(I - U S^{-1}T) of f for a d x N matrix W, validated by _lone_dual.
 
-    Each is validated by _lone_dual, so the first failing W_k raises its
-    error. Each dual keeps a view of its W_k, so w must be read-only and
-    edited by no one (random_dual passes a copy).
+    The dual keeps w itself, so w must be read-only and edited by no one
+    (random_dual passes a frozen copy).
     """
-    return [
-        DualFrame(frame=_lone_dual(f, f._canonical_synth + w_k @ f._kernel_proj, tol), parent=f, w=w_k)
-        for w_k in w
-    ]
+    return DualFrame(frame=_lone_dual(f, f._canonical_synth + w @ f._kernel_proj, tol), parent=f, w=w)
 
 
 def canonical_dual(f: Frame, tol: Tol = DEFAULT_TOL) -> DualFrame:
@@ -260,7 +254,7 @@ def random_dual(f: Frame, w, tol: Tol = DEFAULT_TOL) -> DualFrame:
         raise DimensionMismatch(
             f"W has shape {w_mat.shape}, expected {(f.dim, f.count)}"
         )
-    return _dual_family(f, _freeze(w_mat)[np.newaxis], tol)[0]
+    return _dual(f, _freeze(w_mat), tol)
 
 
 def proj_ker_synthesis(f: Frame) -> np.ndarray:

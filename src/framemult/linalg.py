@@ -14,9 +14,9 @@ run the complex routine) and gives np.linalg's bits. As _umath_linalg is
 private to numpy, the numpy==2.4.6 pin in CI guards it, and pyproject.toml
 requires numpy 2 (1.x has no values-only svd gufunc).
 
-Only _op_norms takes a (..., m, n) stack, for one batched SVD where a loop
-would make K (perturbation._report and representations._unit_w); each matrix
-gets the bits it gets alone. Every other helper takes one matrix.
+op_norm is the package's one operator norm; sv_extremes and
+multiplier.build read both ends of the same values-only SVD. Every helper
+takes one matrix.
 
 One overflow rule: a matrix derived from finite inputs is formed under
 _quiet (numpy's overflow and invalid warnings off) and judged by the typed
@@ -30,8 +30,8 @@ bounds from _sym_extremes, the extremes of (S + S*)/2, untested: on S the
 Hermitian test checks rounding only (||S - S*||/||S|| <= 3.4e-16 over 3,500
 generated frames) and rejects valid frames at rel_eq 1e-17. herm_eig_extremes,
 whose input comes from outside, keeps the test and decides it by the exact
-rule alone, one matrix at a time. The duality check of frames judges each
-T_dual U by the exact rule too, through the SVD.
+rule alone. The duality check of frames judges T_dual U by the rule's
+quotient too, one dual at a time.
 
 Every equality is judged by one rule, the quotient _rel_gap(gap, *norms) =
 gap / max(1, *norms): X equals Y when _rel_gap(||X - Y||, ||X||, ||Y||) <= rel_eq.
@@ -161,11 +161,6 @@ def op_norm(a) -> float:
     return float(_svd_values(mat)[0])
 
 
-def _op_norms(stack: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix in a finite (..., m, n) stack, by one batched SVD."""
-    return _svd_values(stack)[..., 0]
-
-
 def _eig_extremes(sym: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a Hermitian d x d matrix; NaN for a non-finite one."""
     if not np.isfinite(sym).all():  # eigvalsh may fail, or give finite values, on such a matrix
@@ -199,7 +194,7 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
         raise NotHermitian(f"matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
     skew = mat - mat.conj().T
     lo, hi = _sym_extremes(mat)
-    if not np.isfinite(skew).all() or _op_norms(skew) > tol.rel_eq * _op_norms(mat):
+    if not np.isfinite(skew).all() or op_norm(skew) > tol.rel_eq * op_norm(mat):
         raise NotHermitian(_NOT_HERMITIAN)
     if _unbounded(lo, hi):
         raise NumericalOverflow(_OVERFLOW)

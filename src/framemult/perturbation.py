@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, InvalidArgument, NumericalOverflow
 from .frames import Frame, _check_shapes, _new_frame, _read_only, _scaled
-from .linalg import DEFAULT_TOL, Tol, _finite, _op_norms, _quiet, op_norm
+from .linalg import DEFAULT_TOL, Tol, _finite, _quiet, op_norm
 from .multiplier import Multiplier
 from .symbols import Symbol, conj
 
@@ -107,14 +107,15 @@ def _restore(psi: Frame, old: Frame, new: Frame, tol: Tol) -> tuple[Frame, float
 def _report(
     old: np.ndarray, new: np.ndarray, psi: Frame, psi_new: Frame, mu: float, coef: float, dev: float, tol: Tol
 ) -> PerturbReport:
-    """The report of a companion whose multiplier moved T_old U_psi -> T_new U_psi_new; one stacked SVD.
+    """The report of a companion whose multiplier moved T_old U_psi -> T_new U_psi_new.
 
     The two multipliers and their gap are formed under linalg's overflow
     rule: one that is not finite is a NumericalOverflow.
     """
     m_old, m_new = old @ psi.analysis_op, new @ psi_new.analysis_op
-    stack = _finite(np.stack([m_new - m_old, m_old, m_new]), "companion multiplier")
-    gap, norm_old, norm_new = _op_norms(stack).tolist()
+    gap, norm_old, norm_new = (
+        op_norm(_finite(m, "companion multiplier")) for m in (m_new - m_old, m_old, m_new)
+    )
     return PerturbReport(
         achieved_mu=mu,
         bound_coefficient=coef,
@@ -132,6 +133,7 @@ def _per1_cap(moved: Frame, share: float = 1.0):
     return share * np.sqrt(moved.bounds[0])
 
 
+@np.errstate(divide="ignore")  # a denominator that underflows to 0 gives the cap inf
 def _per2_cap(phi: Frame, m: Symbol, mult: Multiplier, share: float = 1.0):
     """share / (sqrt(B_phi) ||M^-1|| sup|m|): per2 admits mu * sup|m| < 1 / (sqrt(B_phi) ||M^-1||)."""
     return share / (np.sqrt(phi.bounds[1]) * (1.0 / mult.inv_diag.sigma_min) * m.sup_mod)

@@ -42,13 +42,13 @@ from .frames import (
     DualFrame,
     Frame,
     _check_dual,
-    _dual_family,
+    _dual,
     _read_only,
     _scaled,
     canonical_dual,
     equivalence_map,
 )
-from .linalg import DEFAULT_TOL, Tol, _finite, _is_integer, _op_norms, _quiet, _rel_gap, op_norm
+from .linalg import DEFAULT_TOL, Tol, _finite, _is_integer, _quiet, _rel_gap, op_norm
 from .multiplier import Multiplier, _inverse_formula_left, _inverse_norm, adjoint, invert
 from .symbols import reciprocal
 
@@ -102,11 +102,14 @@ class EquivalenceVerdict(NamedTuple):
 
 
 def _unit_w(rng: np.random.Generator, count: int, d: int, n: int) -> np.ndarray:
-    """A read-only (count, d, N) stack of unit-op-norm W_k, drawn real then imaginary part per W_k."""
+    """A read-only (count, d, N) block of W_k, each drawn real then imaginary part and scaled to unit op norm."""
     draws = rng.standard_normal((count, 2, d, n))
     w = draws[:, 0] + 1j * draws[:, 1]
-    norms = _op_norms(w)
-    return _read_only(w / np.where(norms > 0.0, norms, 1.0)[:, np.newaxis, np.newaxis])
+    for w_k in w:
+        norm = op_norm(w_k)
+        if norm > 0.0:
+            w_k /= norm
+    return _read_only(w)
 
 
 def sample_duals(
@@ -125,8 +128,7 @@ def sample_duals(
     canonical = canonical_dual(f, tol)
     if rng is None:
         rng = np.random.default_rng(_DUAL_SAMPLE_SEED)
-    w = _unit_w(rng, count, f.dim, f.count)
-    return [canonical, *_dual_family(f, w, tol)]
+    return [canonical, *(_dual(f, w, tol) for w in _unit_w(rng, count, f.dim, f.count))]
 
 
 @_quiet
@@ -190,7 +192,7 @@ def _certificate(mult: Multiplier, correction: np.ndarray | None, tol: Tol) -> t
     phi = mult.left
     r0 = _finite(minv - left @ phi._canonical_synth.conj().T, "R0")
     k = _finite(left @ phi._kernel_proj, "K")
-    return float(_op_norms(r0)), float(_op_norms(k))
+    return op_norm(r0), op_norm(k)
 
 
 @_quiet
@@ -212,7 +214,7 @@ def _decomposition_residuals(
     for dual in duals:
         _check_dual(parent, dual.frame.synth, tol)
     gaps = (_finite(minv - left @ dual.frame.analysis_op, "decomposition gap") for dual in duals)
-    return tuple([(index, float(_op_norms(gap))) for index, gap in enumerate(gaps)])
+    return tuple([(index, op_norm(gap)) for index, gap in enumerate(gaps)])
 
 
 def verify_gamma_decomposition(

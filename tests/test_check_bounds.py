@@ -1,6 +1,7 @@
 """The Hermitian check, the duality check, and the per-frame canonical-dual memo.
 
-These tests hold both checks to the SVD-only rules at scales from 1e-150 to
+These tests hold the Hermitian check to its SVD-only rule and the duality
+check to the rule's quotient, one matrix at a time, at scales from 1e-150 to
 1e150, with deviations far from and within a factor 4 of each threshold.
 """
 
@@ -46,8 +47,8 @@ def _svd_skew(stack, tol):
 
 
 def _svd_not_dual(recon, tol):
-    """The SVD-only duality rule: ||R - I|| > rel_eq * max(1, ||R||)."""
-    return _norms(recon - np.eye(recon.shape[-1])) > tol.rel_eq * np.maximum(1.0, _norms(recon))
+    """The duality rule by np.linalg.svd: ||R - I|| / max(1, ||R||) > rel_eq for one d x d R."""
+    return bool(_norms(recon - np.eye(recon.shape[0])) / max(1.0, _norms(recon)) > tol.rel_eq)
 
 
 def _unit(rng, d, flat=False):
@@ -101,29 +102,24 @@ def test_herm_extremes_matches_svd_rule(seed, d, deviations, scale, tol):
     TOLS,
 )
 def test_not_dual_matches_svd_rule(seed, d, deviations, scale, tol):
-    """scale * (I + D) with ||D|| = ratio * rel_eq, ratios up to 1e150 / rel_eq."""
+    """scale * (I + D) with ||D|| = ratio * rel_eq, ratios up to 1e150 / rel_eq, one matrix per call."""
     rng = np.random.default_rng(seed)
-    recon = np.stack(
-        [
-            scale * (np.eye(d) + ratio * tol.rel_eq * _unit(rng, d, flat))
-            for ratio, flat in deviations
-        ]
-    )
-    assert np.array_equal(_not_dual(recon, tol), _svd_not_dual(recon, tol))
+    for ratio, flat in deviations:
+        recon = scale * (np.eye(d) + ratio * tol.rel_eq * _unit(rng, d, flat))
+        assert _not_dual(recon, tol) is _svd_not_dual(recon, tol)
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tol(rel_eq=1e-4)])
-def test_mixed_stack_gets_the_svd_rule_verdicts(seed, tol):
-    """Matrices near and far from the threshold, on both sides of it, in one stack."""
+def test_near_and_far_reconstructions_get_the_rule_verdicts(seed, tol):
+    """Matrices near and far from the threshold, on both sides of it."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 9))
     ratios = [0.0, 1e-3, 0.4, 0.6, 0.99, 1.01, 2.0, 1e3]  # ||D|| as a multiple of rel_eq
     rng.shuffle(ratios)
-    recon = np.stack(
-        [np.eye(d) + ratio * tol.rel_eq * _unit(rng, d, flat=bool(k % 2)) for k, ratio in enumerate(ratios)]
-    )
-    assert np.array_equal(_not_dual(recon, tol), _svd_not_dual(recon, tol))
+    for k, ratio in enumerate(ratios):
+        recon = np.eye(d) + ratio * tol.rel_eq * _unit(rng, d, flat=bool(k % 2))
+        assert _not_dual(recon, tol) is _svd_not_dual(recon, tol)
 
 
 def test_tiny_scale_skew_matrix_is_still_rejected():

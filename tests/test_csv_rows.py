@@ -27,7 +27,7 @@ from framemult import (
     run_suite,
     save_report,
 )
-from framemult.frames import _dual_family
+from framemult.frames import _dual
 from framemult.representations import DUAL_SAMPLE_COUNT, _unit_w
 from framemult.serialize import CSV_COLUMNS, report_to_csv, report_to_json
 from framemult.suites import SUITE_NAMES
@@ -148,7 +148,7 @@ def test_v_part_is_the_former_stacked_product(name):
     w = _unit_w(np.random.default_rng(7), DUAL_SAMPLE_COUNT, f.dim, f.count)
     stacked = w @ f._kernel_proj
     synth = f._canonical_synth + stacked
-    duals = _dual_family(f, w, DEFAULT_TOL)
+    duals = [_dual(f, w_k, DEFAULT_TOL) for w_k in w]
     assert len(duals) == DUAL_SAMPLE_COUNT
     for k, dual in enumerate(duals):
         assert np.shares_memory(dual.w, w) and not dual.w.flags.writeable
@@ -183,11 +183,11 @@ def test_a_dual_family_retains_its_synth_and_gram_stacks_only():
     k = DUAL_SAMPLE_COUNT
     w = _unit_w(np.random.default_rng(9), k, f.dim, f.count)
     f._kernel_proj  # the frame's caches, alive like the W block before the family
-    _dual_family(f, w, DEFAULT_TOL)  # warm: first-call allocations of the kernels
+    [_dual(f, w_k, DEFAULT_TOL) for w_k in w]  # warm: first-call allocations of the kernels
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        family = _dual_family(f, w, DEFAULT_TOL)
+        family = [_dual(f, w_k, DEFAULT_TOL) for w_k in w]
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -1,7 +1,8 @@
 """A dual family dual by dual: the explicit residuals bit for bit, bounded by the certificate, and its first error.
 
-_dual_family validates each W_k through _lone_dual in order, and
-verify_*_decomposition take a family's residuals one dual at a time.
+A family is built one W_k at a time by frames._dual, which validates it
+through _lone_dual, and verify_*_decomposition take a family's residuals one
+dual at a time.
 """
 
 import warnings
@@ -25,8 +26,8 @@ from framemult import (
     verify_theta_decomposition,
 )
 from framemult import suites
-from framemult.frames import _dual_family, _lone_dual
-from framemult.linalg import DEFAULT_TOL, _op_norms
+from framemult.frames import _dual, _lone_dual
+from framemult.linalg import DEFAULT_TOL, op_norm
 from framemult.representations import DUAL_SAMPLE_COUNT, _certificate, _equivalence
 
 SEED = 4244
@@ -75,7 +76,7 @@ def test_stack_path_gives_the_dual_frame_residuals_bit_for_bit(trial):
 
 def _unit_row(rng, d, n):
     a = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-    return a / _op_norms(a)
+    return a / op_norm(a)
 
 
 def _rank_one_in_kernel(rng, f, size):
@@ -118,5 +119,5 @@ def test_family_raises_the_lone_error_of_its_first_failing_row(kind, seed):
     rows += [PLANTS[later][1](rng, f) for later in rng.choice(list(PLANTS), int(rng.integers(0, 3)))]
     lone = _raised(lambda: _lone_dual(f, f._canonical_synth + rows[planted] @ f._kernel_proj, DEFAULT_TOL))
     assert type(lone) is error
-    family = _raised(lambda: _dual_family(f, np.stack(rows), DEFAULT_TOL))
+    family = _raised(lambda: [_dual(f, row, DEFAULT_TOL) for row in rows])
     assert (type(family), str(family)) == (error, str(lone))

@@ -18,8 +18,8 @@ import framemult
 from framemult import DEFAULT_TOL, NotHermitian, Tol, herm_eig_extremes, new_frame, random_frame
 from framemult.suites import DEFAULT_DIMS, GENERATOR_NAMES, _make_frame
 
-# At rel_eq = 1e-17 the frame operator of this frame fails the Hermitian test
-# on rounding alone.
+# With OpenBLAS's AVX-512 kernels, the frame operator of this 2 x 5 frame fails
+# the Hermitian test at rel_eq = 1e-17 on rounding alone.
 WITNESS = (2, 5, (0, 0, 0))
 TIGHT = Tol(rel_eq=1e-17)
 
@@ -38,8 +38,11 @@ def test_a_frame_builds_at_a_rel_eq_below_rounding():
 
 def test_the_public_check_still_rejects_that_frame_operator():
     f = random_frame(*WITNESS)
+    # A skew-Hermitian E of 4 ulps of ||S|| = B: ||2E|| is above both 1e-17 ||S||
+    # and the rounding ||S - S*|| that any GEMM kernel leaves in S.
+    e = 4.0 * np.finfo(np.float64).eps * f.bounds[1] * np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(NotHermitian):
-        herm_eig_extremes(f.cached_S, TIGHT)
+        herm_eig_extremes(f.cached_S + e, TIGHT)
     assert _bits(*herm_eig_extremes(f.cached_S)) == _bits(*f.bounds)
 
 

@@ -14,7 +14,7 @@ from framemult import (
     new_frame,
     random_dual,
 )
-from framemult.frames import _dual_family
+from framemult.frames import _dual
 
 
 @pytest.mark.parametrize(
@@ -107,7 +107,7 @@ def test_dual_kinds_fail_as_labelled():
         ("ok", "rank", "unbounded"),
     ],
 )
-def test_stacked_path_raises_the_loop_error_first(order):
+def test_each_dual_by_dual_path_raises_the_first_error(order):
     f = _tiny_tight_frame()
     tol = Tol(inv_cond=0.5)
     ws = np.array([_w_for(f, kind) for kind in order])
@@ -117,4 +117,4 @@ def test_stacked_path_raises_the_loop_error_first(order):
         for w in ws:  # dual by dual
             random_dual(f, w, tol)
     with pytest.raises(expected):
-        _dual_family(f, ws, tol)
+        [_dual(f, w, tol) for w in ws]  # as sample_duals builds its family

@@ -85,6 +85,8 @@ def _typed(call):
 @example(1, 4, 0, -511, 0, 0, 0, None, None)
 # S_Phi is subnormal, so the equivalence map V0 = T_Psi (S_Phi^{-1} T_Phi)* overflows.
 @example(0, 2, 2, -520, 511, 0, 0, None, None)
+# sqrt(B_Phi) ||M^-1|| underflows to 0, so per2's cap divides by zero.
+@example(0, 1, 0, -50, 53, 1024, 0, None, None)
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 4),

@@ -8,6 +8,9 @@ call). The exceptions are listed below, one entry per read: each is an
 absolute slack or a check that is not the rule, and the list is the to-do
 list of ROADMAP item 2, step 2. The guard asserts the list exactly, so a new
 inline form fails it and a mended one must leave it.
+
+A second guard keeps linalg.op_norm the one operator norm: besides it, only
+sv_extremes and multiplier.build read the values-only SVD entry.
 """
 
 import ast
@@ -19,9 +22,6 @@ import framemult
 
 # (module, function, the source of the comparison, product or read)
 ALLOWED = {
-    # The duality check on stacks of T_dual U: its exact rule.
-    ("frames", "_not_dual", "_op_norms(deviation) > tol.rel_eq * np.maximum(1.0, _op_norms(recon))"),
-    ("frames", "_not_dual", "np.maximum(1.0, _op_norms(recon))"),
     # The public scale field and the + rel_eq slack of bound_satisfied.
     ("perturbation", "_report", "dev <= coef * mu + tol.rel_eq"),
     ("perturbation", "_report", "max(1.0, norm_old, norm_new)"),
@@ -155,3 +155,18 @@ def test_the_guard_flags_a_product_and_a_bare_quotient():
             if isinstance(node, ast.Attribute) and node.attr == "rel_eq"
         ]
         assert [not _sanctioned(node, parents) for node, parents in reads] == [flagged]
+
+
+# sv_extremes and build take both ends of one SVD.
+SVD_READERS = {("linalg", "op_norm"), ("linalg", "sv_extremes"), ("multiplier", "build")}
+
+
+def test_only_the_one_norm_and_the_extremes_read_the_svd_entry():
+    readers = {
+        (module, scope)
+        for module, tree in _modules()
+        for node, scope, _ in _walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == "_svd_values")
+        or (isinstance(node, ast.Attribute) and node.attr == "_svd_values")
+    }
+    assert readers == SVD_READERS

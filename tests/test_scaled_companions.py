@@ -150,15 +150,28 @@ def test_per1dual_report_matches_the_two_pass_expression(name):
 
 
 @pytest.mark.parametrize("suite", ["per1", "per1dual"])
-def test_one_report_svd_per_companion_call(monkeypatch, suite):
-    calls = []
-    real = perturbation._op_norms
+def test_each_report_judges_then_norms_gap_old_and_new_in_turn(monkeypatch, suite):
+    """One matrix at a time: _finite, then op_norm, on the gap, the old and the new multiplier."""
+    events = []
+    real_finite, real_norm = perturbation._finite, perturbation.op_norm
 
-    def counting(stack):
-        calls.append(stack.shape)
-        return real(stack)
+    def finite(mat, what):
+        events.append(("finite", what, mat))
+        return real_finite(mat, what)
 
-    monkeypatch.setattr(perturbation, "_op_norms", counting)
+    def norm(mat):
+        events.append(("norm", None, mat))
+        return real_norm(mat)
+
+    monkeypatch.setattr(perturbation, "_finite", finite)
+    monkeypatch.setattr(perturbation, "op_norm", norm)
     report = run_suite(ExperimentConfig(suite=suite, trials=10))
     assert all(r.verdict == "pass" for r in report.records)
-    assert len(calls) == 10
+    judged = [k for k, (_, what, _) in enumerate(events) if what == "companion multiplier"]
+    assert len(judged) == 30  # three per companion call
+    for first, second, third in zip(*[iter(judged)] * 3):
+        assert (second, third) == (first + 2, first + 4)
+        for k in (first, second, third):
+            assert events[k + 1][0] == "norm" and events[k + 1][2] is events[k][2]
+        gap, old, new = (events[k][2] for k in (first, second, third))
+        assert np.array_equal(gap, new - old)
