@@ -28,13 +28,13 @@ from .linalg import (
     _complex,
     _finite,
     _invertible,
+    _norm,
     _quiet,
     _rel_gap,
     _solve,
     _sym_extremes,
     _unbounded,
     as_matrix,
-    op_norm,
     sv_extremes,
 )
 from .symbols import Symbol
@@ -196,7 +196,7 @@ def _not_dual(recon: np.ndarray, tol: Tol) -> bool:
 
     The duality check is _rel_gap(||T_dual U - I||, ||T_dual U||) <= rel_eq.
     """
-    return _rel_gap(op_norm(recon - np.eye(recon.shape[0])), op_norm(recon)) > tol.rel_eq
+    return _rel_gap(_norm(recon - np.eye(recon.shape[0])), _norm(recon)) > tol.rel_eq
 
 
 def _check_dual(f: Frame, synth: np.ndarray, tol: Tol) -> None:
@@ -302,7 +302,7 @@ def equivalence_map(f: Frame, g: Frame, tol: Tol = DEFAULT_TOL) -> np.ndarray | 
     _check_shapes((f, g))
     v0 = _finite(g.synth @ f._canonical_synth.conj().T, "equivalence map V0")
     gap = _finite(v0 @ f.synth - g.synth, "V0 T_F - T_G")
-    residual = _rel_gap(op_norm(gap), np.sqrt(g.bounds[1]))
+    residual = _rel_gap(_norm(gap), np.sqrt(g.bounds[1]))
     if residual > tol.rel_eq or not _invertible(*sv_extremes(v0), tol):
         return None
     return v0

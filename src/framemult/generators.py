@@ -11,7 +11,7 @@ import numpy as np
 from .errors import GenerationFailed, InvalidArgument, NotAFrame
 from .frames import Frame, new_frame
 from .linalg import DEFAULT_TOL, Tol, _is_integer
-from .symbols import Symbol, new_symbol
+from .symbols import Symbol, _derived
 
 __all__ = [
     "onb",
@@ -124,4 +124,4 @@ def random_symbol(n: int, lo: float, hi: float, rng_seed) -> Symbol:
     rng = np.random.default_rng(rng_seed)
     moduli = rng.uniform(lo, hi, size=n)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return new_symbol(moduli * np.exp(1j * phases))
+    return _derived(moduli * np.exp(1j * phases))

@@ -14,14 +14,16 @@ run the complex routine) and gives np.linalg's bits. As _umath_linalg is
 private to numpy, the numpy==2.4.6 pin in CI guards it, and pyproject.toml
 requires numpy 2 (1.x has no values-only svd gufunc).
 
-op_norm is the package's one operator norm; sv_extremes and
-multiplier.build read both ends of the same values-only SVD. Every helper
-takes one matrix.
+_norm is the package's one operator norm kernel, for a matrix already
+judged; op_norm is _norm of as_matrix, for input from outside and for a
+difference no check has judged. sv_extremes and multiplier.build read both
+ends of the same values-only SVD. Every helper takes one matrix.
 
 One overflow rule: a matrix derived from finite inputs is formed under
 _quiet (numpy's overflow and invalid warnings off) and judged by the typed
 check that follows, so an overflow is a NumericalOverflow with no warning.
-A product no other check reads is judged by _finite.
+A product no other check reads is judged by _finite. Only the outermost
+_quiet call enters an error state; a call nested in it runs in that state.
 A Hermitian matrix that is not finite has NaN extremes (_eig_extremes), so
 a spectrum is its own overflow check: NaN extremes are _unbounded.
 
@@ -41,8 +43,10 @@ call either way, and _near_boundary flags it indeterminate.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +91,7 @@ class Tol:
 DEFAULT_TOL = Tol()
 BOUNDARY_FACTOR = 11.0  # the indeterminate band is (rel_eq, BOUNDARY_FACTOR * rel_eq]
 
-_quiet = np.errstate(over="ignore", invalid="ignore")  # the overflow rule, as a decorator
+_QUIET: ContextVar[bool] = ContextVar("framemult.linalg.quiet", default=False)  # inside a _quiet call
 _NOT_HERMITIAN = "matrix deviates from its adjoint beyond tolerance"
 _OVERFLOW = "extremal eigenvalues of (H + H*)/2 overflow"
 _NOT_FINITE = "matrix entries must be finite"
@@ -96,6 +100,28 @@ _NOT_FINITE = "matrix entries must be finite"
 def _is_integer(value) -> bool:
     """Whether value is an integer argument: any numbers.Integral except bool, so numpy integers pass."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _quiet(fn):
+    """The overflow rule as a decorator: fn runs with numpy's overflow and invalid warnings off.
+
+    Only the outermost decorated call enters np.errstate, which keeps the
+    caller's other settings; a call nested in it runs bare, in that state.
+    The flag is a ContextVar, so each thread finds its own.
+    """
+    entered = np.errstate(over="ignore", invalid="ignore")(fn)
+
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        if _QUIET.get():
+            return fn(*args, **kwargs)
+        token = _QUIET.set(True)
+        try:
+            return entered(*args, **kwargs)
+        finally:
+            _QUIET.reset(token)
+
+    return quiet
 
 
 def _lapack(gufunc, signature: str, message: str):
@@ -153,12 +179,16 @@ def _nonempty(a) -> np.ndarray:
     return mat
 
 
-def op_norm(a) -> float:
-    """Operator (spectral) norm: the largest singular value."""
-    mat = as_matrix(a)
+def _norm(mat: np.ndarray) -> float:
+    """The operator norm of a 2-D complex128 matrix with finite entries: its largest singular value."""
     if mat.size == 0:
         return 0.0
     return float(_svd_values(mat)[0])
+
+
+def op_norm(a) -> float:
+    """Operator (spectral) norm: the largest singular value."""
+    return _norm(as_matrix(a))
 
 
 def _eig_extremes(sym: np.ndarray) -> tuple[float, float]:
@@ -194,7 +224,7 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
         raise NotHermitian(f"matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
     skew = mat - mat.conj().T
     lo, hi = _sym_extremes(mat)
-    if not np.isfinite(skew).all() or op_norm(skew) > tol.rel_eq * op_norm(mat):
+    if not np.isfinite(skew).all() or _norm(skew) > tol.rel_eq * _norm(mat):
         raise NotHermitian(_NOT_HERMITIAN)
     if _unbounded(lo, hi):
         raise NumericalOverflow(_OVERFLOW)
@@ -245,7 +275,7 @@ def rel_residual(x, y) -> float:
     mx, my = as_matrix(x), as_matrix(y)
     if mx.shape != my.shape:
         raise DimensionMismatch(f"cannot compare matrices of shapes {mx.shape} and {my.shape}")
-    return _rel_gap(op_norm(mx - my), op_norm(mx), op_norm(my))
+    return _rel_gap(op_norm(mx - my), _norm(mx), _norm(my))
 
 
 def approx_equal(x, y, tol: Tol = DEFAULT_TOL) -> bool:

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .errors import DimensionMismatch, NumericalOverflow, Singular
 from .frames import Frame, _check_shapes, _read_only, _weighted_image, canonical_dual
 from .linalg import BOUNDARY_FACTOR  # noqa: F401 - the band's factor stays importable from here
 from .linalg import DEFAULT_TOL, Tol, _finite, _inv, _invertible, _near_boundary, _quiet, _rel_gap
-from .linalg import _svd_values, op_norm
+from .linalg import _norm, _svd_values, op_norm
 from .symbols import Symbol, conj, reciprocal
 
 __all__ = [
@@ -72,8 +73,15 @@ class Multiplier:
 
     @cached_property
     def _inverse(self) -> tuple[np.ndarray, float]:
-        """(M^{-1}, ||M M^{-1} - I||), computed once; invert judges the residual per call."""
-        inverse = _read_only(_inv(self.matrix))
+        """(M^{-1}, ||M M^{-1} - I||), computed once; invert judges the residual per call.
+
+        A matrix that passes the singularity proxy can still meet an exact zero
+        pivot, where its LU factors underflow (a subnormal M): that is Singular too.
+        """
+        try:
+            inverse = _read_only(_inv(self.matrix))
+        except LinAlgError:
+            raise Singular("the LU factorization of the multiplier matrix meets a zero pivot") from None
         return inverse, op_norm(self.matrix @ inverse - np.eye(self.left.dim))
 
     @cached_property
@@ -226,7 +234,7 @@ def _side_conditions(mult: Multiplier, dagger: Frame, tol: Tol) -> tuple[Conditi
     weighted = mult.left.synth * np.abs(mult.symbol.values)[np.newaxis, :]
     product = _finite(invert(mult, tol) @ weighted, "M^{-1} T_{|m|Phi}")
     return (
-        _scalar_condition(inv_norm_s, op_norm(product) ** 2, tol),
+        _scalar_condition(inv_norm_s, _norm(product) ** 2, tol),
         _scalar_condition(inv_norm_s, dagger.bounds[1], tol),
     )
 
@@ -240,7 +248,7 @@ def thm1_report(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Thm1Report:
     candidate = canonical_inverse_candidate(mult, tol)
     direct_residual = op_norm(minv - candidate)
     # rel_residual(minv, candidate), reusing ||minv - candidate|| and reading ||minv|| as 1/sigma_min
-    direct_norm_residual = _rel_gap(direct_residual, 1.0 / mult.inv_diag.sigma_min, op_norm(candidate))
+    direct_norm_residual = _rel_gap(direct_residual, 1.0 / mult.inv_diag.sigma_min, _norm(candidate))
     direct_equal = direct_norm_residual <= tol.rel_eq
 
     adj = adjoint(mult)

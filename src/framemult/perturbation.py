@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import HypothesisViolated, InvalidArgument, NumericalOverflow
 from .frames import Frame, _check_shapes, _new_frame, _read_only, _scaled
-from .linalg import DEFAULT_TOL, Tol, _finite, _quiet, op_norm
+from .linalg import DEFAULT_TOL, Tol, _finite, _norm, _quiet, op_norm
 from .multiplier import Multiplier
 from .symbols import Symbol, conj
 
@@ -77,10 +77,10 @@ def _noise(rng_seed, d: int, n: int) -> tuple[np.ndarray, float]:
     rng = np.random.default_rng(rng_seed)
     shape = (d, n)
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    norm = op_norm(noise)
+    norm = _norm(noise)
     if norm == 0.0:  # pragma: no cover - measure-zero draw
         noise = np.ones(shape, dtype=np.complex128)
-        norm = op_norm(noise)
+        norm = _norm(noise)
     return _read_only(noise), norm
 
 
@@ -114,7 +114,7 @@ def _report(
     """
     m_old, m_new = old @ psi.analysis_op, new @ psi_new.analysis_op
     gap, norm_old, norm_new = (
-        op_norm(_finite(m, "companion multiplier")) for m in (m_new - m_old, m_old, m_new)
+        _norm(_finite(m, "companion multiplier")) for m in (m_new - m_old, m_old, m_new)
     )
     return PerturbReport(
         achieved_mu=mu,

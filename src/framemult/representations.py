@@ -48,7 +48,7 @@ from .frames import (
     canonical_dual,
     equivalence_map,
 )
-from .linalg import DEFAULT_TOL, Tol, _finite, _is_integer, _quiet, _rel_gap, op_norm
+from .linalg import DEFAULT_TOL, Tol, _finite, _is_integer, _norm, _quiet, _rel_gap
 from .multiplier import Multiplier, _inverse_formula_left, _inverse_norm, adjoint, invert
 from .symbols import reciprocal
 
@@ -90,7 +90,7 @@ class RepResult:
     @cached_property
     def _op_norm(self) -> float:
         """||op||, computed once; gamma_of's memo keeps one per multiplier and Tol."""
-        return op_norm(self.op)
+        return _norm(self.op)
 
 
 class EquivalenceVerdict(NamedTuple):
@@ -106,7 +106,7 @@ def _unit_w(rng: np.random.Generator, count: int, d: int, n: int) -> np.ndarray:
     draws = rng.standard_normal((count, 2, d, n))
     w = draws[:, 0] + 1j * draws[:, 1]
     for w_k in w:
-        norm = op_norm(w_k)
+        norm = _norm(w_k)
         if norm > 0.0:
             w_k /= norm
     return _read_only(w)
@@ -156,8 +156,8 @@ def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
     result = RepResult(
         op=_read_only(gamma),
         kind="Gamma",
-        annihilation_residual=op_norm(_finite(psi.synth @ gamma, "T_Psi Gamma")),
-        masked_annihilation_residual=op_norm(_finite(masked, "T_Psi diag(conj m) Gamma")),
+        annihilation_residual=_norm(_finite(psi.synth @ gamma, "T_Psi Gamma")),
+        masked_annihilation_residual=_norm(_finite(masked, "T_Psi diag(conj m) Gamma")),
     )
     mult._gammas[tol] = result
     return result
@@ -192,7 +192,7 @@ def _certificate(mult: Multiplier, correction: np.ndarray | None, tol: Tol) -> t
     phi = mult.left
     r0 = _finite(minv - left @ phi._canonical_synth.conj().T, "R0")
     k = _finite(left @ phi._kernel_proj, "K")
-    return op_norm(r0), op_norm(k)
+    return _norm(r0), _norm(k)
 
 
 @_quiet
@@ -214,7 +214,7 @@ def _decomposition_residuals(
     for dual in duals:
         _check_dual(parent, dual.frame.synth, tol)
     gaps = (_finite(minv - left @ dual.frame.analysis_op, "decomposition gap") for dual in duals)
-    return tuple([(index, op_norm(gap)) for index, gap in enumerate(gaps)])
+    return tuple([(index, _norm(gap)) for index, gap in enumerate(gaps)])
 
 
 def verify_gamma_decomposition(

@@ -17,8 +17,10 @@ dropped in turn. The JSON writer formats each record itself, in the bytes
 json.dumps(sort_keys=True, indent=2) gives, into the slot json.dumps leaves
 in the header; the CSV writer formats each row itself, quoting as
 csv.writer(lineterminator="\n") does. Every check that can reject a report
-runs in one pass over its records (two if a residual is not a Python
-float), and the JSON header is encoded, before the first byte is written.
+runs on one summary of its records' field types and keys (a run's view
+reads it from its columns, so only the writer builds records; a second pass
+runs only if a residual is not a Python float), and the JSON header is
+encoded, before the first byte is written.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import InvalidArgument, IoError, ParseError
 from .frames import Frame, new_frame
 from .linalg import DEFAULT_TOL, Tol
-from .suites import RESIDUAL_COLUMNS, SuiteReport, _check_real, _check_types
+from .suites import RESIDUAL_COLUMNS, SuiteReport, _check_real, _check_types, _Records
 
 __all__ = [
     "save_frame",
@@ -206,8 +208,30 @@ def _write_csv(report: SuiteReport, handle) -> None:
         handle.write(",".join(cells) + "\n")
 
 
+def _kinds(records) -> tuple[set, set, set, set, set, set]:
+    """(reals, residual keys, boolean keys, integers, booleans, texts): the types and keys of the records' fields.
+
+    reals holds the types of the residual values, integers those of trial,
+    seed, d and N, booleans those of the boolean values and indeterminate,
+    and texts those of suite, verdict and note. A run's view reads them from
+    its columns (_Records.kinds); any other sequence is read record by record.
+    """
+    if isinstance(records, _Records):
+        return records.kinds()
+    reals, residual_keys, boolean_keys, integers, booleans, texts = set(), set(), set(), set(), set(), set()
+    for r in records:
+        reals.update(map(type, r.residuals.values()))
+        residual_keys.update(r.residuals)
+        boolean_keys.update(r.booleans)
+        booleans.update(map(type, r.booleans.values()))
+        booleans.add(type(r.indeterminate))
+        integers.update((type(r.trial), type(r.seed), type(r.d), type(r.n)))
+        texts.update((type(r.suite), type(r.verdict), type(r.note)))
+    return reals, residual_keys, boolean_keys, integers, booleans, texts
+
+
 def _check(report: SuiteReport, fmt: str) -> None:
-    """Every check that can reject the report in fmt, from one pass over its records.
+    """Every check that can reject the report in fmt, from one summary of its records (_kinds).
 
     Both formats write each residual as float(value), so it must be a real
     number in the double range, and the CSV has a column for each known
@@ -217,15 +241,7 @@ def _check(report: SuiteReport, fmt: str) -> None:
     checked once; only residuals that are not Python floats, which a run
     never gives, take a second pass.
     """
-    reals, residual_keys, boolean_keys, integers, booleans, texts = set(), set(), set(), set(), set(), set()
-    for r in report.records:
-        reals.update(map(type, r.residuals.values()))
-        residual_keys.update(r.residuals)
-        boolean_keys.update(r.booleans)
-        booleans.update(map(type, r.booleans.values()))
-        booleans.add(type(r.indeterminate))
-        integers.update((type(r.trial), type(r.seed), type(r.d), type(r.n)))
-        texts.update((type(r.suite), type(r.verdict), type(r.note)))
+    reals, residual_keys, boolean_keys, integers, booleans, texts = _kinds(report.records)
     _check_real(reals)
     if reals - {float}:  # float() of an int or a Fraction beyond the double range raises
         for r in report.records:

@@ -713,6 +713,31 @@ class _Records(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
+    def kinds(self) -> tuple[set, set, set, set, set, set]:
+        """serialize's field summary (see serialize._kinds), read from the columns without building a record.
+
+        Each distinct N and (residual keys, booleans row) entry a suite's
+        trials point at is read once. A residual is a float from the values
+        column, a trial an int, indeterminate a bool, and verdict and note strs.
+        """
+        reals, residual_keys, boolean_keys, integers, booleans, texts = set(), set(), set(), set(), set(), set()
+        for name, column in self._suites:
+            if not len(column):
+                continue
+            if column.values:
+                reals.add(float)
+            for i in set(column.pair):
+                keys, row = self._entries[i]
+                residual_keys.update(keys)
+                boolean_keys.update(row)
+                booleans.update(map(type, row.values()))
+            integers.update(type(self._entries[i]) for i in set(column.n))
+            integers.update(type(d) for d, _ in self._cfg.dims[: len(column)])
+            integers.update((int, type(self._cfg.seed)))
+            booleans.add(bool)
+            texts.update((type(name), str))
+        return reals, residual_keys, boolean_keys, integers, booleans, texts
+
     def tally(self) -> dict[str, dict[str, int]]:
         """Each suite's count of each verdict, suites in run order and verdicts in _VERDICTS order."""
         return {

@@ -4,11 +4,16 @@ A symbol m of length N acts as the diagonal mid-stage of a multiplier. What
 the theory cares about are the modulus extremes: inf|m_n| separates the
 semi-normalized class from sequences with vanishing entries, and sup|m_n|
 enters every perturbation estimate.
+
+A symbol's entries are checked once: new_symbol checks input from outside
+and copies it, and a symbol the package forms itself (a reciprocal, a
+perturbation, a random draw) is checked by _derived and kept without a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +53,15 @@ class Symbol:
         """The N x N diagonal matrix carrying the weights."""
         return np.diag(self.values)
 
+    @cached_property
+    @_quiet
+    def _reciprocal(self) -> Symbol:
+        """1/m, formed and checked once per symbol; reciprocal refuses a zero entry before reading it.
+
+        It refers to nothing that refers back to this symbol, so the memo makes no cycle.
+        """
+        return _derived(1.0 / self.values, "reciprocal")
+
 
 def new_symbol(values) -> Symbol:
     """Build a Symbol from any 1-D complex sequence."""
@@ -56,12 +70,7 @@ def new_symbol(values) -> Symbol:
         raise InvalidArgument(f"symbol must be 1-D, got ndim={arr.ndim}")
     if arr.shape[0] == 0:
         raise InvalidArgument("symbol must have at least one entry")
-    moduli = np.abs(arr)  # not finite where an entry, or only its modulus, is not
-    if not np.isfinite(moduli).all():
-        raise InvalidArgument("symbol entries and their moduli must be finite")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return Symbol(values=arr, inf_mod=float(moduli.min()), sup_mod=float(moduli.max()))
+    return _derived(arr.copy())
 
 
 def classify(m: Symbol) -> tuple[bool, float, float]:
@@ -69,19 +78,30 @@ def classify(m: Symbol) -> tuple[bool, float, float]:
     return m.semi_normalized, m.inf_mod, m.sup_mod
 
 
-def _derived(values: np.ndarray, what: str) -> Symbol:
-    """new_symbol for entries formed under _quiet from a valid symbol: a non-finite one is an overflow."""
-    if not np.isfinite(np.abs(values)).all():  # an entry, or only its modulus, overflowed
-        raise NumericalOverflow(f"{what} of a finite symbol overflows")
-    return new_symbol(values)
+def _derived(values: np.ndarray, what: str = "") -> Symbol:
+    """The Symbol of fresh, non-empty 1-D complex128 entries, checked by their moduli and kept without a copy.
+
+    An entry, or only its modulus, that is not finite is a NumericalOverflow
+    of what, for entries formed under _quiet from a valid symbol; without
+    what (input from outside, or a draw) it is new_symbol's InvalidArgument.
+    """
+    moduli = np.abs(values)
+    if not np.isfinite(moduli).all():
+        if what:
+            raise NumericalOverflow(f"{what} of a finite symbol overflows")
+        raise InvalidArgument("symbol entries and their moduli must be finite")
+    values.setflags(write=False)
+    return Symbol(values=values, inf_mod=float(moduli.min()), sup_mod=float(moduli.max()))
 
 
-@_quiet
 def reciprocal(m: Symbol) -> Symbol:
-    """Entrywise 1/m_n; refuses symbols with a zero entry, and is a NumericalOverflow where 1/m_n overflows."""
+    """Entrywise 1/m_n; refuses symbols with a zero entry, and is a NumericalOverflow where 1/m_n overflows.
+
+    The result is formed once per symbol (Symbol._reciprocal), so every call returns the same Symbol.
+    """
     if m.inf_mod == 0.0:
         raise ZeroEntry("cannot take the reciprocal of a symbol with a zero entry")
-    return _derived(1.0 / m.values, "reciprocal")
+    return m._reciprocal
 
 
 def conj(m: Symbol) -> Symbol:
@@ -96,7 +116,7 @@ def conj(m: Symbol) -> Symbol:
 
 def modulus(m: Symbol) -> Symbol:
     """Entrywise modulus |m_n| (a real nonnegative symbol)."""
-    return new_symbol(np.abs(m.values).astype(np.complex128))
+    return _derived(np.abs(m.values).astype(np.complex128))
 
 
 @_quiet

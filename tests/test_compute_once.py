@@ -125,7 +125,7 @@ def test_a_second_theta_runs_no_inverse_and_no_svd(monkeypatch):
         (linalg, "_svd_values"),
         (multiplier, "_inv"),
         (representations, "invert"),
-        (representations, "op_norm"),
+        (representations, "_norm"),
         (representations, "adjoint"),
         (representations, "gamma_of"),
     ]:

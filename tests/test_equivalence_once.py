@@ -25,7 +25,7 @@ from framemult import (
     sample_duals,
     scale_by_symbol,
 )
-from framemult import multiplier, representations, suites
+from framemult import linalg, multiplier, representations, suites
 from framemult.linalg import herm_eig_extremes, op_norm
 from framemult.multiplier import _inverse_norm
 from framemult.perturbation import _noise, _perturbed
@@ -148,14 +148,15 @@ def test_combined_run_takes_each_norm_once_and_samples_no_seed_2026_family(monke
     for name in ("sample_duals", "_unit_w"):
         monkeypatch.setattr(representations, name, lambda *a, _n=name, **k: sampled.append(_n))
     normed = []
-    real_op_norm = op_norm
+    real_norm = linalg._norm
 
-    def counting_op_norm(a):
-        normed.append(a)
-        return real_op_norm(a)
+    def counting_norm(mat):
+        normed.append(mat)
+        return real_norm(mat)
 
-    for module in (multiplier, representations):  # suites calls no op_norm of its own
-        monkeypatch.setattr(module, "op_norm", counting_op_norm)
+    # linalg's own binding is the one op_norm calls; suites calls no norm of its own
+    for module in (linalg, multiplier, representations):
+        monkeypatch.setattr(module, "_norm", counting_norm)
     built = []
     real_build = suites.build
 

@@ -87,6 +87,8 @@ def _typed(call):
 @example(0, 2, 2, -520, 511, 0, 0, None, None)
 # sqrt(B_Phi) ||M^-1|| underflows to 0, so per2's cap divides by zero.
 @example(0, 1, 0, -50, 53, 1024, 0, None, None)
+# A subnormal symbol: M passes the singularity proxy, but its LU factors underflow to a zero pivot.
+@example(74409229, 2, 2, 0, -3, -1072, 0, None, None)
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 4),

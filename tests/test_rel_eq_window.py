@@ -1,12 +1,15 @@
 """Verdicts across rel_eq: where the default run's verdicts hold and how they flip.
 
 Between rel_eq 1e-13 and 1e-2 the default run (--suite all --trials 100)
-gives the totals of the default 1e-8. Just below that window, at 1e-14,
-verdicts flip through raised checks, not through residual comparisons: trial
-55's inverse residual, 1.03e-14, fails invert in thm1, gamma, theta and
-equivalence, and on 18 equivalence trials the duality check finds a
-canonical dual whose T_dual U misses I by more than rel_eq. The note classes
-per suite pin which check raised each failure.
+gives the totals of the default 1e-8, on every BLAS kernel tried. Just below
+that window, at 1e-14, verdicts flip through raised checks, not through
+residual comparisons: an inverse residual of about 1e-14 fails invert
+(Singular), and on some equivalence trials the duality check finds a
+canonical dual whose T_dual U misses I by more than rel_eq (InvalidDual).
+Which trials flip depends on the BLAS kernel's rounding (579/221 on
+OpenBLAS's SkylakeX kernel, 576/224 on Haswell), so the test pins what
+holds on every kernel: each verdict that differs from the 1e-13 run is a
+failure whose note has one of the listed classes.
 """
 
 from collections import Counter
@@ -15,8 +18,6 @@ import pytest
 
 from framemult import ExperimentConfig, Tol, run_suite
 from framemult.frames import _NOT_DUAL
-
-INVALID_DUAL_TRIALS = [6, 8, 12, 16, 20, 24, 30, 34, 40, 48, 54, 68, 74, 76, 86, 90, 92, 96]
 
 
 def _run(rel_eq: float):
@@ -29,24 +30,19 @@ def test_totals_hold_across_the_window(rel_eq):
     assert (report.passed, report.failed, report.indeterminate) == (599, 201, 0)
 
 
+# The (suite, note class) of a failure that rel_eq 1e-14 adds to the 1e-13 run.
+FLIPS = {("thm1", "Singular"), ("equivalence", "Singular"), ("equivalence", "InvalidDual")}
+
+
 def test_below_the_window_verdicts_flip_through_raised_checks():
-    report = _run(1e-14)
-    assert (report.passed, report.failed, report.indeterminate) == (579, 221, 0)
-    failures = Counter(
-        (r.suite, r.note.partition(":")[0]) for r in report.records if r.verdict != "pass"
-    )
-    assert failures == {
-        ("thm1", "Singular"): 1,
-        ("per2", "HypothesisViolated"): 1,
-        ("gamma", ""): 99,
-        ("gamma", "Singular"): 1,
-        ("theta", ""): 99,
-        ("theta", "Singular"): 1,
-        ("equivalence", "InvalidDual"): 18,
-        ("equivalence", "Singular"): 1,
-    }
-    invalid = [r for r in report.records if r.note.startswith("InvalidDual")]
-    assert [r.trial for r in invalid] == INVALID_DUAL_TRIALS
+    window, below = _run(1e-13), _run(1e-14)
+    assert below.indeterminate == 0
+    flipped = [b for a, b in zip(window.records, below.records, strict=True) if a.verdict != b.verdict]
+    assert flipped, "no verdict flips below the window"
+    assert {b.verdict for b in flipped} == {"fail"}
+    classes = Counter((b.suite, b.note.partition(":")[0]) for b in flipped)
+    assert set(classes) <= FLIPS, classes
+    assert classes[("equivalence", "InvalidDual")] > 0
+    invalid = [r for r in below.records if r.note.startswith("InvalidDual")]
     assert {r.note for r in invalid} == {f"InvalidDual: {_NOT_DUAL}"}
-    singular = {(r.suite, r.trial) for r in report.records if r.note.startswith("Singular")}
-    assert singular == {(suite, 55) for suite in ("thm1", "gamma", "theta", "equivalence")}
+    assert below.failed - window.failed == len(flipped)

@@ -9,8 +9,8 @@ absolute slack or a check that is not the rule, and the list is the to-do
 list of ROADMAP item 2, step 2. The guard asserts the list exactly, so a new
 inline form fails it and a mended one must leave it.
 
-A second guard keeps linalg.op_norm the one operator norm: besides it, only
-sv_extremes and multiplier.build read the values-only SVD entry.
+A second guard keeps linalg._norm the one operator norm kernel: besides it,
+only sv_extremes and multiplier.build read the values-only SVD entry.
 """
 
 import ast
@@ -158,7 +158,7 @@ def test_the_guard_flags_a_product_and_a_bare_quotient():
 
 
 # sv_extremes and build take both ends of one SVD.
-SVD_READERS = {("linalg", "op_norm"), ("linalg", "sv_extremes"), ("multiplier", "build")}
+SVD_READERS = {("linalg", "_norm"), ("linalg", "sv_extremes"), ("multiplier", "build")}
 
 
 def test_only_the_one_norm_and_the_extremes_read_the_svd_entry():

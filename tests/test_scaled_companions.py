@@ -151,9 +151,9 @@ def test_per1dual_report_matches_the_two_pass_expression(name):
 
 @pytest.mark.parametrize("suite", ["per1", "per1dual"])
 def test_each_report_judges_then_norms_gap_old_and_new_in_turn(monkeypatch, suite):
-    """One matrix at a time: _finite, then op_norm, on the gap, the old and the new multiplier."""
+    """One matrix at a time: _finite, then the norm kernel, on the gap, the old and the new multiplier."""
     events = []
-    real_finite, real_norm = perturbation._finite, perturbation.op_norm
+    real_finite, real_norm = perturbation._finite, perturbation._norm
 
     def finite(mat, what):
         events.append(("finite", what, mat))
@@ -164,7 +164,7 @@ def test_each_report_judges_then_norms_gap_old_and_new_in_turn(monkeypatch, suit
         return real_norm(mat)
 
     monkeypatch.setattr(perturbation, "_finite", finite)
-    monkeypatch.setattr(perturbation, "op_norm", norm)
+    monkeypatch.setattr(perturbation, "_norm", norm)
     report = run_suite(ExperimentConfig(suite=suite, trials=10))
     assert all(r.verdict == "pass" for r in report.records)
     judged = [k for k, (_, what, _) in enumerate(events) if what == "companion multiplier"]
