@@ -20,8 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDual, NotAFrame, NumericalOverflow
+from .errors import DimensionMismatch, InvalidArgument, InvalidDual, NotAFrame, NumericalOverflow
 from .linalg import (
+    _NOT_FINITE,
     _OVERFLOW,
     DEFAULT_TOL,
     Tol,
@@ -167,20 +168,30 @@ def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
     return Frame(dim=d, count=n, synth=_read_only(synth), cached_S=_read_only(s), bounds=(lo, hi))
 
 
+def _entries(values, length: int, what: str) -> np.ndarray:
+    """values read as complex128 and flattened, for input from outside: length finite entries.
+
+    Another length is a DimensionMismatch; an entry that is not finite (None
+    reads as NaN) is an InvalidArgument, as in as_matrix.
+    """
+    x = _complex(values).reshape(-1)
+    if x.shape[0] != length:
+        raise DimensionMismatch(f"{what} has length {x.shape[0]}, expected {length}")
+    if not np.isfinite(x).all():
+        raise InvalidArgument(_NOT_FINITE)
+    return x
+
+
+@_quiet
 def analysis(f: Frame, vec) -> np.ndarray:
-    """Coefficients (<x, phi_n>)_n of a vector x in C^d."""
-    x = _complex(vec).reshape(-1)
-    if x.shape[0] != f.dim:
-        raise DimensionMismatch(f"vector has length {x.shape[0]}, frame dimension is {f.dim}")
-    return f.analysis_op @ x
+    """Coefficients (<x, phi_n>)_n of a vector x in C^d; a NumericalOverflow where they overflow."""
+    return _finite(f.analysis_op @ _entries(vec, f.dim, "vector"), "analysis")
 
 
+@_quiet
 def synthesis(f: Frame, coeffs) -> np.ndarray:
-    """The vector sum over n of c_n phi_n."""
-    c = _complex(coeffs).reshape(-1)
-    if c.shape[0] != f.count:
-        raise DimensionMismatch(f"coefficients have length {c.shape[0]}, frame count is {f.count}")
-    return f.synth @ c
+    """The vector sum over n of c_n phi_n; a NumericalOverflow where it overflows."""
+    return _finite(f.synth @ _entries(coeffs, f.count, "coefficient sequence"), "synthesis")
 
 
 def frame_bounds(f: Frame) -> tuple[float, float]:

@@ -6,11 +6,13 @@ bit-identical outputs, which is what makes suite reports reproducible.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import GenerationFailed, InvalidArgument, NotAFrame
 from .frames import Frame, new_frame
-from .linalg import DEFAULT_TOL, Tol, _is_integer
+from .linalg import DEFAULT_TOL, Tol, _is_integer, _quiet, _rng
 from .symbols import Symbol, _derived
 
 __all__ = [
@@ -26,15 +28,25 @@ MAX_RETRIES = 64
 DEFAULT_CONDITION_CAP = 100.0
 
 
-def _check_size(d: int, n: int | None = None) -> None:
-    """The size rule of every generator: integer sizes, d >= 1, and n >= d where a count n is given."""
-    for name, size in (("dimension", d), ("count", n)):
-        if size is not None and not _is_integer(size):
+# The most complex128 entries numpy can address in one array.
+MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
+
+
+def _check_size(d: int, *count: int) -> None:
+    """The size rule of every generator: integer sizes, d >= 1 and, for the count n if one is given, n >= d.
+
+    The d x n (or d x d) matrix must also fit in one numpy array.
+    """
+    for name, size in zip(("dimension", "count"), (d, *count)):
+        if not _is_integer(size):
             raise InvalidArgument(f"{name} must be an integer, got {size!r}")
     if d < 1:
         raise InvalidArgument(f"dimension must be positive, got {d!r}")
-    if n is not None and n < d:
+    n = count[0] if count else d
+    if n < d:
         raise InvalidArgument(f"need at least d = {d} vectors, got {n}")
+    if int(d) * int(n) > MAX_ENTRIES:  # int: a numpy product would wrap
+        raise InvalidArgument(f"a {d}x{n} frame exceeds numpy's array size limit")
 
 
 def onb(d: int) -> Frame:
@@ -65,7 +77,8 @@ def finite_gabor(d: int, a: int, b: int) -> Frame:
     """
     _check_size(d)
     for name, step in (("a", a), ("b", b)):
-        if not _is_integer(step) or step < 1 or d % step != 0:
+        # step <= d first: a numpy d modulo an int beyond int64 raises OverflowError
+        if not _is_integer(step) or not 1 <= step <= d or d % step != 0:
             raise InvalidArgument(f"{name} = {step!r} must be a positive divisor of d = {d}")
     t = np.arange(d)
     window = np.exp(-np.pi * (t - d / 2.0) ** 2 / d)
@@ -92,9 +105,9 @@ def random_frame(
     number of times.
     """
     _check_size(d, n)
-    if not condition_cap >= 1.0:  # NaN too
+    if not (isinstance(condition_cap, numbers.Real) and condition_cap >= 1.0):  # NaN too
         raise InvalidArgument(f"condition_cap must be at least 1, got {condition_cap!r}")
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     for _ in range(MAX_RETRIES):
         raw = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
         candidate = raw / np.sqrt(2.0 * d)
@@ -115,13 +128,18 @@ def riesz_basis(d: int, rng_seed, tol: Tol = DEFAULT_TOL) -> Frame:
     return random_frame(d, d, rng_seed, tol=tol)
 
 
+@_quiet
 def random_symbol(n: int, lo: float, hi: float, rng_seed) -> Symbol:
-    """Semi-normalized symbol with moduli uniform in [lo, hi] and uniform phases."""
-    if not 0.0 < lo <= hi < np.inf:  # NaN too
+    """Semi-normalized symbol with moduli uniform in [lo, hi] and uniform phases.
+
+    A draw whose modulus overflows (hi near the largest double) is a NumericalOverflow.
+    """
+    real = isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)
+    if not (real and 0.0 < lo <= hi < np.inf):  # NaN too
         raise InvalidArgument(f"need 0 < lo <= hi < inf, got lo={lo!r}, hi={hi!r}")
-    if not _is_integer(n) or n < 1:
-        raise InvalidArgument(f"length must be a positive integer, got {n!r}")
-    rng = np.random.default_rng(rng_seed)
+    if not _is_integer(n) or not 1 <= n <= MAX_ENTRIES:
+        raise InvalidArgument(f"length must be a positive integer numpy can address, got {n!r}")
+    rng = _rng(rng_seed)
     moduli = rng.uniform(lo, hi, size=n)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return _derived(moduli * np.exp(1j * phases))
+    return _derived(moduli * np.exp(1j * phases), "modulus")

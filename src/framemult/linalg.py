@@ -14,16 +14,20 @@ run the complex routine) and gives np.linalg's bits. As _umath_linalg is
 private to numpy, the numpy==2.4.6 pin in CI guards it, and pyproject.toml
 requires numpy 2 (1.x has no values-only svd gufunc).
 
-_norm is the package's one operator norm kernel, for a matrix already
-judged; op_norm is _norm of as_matrix, for input from outside and for a
-difference no check has judged. sv_extremes and multiplier.build read both
-ends of the same values-only SVD. Every helper takes one matrix.
+Each kind of operand has one judge: input from outside is judged by
+as_matrix (an InvalidArgument), a matrix the package derives by the overflow
+rule alone. _norm is the one operator norm kernel, for a judged matrix;
+op_norm, _norm of as_matrix, is a public entry point that nothing in the
+package calls. _lu_inv is the one inverse kernel, for inv and multiplier's
+memo. sv_extremes and multiplier.build read both ends of the same
+values-only SVD. Every helper takes one matrix.
 
 One overflow rule: a matrix derived from finite inputs is formed under
 _quiet (numpy's overflow and invalid warnings off) and judged by the typed
 check that follows, so an overflow is a NumericalOverflow with no warning.
-A product no other check reads is judged by _finite. Only the outermost
-_quiet call enters an error state; a call nested in it runs in that state.
+A product or difference no other check reads is judged by _finite, then
+normed by _norm. Only the outermost _quiet call enters an error state; a
+call nested in it runs in that state.
 A Hermitian matrix that is not finite has NaN extremes (_eig_extremes), so
 a spectrum is its own overflow check: NaN extremes are _unbounded.
 
@@ -100,6 +104,14 @@ _NOT_FINITE = "matrix entries must be finite"
 def _is_integer(value) -> bool:
     """Whether value is an integer argument: any numbers.Integral except bool, so numpy integers pass."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed); a seed numpy refuses (a negative, a float, a str) is an InvalidArgument."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"cannot seed a generator with {seed!r}: {exc}") from None
 
 
 def _quiet(fn):
@@ -231,9 +243,13 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
     return lo, hi
 
 
+@_quiet
 def pinv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse; singular values below pinv_cutoff * sigma_max are dropped."""
-    return np.linalg.pinv(as_matrix(a), rcond=tol.pinv_cutoff)
+    """Moore-Penrose pseudo-inverse; singular values below pinv_cutoff * sigma_max are dropped.
+
+    One that overflows although the input is finite is a NumericalOverflow.
+    """
+    return _finite(np.linalg.pinv(as_matrix(a), rcond=tol.pinv_cutoff), "pseudo-inverse")
 
 
 def sv_extremes(a) -> tuple[float, float]:
@@ -247,8 +263,20 @@ def _invertible(sigma_min: float, sigma_max: float, tol: Tol) -> bool:
     return sigma_max > 0.0 and sigma_min / sigma_max >= tol.inv_cond
 
 
+def _lu_inv(mat: np.ndarray) -> np.ndarray:
+    """The inverse of a finite square complex128 matrix: a zero pivot is Singular, an overflow a NumericalOverflow.
+
+    A matrix that passes the singularity proxy meets a zero pivot where its LU factors underflow.
+    """
+    try:
+        inverse = _inv(mat)
+    except LinAlgError:
+        raise Singular("the LU factorization meets a zero pivot") from None
+    return _finite(inverse, "inverse")
+
+
 def inv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse, guarded by the singularity proxy (see _invertible)."""
+    """Matrix inverse, guarded by the singularity proxy (see _invertible), then by _lu_inv."""
     mat = as_matrix(a)
     if mat.shape[0] != mat.shape[1]:
         raise InvalidArgument(f"cannot invert a {mat.shape[0]}x{mat.shape[1]} matrix")
@@ -257,7 +285,7 @@ def inv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
         raise Singular(
             f"sigma_min/sigma_max = {sigma_min:.3e}/{sigma_max:.3e} below inv_cond={tol.inv_cond:g}"
         )
-    return _inv(mat)
+    return _lu_inv(mat)
 
 
 def _rel_gap(gap, *norms: float):
@@ -270,12 +298,18 @@ def _near_boundary(quotient: float, tol: Tol) -> bool:
     return tol.rel_eq < quotient <= BOUNDARY_FACTOR * tol.rel_eq
 
 
+@_quiet
 def rel_residual(x, y) -> float:
-    """The rule's quotient for operators X and Y, which must have one shape."""
+    """The rule's quotient for operators X and Y, which must have one shape.
+
+    X - Y, or a norm, that overflows is a NumericalOverflow: an infinite norm
+    would read the quotient as 0.
+    """
     mx, my = as_matrix(x), as_matrix(y)
     if mx.shape != my.shape:
         raise DimensionMismatch(f"cannot compare matrices of shapes {mx.shape} and {my.shape}")
-    return _rel_gap(op_norm(mx - my), _norm(mx), _norm(my))
+    gap, norm_x, norm_y = (_finite(_norm(m), "operator norm") for m in (_finite(mx - my, "X - Y"), mx, my))
+    return _rel_gap(gap, norm_x, norm_y)
 
 
 def approx_equal(x, y, tol: Tol = DEFAULT_TOL) -> bool:

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .errors import DimensionMismatch, NumericalOverflow, Singular
 from .frames import Frame, _check_shapes, _read_only, _weighted_image, canonical_dual
 from .linalg import BOUNDARY_FACTOR  # noqa: F401 - the band's factor stays importable from here
-from .linalg import DEFAULT_TOL, Tol, _finite, _inv, _invertible, _near_boundary, _quiet, _rel_gap
-from .linalg import _norm, _svd_values, op_norm
+from .linalg import DEFAULT_TOL, Tol, _finite, _invertible, _lu_inv, _near_boundary, _quiet, _rel_gap
+from .linalg import _norm, _svd_values
 from .symbols import Symbol, conj, reciprocal
 
 __all__ = [
@@ -72,17 +71,11 @@ class Multiplier:
             raise DimensionMismatch(f"matrix has shape {self.matrix.shape}, expected {(d, d)}")
 
     @cached_property
+    @_quiet
     def _inverse(self) -> tuple[np.ndarray, float]:
-        """(M^{-1}, ||M M^{-1} - I||), computed once; invert judges the residual per call.
-
-        A matrix that passes the singularity proxy can still meet an exact zero
-        pivot, where its LU factors underflow (a subnormal M): that is Singular too.
-        """
-        try:
-            inverse = _read_only(_inv(self.matrix))
-        except LinAlgError:
-            raise Singular("the LU factorization of the multiplier matrix meets a zero pivot") from None
-        return inverse, op_norm(self.matrix @ inverse - np.eye(self.left.dim))
+        """(M^{-1}, ||M M^{-1} - I||) by linalg._lu_inv, computed once; invert judges the residual per call."""
+        inverse = _read_only(_lu_inv(self.matrix))
+        return inverse, _norm(_finite(self.matrix @ inverse - np.eye(self.left.dim), "M M^{-1} - I"))
 
     @cached_property
     def _gammas(self) -> dict:
@@ -239,6 +232,7 @@ def _side_conditions(mult: Multiplier, dagger: Frame, tol: Tol) -> tuple[Conditi
     )
 
 
+@_quiet
 def thm1_report(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Thm1Report:
     """Evaluate the five inversion indicators on an invertible multiplier.
 
@@ -246,7 +240,7 @@ def thm1_report(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Thm1Report:
     """
     minv = invert(mult, tol)
     candidate = canonical_inverse_candidate(mult, tol)
-    direct_residual = op_norm(minv - candidate)
+    direct_residual = _norm(_finite(minv - candidate, "M^{-1} - candidate"))
     # rel_residual(minv, candidate), reusing ||minv - candidate|| and reading ||minv|| as 1/sigma_min
     direct_norm_residual = _rel_gap(direct_residual, 1.0 / mult.inv_diag.sigma_min, _norm(candidate))
     direct_equal = direct_norm_residual <= tol.rel_eq

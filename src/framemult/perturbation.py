@@ -20,13 +20,14 @@ left-frame construction on the adjoint (frames swapped, symbol conjugated).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisViolated, InvalidArgument, NumericalOverflow
 from .frames import Frame, _check_shapes, _new_frame, _read_only, _scaled
-from .linalg import DEFAULT_TOL, Tol, _finite, _norm, _quiet, op_norm
+from .linalg import DEFAULT_TOL, Tol, _finite, _norm, _quiet, _rng
 from .multiplier import Multiplier
 from .symbols import Symbol, conj
 
@@ -67,14 +68,14 @@ def random_frame_perturbation(
     Raises NotAFrame when the perturbed sequence stops spanning (possible
     once mu reaches sqrt(A_F)).
     """
-    if not 0.0 < mu < np.inf:
+    if not (isinstance(mu, numbers.Real) and 0.0 < mu < np.inf):
         raise InvalidArgument(f"mu must be positive and finite, got {mu!r}")
     return _perturbed(f, mu, _noise(rng_seed, f.dim, f.count), tol)
 
 
 def _noise(rng_seed, d: int, n: int) -> tuple[np.ndarray, float]:
     """The seeded d x N noise of random_frame_perturbation (read-only) and its op norm."""
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     shape = (d, n)
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     norm = _norm(noise)
@@ -100,7 +101,7 @@ def _restore(psi: Frame, old: Frame, new: Frame, tol: Tol) -> tuple[Frame, float
     sol = new._canonical_synth
     mix = old.analysis_op @ sol + np.eye(psi.count) - new.analysis_op @ sol
     psi_prime = _new_frame(psi.synth @ mix, tol)
-    return psi_prime, op_norm(psi_prime.synth - psi.synth)
+    return psi_prime, _norm(_finite(psi_prime.synth - psi.synth, "T_Psi' - T_Psi"))
 
 
 @_quiet
@@ -166,11 +167,11 @@ def companion_per1(
 def _per1(
     phi: Frame, psi: Frame, m: Symbol, phi_prime: Frame, tol: Tol
 ) -> tuple[Frame, float, float, float]:
-    """Admission and restore of companion_per1: (psi_prime, mu, lambda, deviation)."""
+    """Admission and restore of companion_per1, under its caller's _quiet: (psi_prime, mu, lambda, deviation)."""
     _check_shapes((phi, psi, phi_prime), (m,))
     if not m.semi_normalized:
         raise HypothesisViolated("symbol must be semi-normalized (no zero entries)")
-    mu = op_norm(phi_prime.synth - phi.synth)
+    mu = _norm(_finite(phi_prime.synth - phi.synth, "T_phi' - T_phi"))
     root_a = _per1_cap(phi)
     if mu >= root_a:
         raise HypothesisViolated(f"perturbation {mu:.3e} reaches sqrt(A_phi) = {root_a:.3e}")
@@ -224,7 +225,7 @@ def _companion_per2(
     _check_shapes((phi, psi, phi_prime), (m,))
     if not mult.inv_diag.invertible:
         raise HypothesisViolated("multiplier must be invertible")
-    mu = op_norm(phi_prime.synth - phi.synth)
+    mu = _norm(_finite(phi_prime.synth - phi.synth, "T_phi' - T_phi"))
     cap = _per2_cap(phi, m, mult)
     if mu >= cap:
         raise HypothesisViolated(f"mu = {mu:.3e} reaches 1/(sqrt(B_phi)||M^-1|| sup|m|) = {cap:.3e}")

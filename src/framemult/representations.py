@@ -121,10 +121,13 @@ def sample_duals(
     """Canonical dual plus `count` random duals with unit-op-norm W matrices (see _unit_w).
 
     Without rng the W matrices come from a fresh seed-2026 stream. count must
-    be a non-negative integer (numpy integers too, bool not).
+    be a non-negative integer (numpy integers too, bool not), and rng a numpy
+    Generator or None.
     """
     if not _is_integer(count) or count < 0:
         raise InvalidArgument(f"count must be a non-negative integer, got {count!r}")
+    if not (rng is None or isinstance(rng, np.random.Generator)):
+        raise InvalidArgument(f"rng must be a numpy Generator or None, got {type(rng).__name__}")
     canonical = canonical_dual(f, tol)
     if rng is None:
         rng = np.random.default_rng(_DUAL_SAMPLE_SEED)

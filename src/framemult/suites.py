@@ -85,7 +85,7 @@ from .perturbation import (
     companion_per3,
 )
 from .representations import _certificate, _equivalence, _unit_w, gamma_of
-from .symbols import Symbol, new_symbol, perturb_symbol
+from .symbols import Symbol, _derived, perturb_symbol
 
 __all__ = [
     "ExperimentConfig",
@@ -276,7 +276,7 @@ def _semi_symbol(cfg: ExperimentConfig, trial: int, n: int) -> Symbol:
 def _with_zero(m: Symbol) -> Symbol:
     values = m.values.copy()
     values[0] = 0.0
-    return new_symbol(values)
+    return _derived(values)
 
 
 def _invertible_instance(

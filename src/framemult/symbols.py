@@ -12,13 +12,14 @@ perturbation, a random draw) is checked by _derived and kept without a copy.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidArgument, NumericalOverflow, ZeroEntry
-from .linalg import _complex, _quiet
+from .linalg import _complex, _quiet, _rng
 
 __all__ = [
     "Symbol",
@@ -82,8 +83,9 @@ def _derived(values: np.ndarray, what: str = "") -> Symbol:
     """The Symbol of fresh, non-empty 1-D complex128 entries, checked by their moduli and kept without a copy.
 
     An entry, or only its modulus, that is not finite is a NumericalOverflow
-    of what, for entries formed under _quiet from a valid symbol; without
-    what (input from outside, or a draw) it is new_symbol's InvalidArgument.
+    of what, for entries formed under _quiet from valid arguments (a symbol,
+    or a draw's range); without what (input from outside) it is new_symbol's
+    InvalidArgument.
     """
     moduli = np.abs(values)
     if not np.isfinite(moduli).all():
@@ -129,9 +131,9 @@ def perturb_symbol(m: Symbol, eps: float, rng_seed) -> Symbol:
     forced to stay semi-normalized; callers inspect classify(). It is a
     NumericalOverflow where m + e, or its modulus, overflows.
     """
-    if not 0.0 < eps < np.inf:
+    if not (isinstance(eps, numbers.Real) and 0.0 < eps < np.inf):
         raise InvalidArgument(f"eps must be positive and finite, got {eps!r}")
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     n = m.count
     radii = np.sqrt(rng.uniform(0.0, 1.0, size=n))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)

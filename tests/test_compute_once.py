@@ -123,7 +123,7 @@ def test_a_second_theta_runs_no_inverse_and_no_svd(monkeypatch):
 
     for module, name in [
         (linalg, "_svd_values"),
-        (multiplier, "_inv"),
+        (linalg, "_inv"),
         (representations, "invert"),
         (representations, "_norm"),
         (representations, "adjoint"),
