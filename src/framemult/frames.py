@@ -20,23 +20,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, InvalidDual, NotAFrame, NumericalOverflow
+from .errors import DimensionMismatch, InvalidArgument, InvalidDual, NotAFrame
 from .linalg import (
     _NOT_FINITE,
-    _OVERFLOW,
     DEFAULT_TOL,
     Tol,
     _complex,
+    _expect,
     _finite,
     _invertible,
     _norm,
     _quiet,
     _rel_gap,
     _solve,
+    _sv_extremes,
     _sym_extremes,
-    _unbounded,
     as_matrix,
-    sv_extremes,
 )
 from .symbols import Symbol
 
@@ -153,7 +152,7 @@ def new_frame(columns, tol: Tol = DEFAULT_TOL) -> Frame:
 
 @_quiet
 def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
-    """new_frame for a synth formed from finite inputs, kept without a copy; an overflow gives NaN extremes."""
+    """new_frame for a synth formed from finite inputs, kept without a copy; _sym_extremes judges an overflow."""
     d, n = synth.shape
     if d < 1 or n < 1:
         raise NotAFrame(f"empty synthesis matrix of shape {d}x{n}")
@@ -161,8 +160,6 @@ def _new_frame(synth: np.ndarray, tol: Tol) -> Frame:
         raise NotAFrame(f"{n} vectors cannot span a {d}-dimensional space")
     s = synth @ synth.conj().T
     lo, hi = _sym_extremes(s)
-    if _unbounded(lo, hi):
-        raise NumericalOverflow(_OVERFLOW)
     if hi <= 0.0 or lo <= tol.inv_cond * hi:
         raise NotAFrame(f"rank-deficient sequence: lambda_min(S)={lo:.3e} vs lambda_max(S)={hi:.3e}")
     return Frame(dim=d, count=n, synth=_read_only(synth), cached_S=_read_only(s), bounds=(lo, hi))
@@ -185,12 +182,14 @@ def _entries(values, length: int, what: str) -> np.ndarray:
 @_quiet
 def analysis(f: Frame, vec) -> np.ndarray:
     """Coefficients (<x, phi_n>)_n of a vector x in C^d; a NumericalOverflow where they overflow."""
+    _expect(f, Frame, "f")
     return _finite(f.analysis_op @ _entries(vec, f.dim, "vector"), "analysis")
 
 
 @_quiet
 def synthesis(f: Frame, coeffs) -> np.ndarray:
     """The vector sum over n of c_n phi_n; a NumericalOverflow where it overflows."""
+    _expect(f, Frame, "f")
     return _finite(f.synth @ _entries(coeffs, f.count, "coefficient sequence"), "synthesis")
 
 
@@ -282,8 +281,7 @@ def scale_by_symbol(f: Frame, m: Symbol, tol: Tol = DEFAULT_TOL) -> Frame:
     """The weighted sequence (m_n phi_n)_n, so T_{mF} = T_F diag(m).
 
     Raises NotAFrame when the weights destroy the spanning property (only if m has
-    a zero entry), and NumericalOverflow when a weighted vector or S overflows,
-    which the weighted frame's spectrum shows as NaN extremes.
+    a zero entry), and NumericalOverflow when a weighted vector or S overflows.
     """
     _check_shapes((f,), (m,))
     return _scaled(f, m, tol)
@@ -314,6 +312,6 @@ def equivalence_map(f: Frame, g: Frame, tol: Tol = DEFAULT_TOL) -> np.ndarray | 
     v0 = _finite(g.synth @ f._canonical_synth.conj().T, "equivalence map V0")
     gap = _finite(v0 @ f.synth - g.synth, "V0 T_F - T_G")
     residual = _rel_gap(_norm(gap), np.sqrt(g.bounds[1]))
-    if residual > tol.rel_eq or not _invertible(*sv_extremes(v0), tol):
+    if residual > tol.rel_eq or not _invertible(*_sv_extremes(v0), tol):
         return None
     return v0

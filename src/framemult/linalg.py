@@ -4,8 +4,11 @@ Everything downstream works with plain 2-D complex128 ndarrays. Operators stay
 dense; problem sizes are desk scale (d at most 8, N at most a few dozen), so
 the cost is call overhead around tiny LAPACK calls, not flops.
 
-Each LAPACK routine the package calls has one private entry: _svd_values
-(values only), _eigvalsh, _inv and _solve. An entry calls numpy's gufunc in
+Each LAPACK routine the package calls has one private entry, and each entry
+one reader, which judges its result: _sv_extremes reads _svd_values (values
+only), _sym_extremes _eigvalsh, _lu_inv _inv and Frame._canonical_synth
+_solve. A spectral reader whose result is not finite raises NumericalOverflow,
+so no caller checks a spectrum again. An entry calls numpy's gufunc in
 numpy.linalg._umath_linalg with the complex signature under np.linalg's error
 state, built once per entry and applied as a decorator, and raises its
 LinAlgError and message, without np.linalg's per-call wrapper, which costs
@@ -19,8 +22,7 @@ as_matrix (an InvalidArgument), a matrix the package derives by the overflow
 rule alone. _norm is the one operator norm kernel, for a judged matrix;
 op_norm, _norm of as_matrix, is a public entry point that nothing in the
 package calls. _lu_inv is the one inverse kernel, for inv and multiplier's
-memo. sv_extremes and multiplier.build read both ends of the same
-values-only SVD. Every helper takes one matrix.
+memo. Every helper takes one matrix.
 
 One overflow rule: a matrix derived from finite inputs is formed under
 _quiet (numpy's overflow and invalid warnings off) and judged by the typed
@@ -28,8 +30,6 @@ check that follows, so an overflow is a NumericalOverflow with no warning.
 A product or difference no other check reads is judged by _finite, then
 normed by _norm. Only the outermost _quiet call enters an error state; a
 call nested in it runs in that state.
-A Hermitian matrix that is not finite has NaN extremes (_eig_extremes), so
-a spectrum is its own overflow check: NaN extremes are _unbounded.
 
 A frame operator S = T T* is Hermitian by construction, so frames take their
 bounds from _sym_extremes, the extremes of (S + S*)/2, untested: on S the
@@ -97,13 +97,18 @@ BOUNDARY_FACTOR = 11.0  # the indeterminate band is (rel_eq, BOUNDARY_FACTOR * r
 
 _QUIET: ContextVar[bool] = ContextVar("framemult.linalg.quiet", default=False)  # inside a _quiet call
 _NOT_HERMITIAN = "matrix deviates from its adjoint beyond tolerance"
-_OVERFLOW = "extremal eigenvalues of (H + H*)/2 overflow"
 _NOT_FINITE = "matrix entries must be finite"
 
 
 def _is_integer(value) -> bool:
     """Whether value is an integer argument: any numbers.Integral except bool, so numpy integers pass."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _expect(value, kind: type, name: str) -> None:
+    """An InvalidArgument naming kind unless value is an instance of it (for the package's own types)."""
+    if not isinstance(value, kind):
+        raise InvalidArgument(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -191,35 +196,32 @@ def _nonempty(a) -> np.ndarray:
     return mat
 
 
+def _sv_extremes(mat: np.ndarray, what: str = "largest singular value") -> tuple[float, float]:
+    """(sigma_min, sigma_max) of a non-empty finite 2-D complex128 matrix; a NumericalOverflow unless finite."""
+    s = _svd_values(mat)
+    return float(s[-1]), _finite(float(s[0]), what)
+
+
 def _norm(mat: np.ndarray) -> float:
     """The operator norm of a 2-D complex128 matrix with finite entries: its largest singular value."""
-    if mat.size == 0:
-        return 0.0
-    return float(_svd_values(mat)[0])
+    return _sv_extremes(mat, "operator norm")[1] if mat.size else 0.0
 
 
 def op_norm(a) -> float:
-    """Operator (spectral) norm: the largest singular value."""
+    """Operator (spectral) norm: the largest singular value; a NumericalOverflow where it overflows."""
     return _norm(as_matrix(a))
 
 
-def _eig_extremes(sym: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a Hermitian d x d matrix; NaN for a non-finite one."""
-    if not np.isfinite(sym).all():  # eigvalsh may fail, or give finite values, on such a matrix
-        return math.nan, math.nan
-    eigenvalues = _eigvalsh(sym)
-    return float(eigenvalues[0]), float(eigenvalues[-1])
-
-
 def _sym_extremes(h: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of (H + H*)/2 for a d x d matrix H; NaN when that is not finite."""
+    """(lambda_min, lambda_max) of (H + H*)/2 for finite d x d H under _quiet; a NumericalOverflow unless finite."""
     # H* in C order, like H: the sum runs faster on like layouts.
-    return _eig_extremes((h + np.conjugate(h.T, order="C")) / 2.0)
-
-
-def _unbounded(lo: float, hi: float) -> bool:
-    """Whether the extremes of (H + H*)/2 are not finite: with H derived from finite inputs, an overflow."""
-    return not (math.isfinite(lo) and math.isfinite(hi))
+    sym = (h + np.conjugate(h.T, order="C")) / 2.0
+    if np.isfinite(sym).all():  # eigvalsh may fail, or give finite values, on a matrix that is not
+        eigenvalues = _eigvalsh(sym)
+        lo, hi = float(eigenvalues[0]), float(eigenvalues[-1])
+        if math.isfinite(lo) and math.isfinite(hi):  # eigvalsh can overflow on a finite matrix
+            return lo, hi
+    raise NumericalOverflow("extremal eigenvalues of (H + H*)/2 overflow")
 
 
 @_quiet
@@ -229,18 +231,22 @@ def herm_eig_extremes(h, tol: Tol = DEFAULT_TOL) -> tuple[float, float]:
     The input is symmetrized as (H + H*)/2 before solving, absorbing roundoff
     from products like T T*. Inputs with ||H - H*|| > rel_eq * ||H||, or with
     an entry of H - H* that overflows, are rejected with NotHermitian; finite
-    inputs whose extremes overflow are rejected with NumericalOverflow.
+    inputs whose norm or extremes overflow are rejected with NumericalOverflow.
     """
     mat = _nonempty(h)
     if mat.shape[0] != mat.shape[1]:
         raise NotHermitian(f"matrix is {mat.shape[0]}x{mat.shape[1]}, not square")
     skew = mat - mat.conj().T
-    lo, hi = _sym_extremes(mat)
-    if not np.isfinite(skew).all() or _norm(skew) > tol.rel_eq * _norm(mat):
+    if not np.isfinite(skew).all():
         raise NotHermitian(_NOT_HERMITIAN)
-    if _unbounded(lo, hi):
-        raise NumericalOverflow(_OVERFLOW)
-    return lo, hi
+    bound = tol.rel_eq * _norm(mat)  # a NumericalOverflow where ||H|| overflows
+    try:
+        skewed = _norm(skew) > bound
+    except NumericalOverflow:  # ||H - H*|| is not finite where ||H|| is (the SVD may read it as NaN)
+        skewed = True
+    if skewed:
+        raise NotHermitian(_NOT_HERMITIAN)
+    return _sym_extremes(mat)
 
 
 @_quiet
@@ -253,13 +259,12 @@ def pinv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
 
 
 def sv_extremes(a) -> tuple[float, float]:
-    """(sigma_min, sigma_max) of a matrix."""
-    s = _svd_values(_nonempty(a))
-    return float(s[-1]), float(s[0])
+    """(sigma_min, sigma_max) of a matrix; a NumericalOverflow where sigma_max overflows."""
+    return _sv_extremes(_nonempty(a))
 
 
 def _invertible(sigma_min: float, sigma_max: float, tol: Tol) -> bool:
-    """The singularity proxy: sigma_max > 0 and sigma_min/sigma_max >= inv_cond (False on NaN)."""
+    """The singularity proxy: sigma_max > 0 and sigma_min/sigma_max >= inv_cond."""
     return sigma_max > 0.0 and sigma_min / sigma_max >= tol.inv_cond
 
 
@@ -277,10 +282,10 @@ def _lu_inv(mat: np.ndarray) -> np.ndarray:
 
 def inv(a, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """Matrix inverse, guarded by the singularity proxy (see _invertible), then by _lu_inv."""
-    mat = as_matrix(a)
+    mat = _nonempty(a)
     if mat.shape[0] != mat.shape[1]:
         raise InvalidArgument(f"cannot invert a {mat.shape[0]}x{mat.shape[1]} matrix")
-    sigma_min, sigma_max = sv_extremes(mat)
+    sigma_min, sigma_max = _sv_extremes(mat)
     if not _invertible(sigma_min, sigma_max, tol):
         raise Singular(
             f"sigma_min/sigma_max = {sigma_min:.3e}/{sigma_max:.3e} below inv_cond={tol.inv_cond:g}"
@@ -308,7 +313,7 @@ def rel_residual(x, y) -> float:
     mx, my = as_matrix(x), as_matrix(y)
     if mx.shape != my.shape:
         raise DimensionMismatch(f"cannot compare matrices of shapes {mx.shape} and {my.shape}")
-    gap, norm_x, norm_y = (_finite(_norm(m), "operator norm") for m in (_finite(mx - my, "X - Y"), mx, my))
+    gap, norm_x, norm_y = (_norm(m) for m in (_finite(mx - my, "X - Y"), mx, my))
     return _rel_gap(gap, norm_x, norm_y)
 
 

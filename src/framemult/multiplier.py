@@ -13,17 +13,16 @@ second induced frame and conditions iii/iv are the first frame and i/ii of M*.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalOverflow, Singular
+from .errors import DimensionMismatch, Singular
 from .frames import Frame, _check_shapes, _read_only, _weighted_image, canonical_dual
 from .linalg import BOUNDARY_FACTOR  # noqa: F401 - the band's factor stays importable from here
 from .linalg import DEFAULT_TOL, Tol, _finite, _invertible, _lu_inv, _near_boundary, _quiet, _rel_gap
-from .linalg import _norm, _svd_values
+from .linalg import _expect, _norm, _sv_extremes
 from .symbols import Symbol, conj, reciprocal
 
 __all__ = [
@@ -137,10 +136,7 @@ def build(m: Symbol, phi: Frame, psi: Frame, tol: Tol = DEFAULT_TOL) -> Multipli
     """
     _check_shapes((phi, psi), (m,))
     matrix = _finite((phi.synth * m.values[np.newaxis, :]) @ psi.analysis_op, "multiplier matrix")
-    s = _svd_values(matrix)
-    sigma_min, sigma_max = float(s[-1]), float(s[0])
-    if not math.isfinite(sigma_max):
-        raise NumericalOverflow("largest singular value of a finite multiplier matrix overflows")
+    sigma_min, sigma_max = _sv_extremes(matrix, "largest singular value of a multiplier matrix")
     invertible = _invertible(sigma_min, sigma_max, tol)
     diag = InvDiag(sigma_min=sigma_min, sigma_max=sigma_max, invertible=invertible)
     return Multiplier(symbol=m, left=phi, right=psi, matrix=_read_only(matrix), inv_diag=diag)
@@ -152,6 +148,7 @@ def adjoint(mult: Multiplier) -> Multiplier:
     Its inverse memo holds (M^{-1})* and the residual of M rather than a fresh
     inverse of M*, so invert treats both alike and keeps the bits of M^{-1}.
     """
+    _expect(mult, Multiplier, "mult")
     matrix = _read_only(mult.matrix.conj().T)
     adj = Multiplier(conj(mult.symbol), mult.right, mult.left, matrix, mult.inv_diag)
     if mult.inv_diag.invertible:
@@ -162,6 +159,7 @@ def adjoint(mult: Multiplier) -> Multiplier:
 
 def invert(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """Inverse of the realized matrix; refuses ill-conditioned multipliers."""
+    _expect(mult, Multiplier, "mult")
     if not mult.inv_diag.invertible:
         raise Singular(
             f"multiplier not invertible: sigma_min/sigma_max = "
@@ -195,6 +193,7 @@ def canonical_inverse_candidate(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> np.
     is exactly what thm1_report decides. It is a NumericalOverflow where a
     product of finite factors overflows (linalg's overflow rule).
     """
+    _expect(mult, Multiplier, "mult")
     left = _inverse_formula_left(mult, tol)
     return _finite(left @ canonical_dual(mult.left, tol).frame.analysis_op, "canonical inverse candidate")
 
@@ -210,6 +209,7 @@ def dagger_frames(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> tuple[Frame, Fram
     The second is the first of adjoint(mult), so the first is a dual of Psi
     and the second a dual of Phi.
     """
+    _expect(mult, Multiplier, "mult")
     return _dagger(mult, tol), _dagger(adjoint(mult), tol)
 
 
@@ -238,6 +238,7 @@ def thm1_report(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Thm1Report:
 
     Conditions iii and iv are conditions i and ii of adjoint(mult).
     """
+    _expect(mult, Multiplier, "mult")
     minv = invert(mult, tol)
     candidate = canonical_inverse_candidate(mult, tol)
     direct_residual = _norm(_finite(minv - candidate, "M^{-1} - candidate"))

@@ -48,7 +48,7 @@ from .frames import (
     canonical_dual,
     equivalence_map,
 )
-from .linalg import DEFAULT_TOL, Tol, _finite, _is_integer, _norm, _quiet, _rel_gap
+from .linalg import DEFAULT_TOL, Tol, _expect, _finite, _is_integer, _norm, _quiet, _rel_gap
 from .multiplier import Multiplier, _inverse_formula_left, _inverse_norm, adjoint, invert
 from .symbols import reciprocal
 
@@ -146,6 +146,7 @@ def gamma_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
     Singular on every call. Gamma and both annihilation products are formed
     under linalg's overflow rule: one that is not finite is a NumericalOverflow.
     """
+    _expect(mult, Multiplier, "mult")
     cached = mult._gammas.get(tol)
     if cached is not None:
         return cached
@@ -173,6 +174,7 @@ def theta_of(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> RepResult:
     multiplier with an empty Gamma memo, so mult keeps the result, which
     refers to nothing that refers back to mult.
     """
+    _expect(mult, Multiplier, "mult")
     cached = mult._thetas.get(tol)
     if cached is None:
         cached = mult._thetas[tol] = replace(gamma_of(adjoint(mult), tol), kind="Theta")
@@ -231,6 +233,8 @@ def verify_gamma_decomposition(
     One residual per supplied dual of the left frame; each dual is first
     re-verified against that frame.
     """
+    _expect(mult, Multiplier, "mult")
+    _expect(g, RepResult, "g")
     return replace(g, decomposition_residuals=_decomposition_residuals(mult, g.op, duals, tol))
 
 
@@ -244,6 +248,8 @@ def verify_theta_decomposition(
 
     One residual per supplied dual of the right frame: the Gamma form of adjoint(mult).
     """
+    _expect(mult, Multiplier, "mult")
+    _expect(t, RepResult, "t")
     return replace(t, decomposition_residuals=_decomposition_residuals(adjoint(mult), t.op, duals, tol))
 
 
@@ -278,4 +284,5 @@ def equivalence_criterion(mult: Multiplier, tol: Tol = DEFAULT_TOL) -> Equivalen
 
     Both residual verdicts are the rule of linalg with ||M^{-1}|| = 1/sigma_min(M).
     """
+    _expect(mult, Multiplier, "mult")
     return _equivalence(mult, tol)[0]

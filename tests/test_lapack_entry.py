@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import framemult
-from framemult.linalg import _eig_extremes, _eigvalsh, _inv, _solve, _svd_values
+from framemult import NumericalOverflow
+from framemult.linalg import _eigvalsh, _inv, _quiet, _solve, _svd_values, _sym_extremes
 from framemult.suites import DEFAULT_DIMS
 
 SHAPES = sorted(set(DEFAULT_DIMS) | {(d, d) for d, _ in DEFAULT_DIMS})
@@ -93,14 +94,14 @@ def test_non_finite_inputs_raise_numpys_error(bad):
     assert _raised(lambda: _svd_values(a)) == _raised(lambda: np.linalg.svd(a, compute_uv=False)) == want
 
 
-def test_eig_extremes_turns_the_non_converged_matrix_nan():
+def test_sym_extremes_raises_where_eigvalsh_would_not_converge():
     # (S + S*)/2 of S = 1.44e308 I is infinite on its diagonal, where eigvalsh raises:
-    # _eig_extremes gives that matrix NaN extremes and a finite one its own.
-    with np.errstate(over="ignore", invalid="ignore"):
-        big = 1.44e308 * np.eye(3, dtype=np.complex128)
-        sym = (big + big) / 2.0
-    assert _eig_extremes(np.eye(3, dtype=np.complex128)) == (1.0, 1.0)
-    assert np.isnan(_eig_extremes(sym)).all()
+    # _sym_extremes does not run it there and raises NumericalOverflow; a finite S gives its extremes.
+    sym_extremes = _quiet(_sym_extremes)
+    big = 1.44e308 * np.eye(3, dtype=np.complex128)
+    assert sym_extremes(np.eye(3, dtype=np.complex128)) == (1.0, 1.0)
+    with pytest.raises(NumericalOverflow, match=r"extremal eigenvalues of \(H \+ H\*\)/2 overflow"):
+        sym_extremes(big)
 
 
 # ------------------------------------------------------------- one way in

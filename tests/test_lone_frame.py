@@ -193,7 +193,7 @@ def test_lone_rule_matches_the_stack_rule(seed, d, factor, scale, tol):
         ([[0.0, 1e308], [-1e308, 0.0]], True, True),  # H - H* overflows; (H + H*)/2 = 0
         ([[1e308, 1.5e308j], [1.5e308j, 0.0]], True, False),  # complex symmetric
         ([[1e308, 1e308], [-1e308, 1e308]], True, False),  # both overflow
-        ([[1.44e308, 0.0], [0.0, 1.44e308]], False, False),  # (H + H*)/2 overflows: NaN extremes
+        ([[1.44e308, 0.0], [0.0, 1.44e308]], False, False),  # (H + H*)/2 overflows: no extremes
         ([[1.5e308, 1e308], [1e308, 1.5e308]], False, False),
     ],
 )

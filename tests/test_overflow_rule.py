@@ -4,7 +4,7 @@ Frames, duals, weighted frames, induced frames, perturbed frames, reciprocal
 and perturbed symbols, multiplier matrices, the Gamma and Theta corrections
 and thm1's products are formed from finite inputs under a quiet numpy error
 state and judged by the typed check that follows; a derived frame is judged
-by its spectrum, whose extremes are NaN when it is not finite. So at any
+by its spectrum, whose reader raises when it is not finite. So at any
 scale 2^k, from subnormal frame operators to overflowing products, and for
 inputs with NaN or inf entries, each of new_frame, canonical_dual,
 random_dual, sample_duals, scale_by_symbol, build, dagger_frames,
@@ -48,7 +48,7 @@ from framemult import (
     theta_of,
     thm1_report,
 )
-from framemult.linalg import _eig_extremes, _finite
+from framemult.linalg import _eigvalsh, _finite, _quiet, _sym_extremes
 
 # Powers of two that put S = T T* below the smallest normal double and the
 # products above the largest one; the ends turn every entry into 0 or inf.
@@ -248,8 +248,21 @@ def test_a_float_that_is_not_finite_is_a_numerical_overflow(value):
 
 
 @pytest.mark.parametrize("mat", [[[np.nan, 1.0], [1.0, 2.0]], [[np.nan, 0.0], [0.0, 5e305]]])
-def test_non_finite_matrix_has_nan_extremes(mat):
+def test_non_finite_matrix_has_no_extremes(mat):
     # eigvalsh converges on both and gives finite values, which are not the extremes.
-    assert np.isnan(_eig_extremes(np.array(mat, dtype=np.complex128))).all()
-    extremes = _eig_extremes(np.diag([1.0, 4.0]).astype(np.complex128))
+    with pytest.raises(NumericalOverflow):
+        _quiet(_sym_extremes)(np.array(mat, dtype=np.complex128))
+    extremes = _quiet(_sym_extremes)(np.diag([1.0, 4.0]).astype(np.complex128))
     assert extremes == (1.0, 4.0) and all(type(x) is float for x in extremes)
+
+
+def test_finite_matrix_whose_spectrum_overflows_has_no_extremes():
+    # eigvalsh gives a finite matrix an infinite extreme, so the reader checks its output too.
+    lo, hi = _eigvalsh(np.array([[1.7e308, 1e308], [1e308, 1.7e308]], dtype=np.complex128))
+    assert np.isfinite(lo) and hi == np.inf
+    # (H + H*)/2 = H is finite here; its largest eigenvalue, 2.4e308, is not.
+    h = np.full((3, 3), 0.8e308, dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow, match=r"extremal eigenvalues of \(H \+ H\*\)/2 overflow"):
+            _quiet(_sym_extremes)(h)

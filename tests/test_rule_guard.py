@@ -9,14 +9,19 @@ absolute slack or a check that is not the rule, and the list is the to-do
 list of ROADMAP item 2, step 2. The guard asserts the list exactly, so a new
 inline form fails it and a mended one must leave it.
 
-A second guard keeps linalg._norm the one operator norm kernel: besides it,
-only sv_extremes and multiplier.build read the values-only SVD entry.
+A second guard keeps one reader per LAPACK entry of linalg: _sv_extremes
+reads _svd_values, _sym_extremes reads _eigvalsh, _lu_inv reads _inv and
+Frame._canonical_synth reads _solve. The spectral readers judge their own
+result, so the NaN-signalling helpers that made each caller check it are
+gone, and multiplier.build takes its singular values from _sv_extremes.
 """
 
 import ast
 import inspect
 import pkgutil
 from importlib import import_module
+
+import pytest
 
 import framemult
 
@@ -157,16 +162,55 @@ def test_the_guard_flags_a_product_and_a_bare_quotient():
         assert [not _sanctioned(node, parents) for node, parents in reads] == [flagged]
 
 
-# sv_extremes and build take both ends of one SVD.
-SVD_READERS = {("linalg", "_norm"), ("linalg", "sv_extremes"), ("multiplier", "build")}
+# Each LAPACK entry of linalg and its one reader, (module, function).
+READERS = {
+    "_svd_values": ("linalg", "_sv_extremes"),
+    "_eigvalsh": ("linalg", "_sym_extremes"),
+    "_inv": ("linalg", "_lu_inv"),
+    "_solve": ("frames", "Frame._canonical_synth"),
+}
 
 
-def test_only_the_one_norm_and_the_extremes_read_the_svd_entry():
-    readers = {
+def _readers(name: str) -> set[tuple[str, str]]:
+    """The (module, function) pairs whose code loads name, bare or as an attribute."""
+    return {
         (module, scope)
         for module, tree in _modules()
         for node, scope, _ in _walk(tree)
-        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == "_svd_values")
-        or (isinstance(node, ast.Attribute) and node.attr == "_svd_values")
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
     }
-    assert readers == SVD_READERS
+
+
+@pytest.mark.parametrize("entry", sorted(READERS))
+def test_each_lapack_entry_has_one_reader(entry):
+    assert _readers(entry) == {READERS[entry]}
+
+
+def test_the_entries_are_the_four_lapack_routines():
+    entries = {
+        target.id
+        for node in ast.parse(inspect.getsource(framemult.linalg)).body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "_lapack"
+        for target in node.targets
+    }
+    assert entries == set(READERS)
+
+
+@pytest.mark.parametrize("helper", ["_eig_extremes", "_unbounded"])
+def test_the_nan_signalling_helpers_are_gone(helper):
+    assert not hasattr(framemult.linalg, helper)
+    assert _readers(helper) == set()
+
+
+def test_multiplier_reads_no_singular_value_itself():
+    tree = ast.parse(inspect.getsource(framemult.multiplier))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported & {"_svd_values", "math"} == set()
